@@ -102,38 +102,28 @@ def _print_effective(args: argparse.Namespace, keys: list[str]) -> None:
         print(f"{k}={getattr(args, k)}")
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
-    """Key-value config file, one `key value` (or `key=value`) per line.
-    Explicit CLI flags win over file values."""
-    if not getattr(args, "config", None):
-        return
+def _with_config_file(argv: list[str], args: argparse.Namespace) -> list[str]:
+    """``argv`` with the ``--config`` file spliced in after the subcommand.
+
+    The file holds one ``key value`` (or ``key=value``) per line; a bare
+    ``key`` sets a flag.  Each line becomes ``--key value`` tokens, so
+    argparse converts and checks them, and the explicit flags, which come
+    later, win.
+    """
     p = Path(args.config)
     if not p.exists():
         raise ValueError(f"config file not found: {p}")
-    given = {a.split("=", 1)[0] for a in argv if a.startswith("--")}
+    tokens = []
     for ln in p.read_text().splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        if "=" in ln:
-            key, _, val = ln.partition("=")
-        else:
-            key, _, val = ln.partition(" ")
-        key = key.strip().replace("-", "_")
-        val = val.strip()
-        if f"--{key.replace('_', '-')}" in given:
-            continue
-        if not hasattr(args, key):
-            raise ValueError(f"unknown config key {key!r} in {p}")
-        cur = getattr(args, key)
-        if isinstance(cur, bool):
-            setattr(args, key, val.lower() in ("1", "true", "yes"))
-        elif isinstance(cur, int):
-            setattr(args, key, int(val))
-        elif isinstance(cur, float):
-            setattr(args, key, float(val))
-        else:
-            setattr(args, key, val)
+        key, _, val = ln.partition("=" if "=" in ln else " ")
+        tokens.append("--" + key.strip().replace("_", "-"))
+        if val.strip():
+            tokens.append(val.strip())
+    at = argv.index(args.command) + 1
+    return argv[:at] + tokens + argv[at:]
 
 
 def _append_summary(out_dir: Path, rows: list[dict], fmt: str) -> Path:
@@ -436,7 +426,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, argv)
+        if getattr(args, "config", None):
+            args = parser.parse_args(_with_config_file(argv, args))
         keys = sorted(
             k for k in vars(args) if k not in ("func", "command")
         )

@@ -5,15 +5,20 @@ Three searches live here.
 * `sync_worst_case` measures the worst mutual-exclusion convergence index
   over many initial configurations under the synchronous scheduler, with an
   optional liveness window.  For the clock protocol the sweep is vectorized
-  with numpy (hundreds of thousands of runs stepped as one matrix); a
-  scalar path drives any protocol and doubles as the cross-check.
+  with numpy (hundreds of thousands of runs stepped as one matrix); once
+  every run is legitimate, runs that share their configuration and window
+  end are stepped through the window as one.  A scalar path drives any
+  protocol and doubles as the cross-check.
 
-* `worst_case_unfair` computes, by memoized depth-first search over the
-  full nondeterministic transition relation (every non-empty activation
-  subset), the longest action sequence from any configuration to the first
-  legitimate one.  Legitimate configurations are absorbing targets; a cycle
-  among non-legitimate configurations or a stuck non-legitimate
-  configuration is surfaced as a falsification artifact, never ignored.
+* `worst_case_unfair` computes the longest action sequence from any
+  configuration to the first legitimate one over the full nondeterministic
+  transition relation (every non-empty activation subset).  Guards and
+  actions are evaluated once per configuration, successors are built as
+  mixed-radix index sums, and the longest paths come from peeling the
+  state graph level by level back from the legitimate set.  Legitimate
+  configurations are absorbing targets; a cycle among non-legitimate
+  configurations or a stuck non-legitimate configuration is surfaced as a
+  falsification artifact, never ignored.
 
 * `lower_bound_witness` builds an initial configuration whose convergence
   index is exactly ceil(diam/2): it replays a synchronous execution to find
@@ -99,6 +104,22 @@ def _batch_step(R: np.ndarray, na, conv, ra, alpha: int, ring: int) -> np.ndarra
     return np.where(ra, -alpha, out)
 
 
+def _row_keys(columns: list[np.ndarray], radices: list[int]) -> np.ndarray:
+    """One int64 key per row, equal exactly when the rows are equal.
+
+    Column ``c`` holds values in ``[0, radices[c])``.  The key is their
+    mixed-radix number; when it would overflow int64 it is first renumbered
+    densely by ``np.unique``.
+    """
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    limit = np.iinfo(np.int64).max
+    for col, radix in zip(columns, radices):
+        if int(key.max()) > (limit - radix) // radix:
+            key = np.unique(key, return_inverse=True)[1].astype(np.int64)
+        key = key * radix + col
+    return key
+
+
 def _sync_scan_ssme_chunk(
     protocol: SsmeProtocol,
     g: Graph,
@@ -148,20 +169,30 @@ def _sync_scan_ssme_chunk(
     # inside [conv, conv + window).  Events before this point are ignored,
     # which can only undercount; the window is still long enough because the
     # settled system ticks every clock at least once per (window - diam)
-    # steps.
-    W = liveness_window
-    ends = conv_me + W
+    # steps.  Rows that share their configuration and their window end
+    # count alike, so only one row of each such class is stepped.
+    ends = conv_me + liveness_window
+    lo = int(ends.min())
+    keys = _row_keys(
+        [R[:, v] + alpha for v in range(g.n)] + [ends - lo],
+        [alpha + ring] * g.n + [int(ends.max()) - lo + 1],
+    )
+    _, first, inverse, sizes = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    R = R[first]
+    ends = ends[first]
     counts = np.zeros(R.shape, dtype=np.int32)
     while t < int(ends.max()):
         na, conv_m, ra, enabled, priv, _legit = _batch_masks(
             R, g, ring, thresholds
         )
-        result.unsafe_after_legitimate += int((priv.sum(axis=1) >= 2).sum())
+        result.unsafe_after_legitimate += int(sizes[priv.sum(axis=1) >= 2].sum())
         live = t < ends
         counts += (priv & enabled & live[:, None]).astype(np.int32)
         R = _batch_step(R, na, conv_m, ra, alpha, ring)
         t += 1
-    per_row_min = counts.min(axis=1)
+    per_row_min = counts.min(axis=1)[inverse]
     j = int(per_row_min.argmin())
     result.min_cs_count = int(per_row_min[j])
     result.cs_witness = tuple(int(x) for x in init[j])
@@ -298,6 +329,10 @@ def _sync_scan_scalar(
         if conv is None or legit is None:
             acc.unreached += 1
             continue
+        acc.unsafe_after_legitimate += sum(
+            len(protocol.privileged_vertices(c, g)) >= 2
+            for c in trace.configs[legit + 1:]
+        )
         if conv > acc.max_convergence_me:
             acc.max_convergence_me = conv
             acc.witness_me = init
@@ -335,88 +370,117 @@ def worst_case_unfair(
     """Longest action sequence to the first legitimate configuration, over
     every initial configuration and every legal activation choice.
 
-    Raises FalsificationError on a cycle among non-legitimate configurations
-    or on a stuck non-legitimate configuration; either would contradict
-    convergence under the unconstrained scheduler.
+    Configurations are indexed in mixed radix, in ``product(domain,
+    repeat=n)`` order.  One pass over the state space evaluates every guard
+    and action once; the successors under each activation subset are then
+    built as index sums, and states are peeled level by level: level 0 is
+    the legitimate set, and level k holds the states whose successors all
+    lie in levels below k.  A state's level is its longest path to
+    legitimacy.
+
+    Raises FalsificationError on a stuck non-legitimate configuration or on
+    a cycle among non-legitimate configurations (the states that never
+    peel); either would contradict convergence under the unconstrained
+    scheduler.
     """
     protocol.check_graph(g)
     domain = list(protocol.state_domain())
     n = g.n
-    total = len(domain) ** n
+    D = len(domain)
+    total = D**n
     if total > state_budget:
         raise ValueError(
             f"state space of {total} configurations exceeds budget {state_budget}"
         )
+    itype = np.int32 if total < 2**31 else np.int64
+    pos = {x: i for i, x in enumerate(domain)}
+    weight = [D ** (n - 1 - v) for v in range(n)]
 
-    def successors(cfg: tuple[int, ...]) -> list[tuple[int, ...]]:
-        rules = [protocol.enabled_rule(v, cfg, g) for v in range(n)]
-        enabled = [v for v, r in enumerate(rules) if r is not None]
-        if not enabled:
+    def config_at(i: int) -> tuple[int, ...]:
+        return tuple(domain[i // w % D] for w in weight)
+
+    # One pass: legitimacy, enabled mask and per-vertex index delta.
+    is_legitimate = protocol.is_legitimate
+    enabled_rule = protocol.enabled_rule
+    apply = protocol.apply
+    done = np.zeros(total, dtype=bool)
+    mask_of = np.zeros(total, dtype=np.int64)
+    delta_of = np.zeros((total, n), dtype=itype)
+    for i, cfg in enumerate(product(domain, repeat=n)):
+        if is_legitimate(cfg, g):
+            done[i] = True
+            continue
+        m = 0
+        for v in range(n):
+            rule = enabled_rule(v, cfg, g)
+            if rule is not None:
+                m |= 1 << v
+                delta_of[i, v] = (
+                    pos[apply(v, rule, cfg, g)] - pos[cfg[v]]
+                ) * weight[v]
+        if not m:
             raise FalsificationError(
                 f"stuck non-legitimate configuration {cfg}", artifact=cfg
             )
-        out = []
-        for subset in enumerate_choices(enabled, cap=branch_cap):
-            new = list(cfg)
-            for v in subset:
-                new[v] = protocol.apply(v, rules[v], cfg, g)
-            out.append(tuple(new))
-        return out
+        mask_of[i] = m
 
-    memo: dict[tuple[int, ...], int] = {}
-    onstack: set[tuple[int, ...]] = set()
+    # Successors, grouped by enabled mask: row r of a group's matrix holds
+    # the successors of its r-th state, one column per activation subset
+    # in the canonical order.
+    live = np.flatnonzero(~done).astype(itype)
+    live_masks = mask_of[live]
+    groups = []
+    for m in np.unique(live_masks).tolist():
+        states = live[live_masks == m]
+        subsets = enumerate_choices(
+            [v for v in range(n) if m >> v & 1], cap=branch_cap
+        )
+        choose = np.array(
+            [[v in subset for subset in subsets] for v in range(n)], dtype=itype
+        )
+        groups.append((states, states[:, None] + delta_of[states] @ choose))
+    del delta_of
 
-    def visit(start: tuple[int, ...]) -> None:
-        if start in memo:
-            return
-        stack: list[list] = [[start, None, 0, 0]]
-        onstack.add(start)
-        while stack:
-            frame = stack[-1]
-            cfg = frame[0]
-            if frame[1] is None:
-                if protocol.is_legitimate(cfg, g):
-                    memo[cfg] = 0
-                    onstack.discard(cfg)
-                    stack.pop()
-                    continue
-                frame[1] = successors(cfg)
-            succs = frame[1]
-            pushed = False
-            while frame[2] < len(succs):
-                nxt = succs[frame[2]]
-                if nxt in memo:
-                    frame[3] = max(frame[3], 1 + memo[nxt])
-                    frame[2] += 1
-                    continue
-                if nxt in onstack:
-                    at = next(
-                        i for i, fr in enumerate(stack) if fr[0] == nxt
-                    )
-                    cycle = [fr[0] for fr in stack[at:]] + [nxt]
-                    raise FalsificationError(
-                        "cycle among non-legitimate configurations "
-                        f"({len(cycle) - 1} actions)",
-                        artifact=cycle,
-                    )
-                stack.append([nxt, None, 0, 0])
-                onstack.add(nxt)
-                pushed = True
-                break
-            if pushed:
-                continue
-            memo[cfg] = frame[3]
-            onstack.discard(cfg)
-            stack.pop()
+    # Peel: a state whose successors are all finished finishes at this
+    # level, and its row is dropped.
+    dist = np.zeros(total, dtype=np.int32)
+    level = 0
+    while groups:
+        finished = [done[succ].all(axis=1) for _, succ in groups]
+        if not any(f.any() for f in finished):
+            break
+        level += 1
+        for i, f in enumerate(finished):
+            states, succ = groups[i]
+            dist[states[f]] = level
+            done[states[f]] = True
+            groups[i] = (states[~f], succ[~f])
+        groups = [grp for grp in groups if len(grp[0])]
 
-    best = -1
-    witness: tuple[int, ...] = ()
-    for cfg in product(domain, repeat=n):
-        visit(cfg)
-        if memo[cfg] > best:
-            best = memo[cfg]
-            witness = cfg
-    return UnfairSearchResult(max_steps=best, witness=witness, states=len(memo))
+    if groups:
+        # Every unfinished state keeps a successor that is unfinished:
+        # follow them from the lowest one until a state repeats.
+        succ_of = np.full(total, -1, dtype=itype)
+        for states, succ in groups:
+            pick = (~done[succ]).argmax(axis=1)
+            succ_of[states] = succ[np.arange(len(states)), pick]
+        seen: dict[int, int] = {}
+        path: list[int] = []
+        cur = int(np.flatnonzero(~done)[0])
+        while cur not in seen:
+            seen[cur] = len(path)
+            path.append(cur)
+            cur = int(succ_of[cur])
+        cycle = [config_at(i) for i in path[seen[cur]:]] + [config_at(cur)]
+        raise FalsificationError(
+            "cycle among non-legitimate configurations "
+            f"({len(cycle) - 1} actions)",
+            artifact=cycle,
+        )
+    best = int(dist.argmax())
+    return UnfairSearchResult(
+        max_steps=int(dist[best]), witness=config_at(best), states=total
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -191,3 +191,28 @@ def test_unknown_daemon_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--daemon", "chaotic"])
     assert exc.value.code == 2
+
+
+def test_config_file_int_key(tmp_path, capsys):
+    conf = tmp_path / "cfg.txt"
+    conf.write_text("max_steps 50\nk_states 6\n")
+    rc = main([
+        "run", "--graph", "ring:4", "--protocol", "ssme", "--daemon", "sync",
+        "--init", "zeros", "--config", str(conf), "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 0
+    text = capsys.readouterr().out
+    assert "max_steps=50" in text
+    assert "k_states=6" in text
+
+
+def test_config_file_bad_int_exits_2(tmp_path, capsys):
+    conf = tmp_path / "cfg.txt"
+    conf.write_text("max_steps fifty\n")
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "run", "--graph", "ring:4", "--init", "zeros",
+            "--config", str(conf), "--out", str(tmp_path / "o"),
+        ])
+    assert exc.value.code == 2
+    assert "invalid int value: 'fifty'" in capsys.readouterr().err

@@ -1,11 +1,14 @@
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
 from stabsim import generate
 from stabsim.engine import FalsificationError, run, step
 from stabsim.daemon import SynchronousDaemon
-from stabsim.protocol import DijkstraProtocol, SsmeProtocol
+from stabsim.protocol import DijkstraProtocol, SsmeProtocol, make_protocol
 from stabsim.search import (
+    _row_keys,
     _sync_scan_scalar,
     lower_bound_witness,
     ssme_unfair_step_bound,
@@ -59,6 +62,8 @@ class TestSyncWorstCase:
         assert batched.witness_legit == scalar.witness_legit
         assert batched.unreached == scalar.unreached == 0
         assert batched.min_cs_count == scalar.min_cs_count == 1
+        assert batched.unsafe_after_legitimate == 0
+        assert scalar.unsafe_after_legitimate == 0
 
     def test_batched_step_matches_engine_step(self):
         from stabsim.search import _batch_masks, _batch_step
@@ -103,8 +108,142 @@ class TestSyncWorstCase:
         assert whole.witness_me == chunked.witness_me
         assert whole.runs == chunked.runs == 100
 
+    @pytest.mark.parametrize("spec", ["path:3", "complete:3"])
+    def test_window_classes_match_scalar(self, spec):
+        g = generate(spec)
+        p = SsmeProtocol.for_graph(g)
+        window = 2 * p.ring
+        batched = sync_worst_case(p, g, "exhaustive", liveness_window=window)
+        scalar = sync_worst_case(
+            p, g, "exhaustive", liveness_window=window, force_scalar=True
+        )
+        for field in (
+            "runs",
+            "max_convergence_me",
+            "witness_me",
+            "max_convergence_legit",
+            "witness_legit",
+            "min_cs_count",
+            "cs_witness",
+            "unreached",
+        ):
+            assert getattr(batched, field) == getattr(scalar, field), field
+        assert batched.unsafe_after_legitimate == 0
+        assert scalar.unsafe_after_legitimate == 0
+
+    @pytest.mark.parametrize("spec", ["path:3", "complete:3"])
+    def test_window_classes_chunked(self, spec):
+        g = generate(spec)
+        p = SsmeProtocol.for_graph(g)
+        window = 2 * p.ring
+        whole = sync_worst_case(p, g, "exhaustive", liveness_window=window)
+        chunked = sync_worst_case(
+            p, g, "exhaustive", liveness_window=window, chunk_rows=7
+        )
+        assert chunked == whole
+        assert whole.cs_witness is not None
+
+    def test_row_keys_renumber_before_overflow(self):
+        rng = np.random.default_rng(3)
+        radix = 1 << 40
+        rows = rng.integers(0, 4, size=(300, 3)) * (radix // 4)
+        keys = _row_keys([rows[:, c] for c in range(3)], [radix] * 3)
+        _, by_row = np.unique(rows, axis=0, return_inverse=True)
+        _, by_key = np.unique(keys, return_inverse=True)
+        assert np.array_equal(by_row.ravel(), by_key)
+
+
+def _oracle_unfair(protocol, g):
+    """Longest path to legitimacy by value iteration over tuples.
+
+    Independent of the solver: every non-empty subset of the enabled
+    vertices moves, and values are relaxed to a fixpoint.
+    """
+    states = list(product(protocol.state_domain(), repeat=g.n))
+    succ = {}
+    for s in states:
+        if protocol.is_legitimate(s, g):
+            continue
+        rules = {v: protocol.enabled_rule(v, s, g) for v in range(g.n)}
+        enabled = [v for v, r in rules.items() if r is not None]
+        nxt = set()
+        for k in range(1, len(enabled) + 1):
+            for subset in combinations(enabled, k):
+                new = list(s)
+                for v in subset:
+                    new[v] = protocol.apply(v, rules[v], s, g)
+                nxt.add(tuple(new))
+        succ[s] = nxt
+    value = dict.fromkeys(states, 0)
+    for _ in range(len(states) + 1):
+        changed = False
+        for s, nxt in succ.items():
+            best = 1 + max(value[t] for t in nxt)
+            if best != value[s]:
+                value[s] = best
+                changed = True
+        if not changed:
+            break
+    else:
+        raise AssertionError("no fixpoint: a cycle among non-legitimate states")
+    worst = max(value.values())
+    return worst, next(s for s in states if value[s] == worst), len(states)
+
+
+def _is_move(protocol, g, a, b) -> bool:
+    """b follows a when some non-empty subset of a's enabled vertices moves."""
+    enabled = [v for v in range(g.n) if protocol.enabled_rule(v, a, g) is not None]
+    return any(
+        step(protocol, g, a, subset) == b
+        for k in range(1, len(enabled) + 1)
+        for subset in combinations(enabled, k)
+    )
+
+
+class Toggler:
+    """Flips every vertex forever and is never legitimate."""
+
+    name = "toggler"
+    reset_rule = None
+
+    def check_graph(self, g):
+        pass
+
+    def state_domain(self):
+        return range(2)
+
+    def enabled_rule(self, v, config, g):
+        return "T"
+
+    def apply(self, v, rule, config, g):
+        return 1 - config[v]
+
+    def privileged_vertices(self, config, g):
+        return ()
+
+    def is_legitimate(self, config, g):
+        return False
+
 
 class TestUnfairWorstCase:
+    @pytest.mark.parametrize(
+        "proto,spec",
+        [
+            ("ssme", "path:2"),
+            ("ssme", "path:3"),
+            ("ssme", "ring:3"),
+            ("ssme", "complete:3"),
+            ("dijkstra", "ring:3"),
+            ("dijkstra", "ring:4"),
+            ("dijkstra", "ring:5"),
+        ],
+    )
+    def test_matches_value_iteration(self, proto, spec):
+        g = generate(spec)
+        p = make_protocol(proto, g)
+        res = worst_case_unfair(p, g, state_budget=10_000)
+        assert (res.max_steps, res.witness, res.states) == _oracle_unfair(p, g)
+
     def test_path2_exact_and_bounded(self):
         g = generate("path:2")
         p = SsmeProtocol.for_graph(g)
@@ -132,33 +271,30 @@ class TestUnfairWorstCase:
             assert res.max_steps == worst
 
     def test_cycle_is_reported(self):
-        class Toggler:
-            """Flips the single vertex forever and is never legitimate."""
+        p = Toggler()
+        for spec in ("path:1", "path:3"):
+            g = generate(spec)
+            with pytest.raises(FalsificationError, match="cycle") as exc:
+                worst_case_unfair(p, g, state_budget=10)
+            cycle = exc.value.artifact
+            assert len(cycle) >= 2
+            assert cycle[0] == cycle[-1]
+            assert not any(p.is_legitimate(c, g) for c in cycle)
+            for a, b in zip(cycle, cycle[1:]):
+                assert _is_move(p, g, a, b)
 
-            name = "toggler"
-            reset_rule = None
-
-            def check_graph(self, g):
-                pass
+    def test_branch_cap_rejection(self):
+        class Frozen(Toggler):
+            """One value per vertex; every vertex is enabled and stays put."""
 
             def state_domain(self):
-                return range(2)
-
-            def enabled_rule(self, v, config, g):
-                return "T"
+                return range(1)
 
             def apply(self, v, rule, config, g):
-                return 1 - config[v]
+                return config[v]
 
-            def privileged_vertices(self, config, g):
-                return ()
-
-            def is_legitimate(self, config, g):
-                return False
-
-        g = generate("path:1")
-        with pytest.raises(FalsificationError, match="cycle"):
-            worst_case_unfair(Toggler(), g, state_budget=10)
+        with pytest.raises(ValueError, match="branching cap"):
+            worst_case_unfair(Frozen(), generate("path:17"), state_budget=10)
 
     def test_stuck_state_is_reported(self):
         class Stuck:
