@@ -24,6 +24,7 @@ from . import graph as graphlib
 from .daemon import make_daemon
 from .engine import (
     FalsificationError,
+    Trace,
     convergence_index_au,
     convergence_index_me,
     count_safety_violations,
@@ -144,7 +145,7 @@ def _append_summary(out_dir: Path, rows: list[dict], fmt: str) -> Path:
     return target
 
 
-def _one_run(args, g, protocol, init, seed: int) -> tuple[dict, str]:
+def _one_run(args, g, protocol, init, seed: int) -> tuple[dict, Trace]:
     policy = make_daemon(args.daemon, n=g.n, seed=seed, prob=args.prob)
     trace = run(
         protocol, g, init, policy,
@@ -166,19 +167,18 @@ def _one_run(args, g, protocol, init, seed: int) -> tuple[dict, str]:
         "steps": trace.steps,
         "reason": trace.reason,
     }
-    text = format_trace(trace, meta=row)
-    return row, text
+    return row, trace
 
 
 def cmd_run(args) -> int:
     g = _load_graph_arg(args.graph)
     protocol = make_protocol(args.protocol, g, args.k_states)
     inits = _parse_init(args.init, protocol, g)
-    row, text = _one_run(args, g, protocol, inits[0], args.seed)
+    row, trace = _one_run(args, g, protocol, inits[0], args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / f"trace-{row['init_hash']}-{args.seed}.txt"
-    trace_path.write_text(text)
+    trace_path.write_text(format_trace(trace, meta=row))
     summary = _append_summary(out_dir, [row], args.format)
     print(f"trace {trace_path}")
     print(f"summary {summary}")

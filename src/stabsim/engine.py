@@ -416,11 +416,8 @@ def run_stats(
     enabled = {v for v, r in enumerate(rules) if r is not None}
     # While any repair rule is enabled the configuration cannot be
     # legitimate, so the full legitimacy scan is skipped.
-    reset_rule = getattr(protocol, "reset_rule", None)
-    repair_rules = {"CA", reset_rule} if reset_rule is not None else None
-    repair_count = (
-        sum(1 for r in rules if r in repair_rules) if repair_rules else 0
-    )
+    repair_rules = frozenset(protocol.repair_rules)
+    repair_count = sum(1 for r in rules if r in repair_rules)
     legit_at: int | None = None
     last_unsafe = -1
     unsafe_after = 0
@@ -434,9 +431,7 @@ def run_stats(
             if legit_at is not None:
                 unsafe_after += 1
         if legit_at is None:
-            if (repair_rules is None or repair_count == 0) and protocol.is_legitimate(
-                config, g
-            ):
+            if repair_count == 0 and protocol.is_legitimate(config, g):
                 legit_at = t
         if legit_at is not None and t - legit_at >= tail:
             reason = REASON_CONVERGED
@@ -456,10 +451,7 @@ def run_stats(
             affected.update(adj[v])
         for v in affected:
             new_rule = protocol.enabled_rule(v, config, g)
-            if repair_rules is not None:
-                repair_count += (new_rule in repair_rules) - (
-                    rules[v] in repair_rules
-                )
+            repair_count += (new_rule in repair_rules) - (rules[v] in repair_rules)
             rules[v] = new_rule
             if new_rule is None:
                 enabled.discard(v)

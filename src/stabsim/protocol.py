@@ -103,6 +103,8 @@ class SsmeProtocol:
 
     name = "ssme"
     reset_rule = RULE_RESET
+    # Rules that only fire outside the legitimate set.
+    repair_rules = (RULE_CONVERGE, RULE_RESET)
 
     def __init__(self, n: int, diam: int):
         self.n = n
@@ -180,6 +182,7 @@ class DijkstraProtocol:
 
     name = "dijkstra"
     reset_rule = None
+    repair_rules = ()
 
     def __init__(self, n: int, k_states: int | None = None):
         if n < 2:

@@ -133,15 +133,20 @@ def _sync_scan_ssme_chunk(
     R = chunk
     B = R.shape[0]
     cap = protocol.sync_step_bound(g)
+    window = liveness_window or 0
     last_unsafe = np.full(B, -1, dtype=np.int32)
     legit_at = np.full(B, -1, dtype=np.int32)
     unsafe_after = 0
     t = 0
     while True:
         na, conv, ra, enabled, priv, legit = _batch_masks(R, g, ring, thresholds)
-        unsafe = priv.sum(axis=1) >= 2
-        last_unsafe[unsafe] = t
-        unsafe_after += int((unsafe & (legit_at >= 0)).sum())
+        # A row's own run, as the scalar path records it, ends `window`
+        # steps after its first legitimate configuration.
+        hit = np.flatnonzero(priv.sum(axis=1) >= 2)
+        hit_legit = legit_at[hit]
+        own = hit[(hit_legit < 0) | (t <= hit_legit + window)]
+        last_unsafe[own] = t
+        unsafe_after += int((legit_at[own] >= 0).sum())
         fresh = legit & (legit_at < 0)
         legit_at[fresh] = t
         if (legit_at >= 0).all() or t >= cap:
@@ -169,25 +174,34 @@ def _sync_scan_ssme_chunk(
     # inside [conv, conv + window).  Events before this point are ignored,
     # which can only undercount; the window is still long enough because the
     # settled system ticks every clock at least once per (window - diam)
-    # steps.  Rows that share their configuration and their window end
-    # count alike, so only one row of each such class is stepped.
-    ends = conv_me + liveness_window
-    lo = int(ends.min())
+    # steps.  Unsafe configurations after this point count up to the end of
+    # the row's own run.  Rows that share their configuration, their window
+    # end and their run end count alike, so only one row of each such class
+    # is stepped.
+    lo_conv, lo_legit = int(conv_me.min()), int(legit_at.min())
     keys = _row_keys(
-        [R[:, v] + alpha for v in range(g.n)] + [ends - lo],
-        [alpha + ring] * g.n + [int(ends.max()) - lo + 1],
+        [R[:, v] + alpha for v in range(g.n)]
+        + [conv_me - lo_conv, legit_at - lo_legit],
+        [alpha + ring] * g.n
+        + [int(conv_me.max()) - lo_conv + 1, int(legit_at.max()) - lo_legit + 1],
     )
     _, first, inverse, sizes = np.unique(
         keys, return_index=True, return_inverse=True, return_counts=True
     )
     R = R[first]
-    ends = ends[first]
+    ends = conv_me[first] + liveness_window
+    stops = legit_at[first] + liveness_window
     counts = np.zeros(R.shape, dtype=np.int32)
-    while t < int(ends.max()):
+    # The configuration at t was counted above.
+    start = t
+    last = max(int(ends.max()) - 1, int(stops.max()))
+    while t <= last:
         na, conv_m, ra, enabled, priv, _legit = _batch_masks(
             R, g, ring, thresholds
         )
-        result.unsafe_after_legitimate += int(sizes[priv.sum(axis=1) >= 2].sum())
+        if t > start:
+            unsafe = (priv.sum(axis=1) >= 2) & (t <= stops)
+            result.unsafe_after_legitimate += int(sizes[unsafe].sum())
         live = t < ends
         counts += (priv & enabled & live[:, None]).astype(np.int32)
         R = _batch_step(R, na, conv_m, ra, alpha, ring)

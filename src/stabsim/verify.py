@@ -19,22 +19,17 @@ import random
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
+import numpy as np
+
 from . import clock
-from .daemon import (
-    CentralAdversarial,
-    CentralRandom,
-    CentralRoundRobin,
-    RandomDistributed,
-    SynchronousDaemon,
-    enumerate_choices,
-)
+from .daemon import SynchronousDaemon, enumerate_choices, make_daemon
 from .engine import (
     is_unison_legitimate,
     islands,
     local_state,
     restrict_trace,
     run,
-    run_stats,
+    run_stats,  # bound here for bench/tracer.py, which patches it per module
     step,
 )
 from .graph import Graph, bfs_distances
@@ -47,6 +42,8 @@ from .protocol import (
     ssme_rule,
 )
 from .search import (
+    _batch_masks,
+    _batch_step,
     lower_bound_witness,
     ssme_unfair_step_bound,
     sync_worst_case,
@@ -444,14 +441,202 @@ def indistinguishability_checks(
 # ---------------------------------------------------------------------------
 
 
+ENSEMBLE_POLICIES = (
+    "central-rr", "central-rand", "central-adv", "dist-rand:0.3", "dist-rand:0.7",
+)
+
+
 def ensemble_policy_factories(n: int) -> list[tuple[str, object]]:
-    return [
-        ("central-rr", lambda s: CentralRoundRobin(n, s)),
-        ("central-rand", lambda s: CentralRandom(s)),
-        ("central-adv", lambda s: CentralAdversarial(s)),
-        ("dist-rand:0.3", lambda s: RandomDistributed(0.3, s)),
-        ("dist-rand:0.7", lambda s: RandomDistributed(0.7, s)),
-    ]
+    """The scalar daemon of each ensemble policy, built from a seed."""
+
+    def factory(pname: str):
+        kind, _, prob = pname.partition(":")
+        return lambda s: make_daemon(kind, n=n, seed=s, prob=float(prob or 0.5))
+
+    return [(pname, factory(pname)) for pname in ENSEMBLE_POLICIES]
+
+
+@dataclass
+class EnsembleRuns:
+    """Per-row summary of `ensemble_runs`, in the sense of `RunStats`.
+
+    ``legitimate_at`` is -1 for a row that never became legitimate.
+    """
+
+    steps: np.ndarray
+    legitimate_at: np.ndarray
+    last_unsafe: np.ndarray
+    unsafe_after: np.ndarray
+    final: np.ndarray
+
+
+def ensemble_runs(
+    proto: SsmeProtocol,
+    g: Graph,
+    inits: np.ndarray,
+    select,
+    *,
+    max_steps: int,
+    tail: int,
+) -> EnsembleRuns:
+    """Step every row of ``inits`` as its own run of the clock protocol.
+
+    Each row is one `run_stats` run: it stops ``tail`` steps after its first
+    legitimate configuration, at ``max_steps``, or when nothing is enabled.
+    All rows take step t together, and finished rows leave the matrix.
+
+    ``select(rows, R, masks)`` gets the ids (ascending) of the live rows,
+    their configurations and the `_batch_masks` guards of ``R``, and returns
+    a non-empty activation mask inside the enabled set per row, transposed:
+    vertex by row.  ``R`` is kept column-major, which makes each vertex's
+    column contiguous for the kernel and the per-row reductions cheap.
+    """
+    ring, alpha = proto.ring, proto.alpha
+    thresholds = np.asarray(proto.thresholds, dtype=np.int32)
+    R = np.array(inits, dtype=np.int32, order="F")
+    B = len(R)
+    out = EnsembleRuns(
+        steps=np.zeros(B, dtype=np.int32),
+        legitimate_at=np.full(B, -1, dtype=np.int32),
+        last_unsafe=np.full(B, -1, dtype=np.int32),
+        unsafe_after=np.zeros(B, dtype=np.int32),
+        final=np.empty((B, g.n), dtype=np.int32),
+    )
+    rows = np.arange(B)
+    legit_at = out.legitimate_at.copy()
+    last_unsafe = out.last_unsafe.copy()
+    unsafe_after = out.unsafe_after.copy()
+    t = 0
+    while len(rows):
+        masks = _batch_masks(R, g, ring, thresholds)
+        na, conv, ra, enabled, priv, legit = masks
+        unsafe = priv.sum(axis=1) >= 2
+        last_unsafe[unsafe] = t
+        unsafe_after += unsafe & (legit_at >= 0)
+        legit_at[legit & (legit_at < 0)] = t
+        stop = ((legit_at >= 0) & (t - legit_at >= tail)) | ~enabled.any(axis=1)
+        if t >= max_steps:
+            stop[:] = True
+        if stop.any():
+            done = rows[stop]
+            out.steps[done] = t
+            out.legitimate_at[done] = legit_at[stop]
+            out.last_unsafe[done] = last_unsafe[stop]
+            out.unsafe_after[done] = unsafe_after[stop]
+            out.final[done] = R[stop]
+            if stop.all():
+                break
+            keep = ~stop
+            rows = rows[keep]
+            R = np.asfortranarray(R[keep])
+            legit_at, last_unsafe = legit_at[keep], last_unsafe[keep]
+            unsafe_after = unsafe_after[keep]
+            masks = tuple(m[keep] for m in masks)
+            na, conv, ra = masks[:3]
+        act = select(rows, R, masks).T
+        R = np.asfortranarray(
+            _batch_step(R, na & act, conv & act, ra & act, alpha, ring)
+        )
+        t += 1
+    return out
+
+
+def _uniform(rngs: list, stream: np.ndarray, width: int = 1) -> np.ndarray:
+    """``width`` uniforms per entry of ``stream`` (ascending stream ids), as
+    a row-by-width matrix whose row i is drawn from ``rngs[stream[i]]``."""
+    out = np.empty((len(stream), width))
+    cuts = np.searchsorted(stream, np.arange(1, len(rngs)))
+    for rng, part in zip(rngs, np.split(out, cuts)):
+        if len(part):
+            rng.random(out=part)
+    return out
+
+
+def _nth(mask: np.ndarray, nth: np.ndarray) -> np.ndarray:
+    """One-hot of the ``nth[b]``-th (from 1) set entry of column b of a
+    vertex-by-row mask."""
+    seen = np.zeros(mask.shape[1], dtype=np.int32)
+    out = np.empty_like(mask)
+    for v, col in enumerate(mask):
+        seen += col
+        out[v] = col & (seen == nth)
+    return out
+
+
+def _uniform_pick(mask: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One set entry per column of a vertex-by-row mask, uniformly by ``u``."""
+    return _nth(mask, (u * mask.sum(axis=0)).astype(np.int32) + 1)
+
+
+def ensemble_selector(
+    pname: str, proto: SsmeProtocol, g: Graph, rngs: list, per_stream: int
+):
+    """Batched form of the ensemble policy ``pname`` for `ensemble_runs`.
+
+    Row r draws from ``rngs[r // per_stream]``.  ``central-rr`` equals
+    `CentralRoundRobin` exactly.  The random policies have the distributions
+    of their scalar daemons: ``central-rand`` picks an enabled vertex
+    uniformly, ``central-adv`` picks uniformly among the enabled vertices
+    that leave the most reset-enabled vertices after moving alone, and
+    ``dist-rand:p`` activates each enabled vertex with probability p,
+    redrawing the rows that came out empty.
+    """
+    n = g.n
+    idx = np.arange(n)
+    cols = idx[:, None]
+
+    def uniform(rows, width=1):
+        return _uniform(rngs, rows // per_stream, width)
+
+    if pname == "central-rr":
+        cursor = np.zeros(len(rngs) * per_stream, dtype=np.int64)
+
+        def select(rows, R, masks):
+            enabled = masks[3].T
+            ahead = enabled & (cols >= cursor[rows])
+            act = _nth(np.where(ahead.any(axis=0), ahead, enabled), 1)
+            cursor[rows] = ((act * cols).sum(axis=0) + 1) % n
+            return act
+
+    elif pname == "central-rand":
+
+        def select(rows, R, masks):
+            return _uniform_pick(masks[3].T, uniform(rows)[:, 0])
+
+    elif pname == "central-adv":
+        ring, alpha = proto.ring, proto.alpha
+        thresholds = np.asarray(proto.thresholds, dtype=np.int32)
+
+        def select(rows, R, masks):
+            # Score each enabled v by the reset-enabled vertices after v
+            # alone moves, as `CentralAdversarial` does.  The n one-vertex
+            # moves of every row are stacked into one matrix, candidate-major.
+            na, conv, ra, enabled = masks[:4]
+            B = len(R)
+            moved = _batch_step(R, na, conv, ra, alpha, ring)
+            trial = np.repeat(R.T[:, None, :], n, axis=1)
+            trial[idx, idx] = moved.T
+            after = _batch_masks(trial.reshape(n, n * B).T, g, ring, thresholds)[2]
+            score = np.asfortranarray(after).sum(axis=1).reshape(n, B)
+            score = np.where(enabled.T, score, -1)
+            best = score == score.max(axis=0)
+            return _uniform_pick(best, uniform(rows)[:, 0])
+
+    elif pname.startswith("dist-rand:"):
+        p = float(pname.partition(":")[2])
+
+        def select(rows, R, masks):
+            enabled = masks[3].T
+            act = enabled & (uniform(rows, n).T < p)
+            empty = np.flatnonzero(~act.any(axis=0))
+            while len(empty):
+                act[:, empty] = enabled[:, empty] & (uniform(rows[empty], n).T < p)
+                empty = empty[~act[:, empty].any(axis=0)]
+            return act
+
+    else:
+        raise ValueError(f"unknown ensemble policy {pname!r}")
+    return select
 
 
 def scheduler_ensemble_check(
@@ -464,7 +649,12 @@ def scheduler_ensemble_check(
 ) -> CheckResult:
     """Every sampled run under every adversarial policy must reach a
     legitimate configuration within the proven step bound and stay
-    ME-safe from its first legitimate configuration on."""
+    ME-safe from its first legitimate configuration on.
+
+    The runs of one policy, every policy seed x every initial configuration,
+    are stepped as the rows of one matrix.  Each (check seed, policy,
+    policy seed) draws from its own numpy stream.
+    """
     proto = SsmeProtocol.for_graph(g)
     params = proto.params
     bound = ssme_unfair_step_bound(g.n, g.diam)
@@ -473,28 +663,29 @@ def scheduler_ensemble_check(
         tuple(rng.randrange(-params.alpha, params.ring) for _ in range(g.n))
         for _ in range(inits)
     ]
+    # Row r runs initial configuration r % inits under seeds[r // inits].
+    batch = np.tile(
+        np.array(initials, dtype=np.int32).reshape(inits, g.n), (len(seeds), 1)
+    )
     bad: list = []
-    runs = 0
-    for pname, factory in ensemble_policy_factories(g.n):
-        for s in seeds:
-            for init in initials:
-                stats = run_stats(
-                    proto, g, init, factory(s), max_steps=bound + tail, tail=tail
-                )
-                runs += 1
-                if stats.legitimate_at is None or stats.legitimate_at > bound:
-                    bad.append((pname, s, init, "no legitimacy within bound"))
-                elif stats.unsafe_at_or_after_legitimate:
-                    bad.append((pname, s, init, "unsafe after legitimacy"))
-                if bad:
-                    return _result(
-                        "adversarial schedulers converge in budget and stay safe",
-                        bad,
-                    )
+    for i, pname in enumerate(ENSEMBLE_POLICIES):
+        # Like random.Random, a negative seed seeds as its absolute value.
+        rngs = [np.random.default_rng([abs(seed), i, abs(s)]) for s in seeds]
+        res = ensemble_runs(
+            proto, g, batch, ensemble_selector(pname, proto, g, rngs, inits),
+            max_steps=bound + tail, tail=tail,
+        )
+        late = (res.legitimate_at < 0) | (res.legitimate_at > bound)
+        unsafe = ~late & (res.unsafe_after > 0)
+        for r in np.flatnonzero(late | unsafe).tolist():
+            reason = "no legitimacy within bound" if late[r] else (
+                "unsafe after legitimacy"
+            )
+            bad.append((pname, seeds[r // inits], initials[r % inits], reason))
     return _result(
         "adversarial schedulers converge in budget and stay safe",
         bad,
-        f"{runs} runs on n={g.n}",
+        f"{len(ENSEMBLE_POLICIES) * len(seeds) * inits} runs on n={g.n}",
     )
 
 

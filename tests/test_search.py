@@ -143,6 +143,31 @@ class TestSyncWorstCase:
         assert chunked == whole
         assert whole.cs_witness is not None
 
+    @pytest.mark.parametrize("window", [None, "2K"])
+    @pytest.mark.parametrize("chunk_rows", [7, None])
+    def test_unsafe_counts_each_run_alone(self, window, chunk_rows):
+        # With one shared threshold the legitimate set is not ME-safe, so
+        # the count depends on where each run ends.
+        g = generate("path:2")
+        p = OneThreshold.for_graph(g)
+        w = None if window is None else 2 * p.ring
+        chunking = {} if chunk_rows is None else {"chunk_rows": chunk_rows}
+        batched = sync_worst_case(p, g, "exhaustive", liveness_window=w, **chunking)
+        scalar = sync_worst_case(
+            p, g, "exhaustive", liveness_window=w, force_scalar=True
+        )
+        for field in (
+            "unsafe_after_legitimate",
+            "runs",
+            "unreached",
+            "max_convergence_legit",
+        ):
+            assert getattr(batched, field) == getattr(scalar, field), field
+        if window is None:
+            assert batched.max_convergence_me == scalar.max_convergence_me
+        else:
+            assert batched.unsafe_after_legitimate > 0
+
     def test_row_keys_renumber_before_overflow(self):
         rng = np.random.default_rng(3)
         radix = 1 << 40
@@ -151,6 +176,14 @@ class TestSyncWorstCase:
         _, by_row = np.unique(rows, axis=0, return_inverse=True)
         _, by_key = np.unique(keys, return_inverse=True)
         assert np.array_equal(by_row.ravel(), by_key)
+
+
+class OneThreshold(SsmeProtocol):
+    """Clock protocol whose vertices all share vertex 0's threshold."""
+
+    def __init__(self, n, diam):
+        super().__init__(n, diam)
+        self.thresholds = (self.thresholds[0],) * n
 
 
 def _oracle_unfair(protocol, g):
