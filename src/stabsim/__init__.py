@@ -20,7 +20,6 @@ from .engine import (
     convergence_index_me,
     enabled_set,
     format_trace,
-    is_unison_legitimate,
     islands,
     liveness_report,
     local_state,
@@ -32,7 +31,12 @@ from .engine import (
     step,
 )
 from .graph import Graph, build_graph, generate, load_graph, save_graph
-from .protocol import DijkstraProtocol, SsmeProtocol, make_protocol
+from .protocol import (
+    DijkstraProtocol,
+    SsmeProtocol,
+    is_unison_legitimate,
+    make_protocol,
+)
 from .search import (
     lower_bound_witness,
     ssme_unfair_step_bound,

@@ -20,6 +20,8 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import graph as graphlib
 from .daemon import make_daemon
 from .engine import (
@@ -79,17 +81,27 @@ def _random_inits(protocol, n: int, count: int, seed: int) -> list[tuple[int, ..
 def _parse_init(arg: str, protocol, g: graphlib.Graph) -> list[tuple[int, ...]]:
     kind, _, rest = arg.partition(":")
     if kind == "file":
-        return [_read_init_file(rest, g.n)]
-    if kind == "random":
+        inits = [_read_init_file(rest, g.n)]
+    elif kind == "random":
         parts = rest.split(":")
         if len(parts) != 2:
             raise ValueError(f"bad init spec {arg!r}, expected random:COUNT:SEED")
         return _random_inits(protocol, g.n, int(parts[0]), int(parts[1]))
-    if kind == "witness":
-        return [lower_bound_witness(g).config]
-    if kind == "zeros":
-        return [(0,) * g.n]
-    raise ValueError(f"unknown init source {arg!r}")
+    elif kind == "witness":
+        inits = [lower_bound_witness(g).config]
+    elif kind == "zeros":
+        inits = [(0,) * g.n]
+    else:
+        raise ValueError(f"unknown init source {arg!r}")
+    domain = protocol.state_domain()
+    for init in inits:
+        for v in init:
+            if v not in domain:
+                raise ValueError(
+                    f"init {arg!r} holds {v}, outside the {protocol.name} "
+                    f"states {domain[0]}..{domain[-1]}"
+                )
+    return inits
 
 
 def _init_hash(config) -> str:
@@ -310,27 +322,35 @@ def cmd_compare(args) -> int:
 
 
 def _sampled_unfair_worst(protocol, g, *, samples: int, seed: int) -> int:
-    """Max steps-to-legitimacy over adversarial policy samples (lower bound)."""
-    from .engine import run_stats
+    """Max steps-to-legitimacy over adversarial policy samples (lower bound).
 
+    Each ensemble policy runs ``samples // 25`` initial configurations under
+    each of five policy seeds, all as rows of one batched ensemble.
+    """
     rng = random.Random(seed)
     domain = list(protocol.state_domain())
-    worst = 0
     budget = (
         ssme_unfair_step_bound(g.n, g.diam)
         if protocol.name == "ssme"
         else protocol.default_max_steps(g)
     )
     count = max(1, samples // 25)
-    for pname, factory in verifylib.ensemble_policy_factories(g.n):
-        for s in range(5):
-            for _ in range(count):
-                init = tuple(rng.choice(domain) for _ in range(g.n))
-                stats = run_stats(
-                    protocol, g, init, factory(s), max_steps=budget, tail=0
-                )
-                if stats.legitimate_at is not None:
-                    worst = max(worst, stats.legitimate_at)
+    seeds = range(5)
+    worst = 0
+    for i, pname in enumerate(verifylib.ENSEMBLE_POLICIES):
+        inits = np.array(
+            [
+                [rng.choice(domain) for _ in range(g.n)]
+                for _ in range(len(seeds) * count)
+            ],
+            dtype=np.int32,
+        )
+        rngs = [np.random.default_rng([abs(seed), i, s]) for s in seeds]
+        select = verifylib.ensemble_selector(pname, protocol, g, rngs, count)
+        res = verifylib.ensemble_runs(
+            protocol, g, inits, select, max_steps=budget, tail=0
+        )
+        worst = max(worst, int(res.legitimate_at.max()))
     return worst
 
 

@@ -8,7 +8,6 @@ to the bottom of the stem.  Drift between values is measured ring-wise.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 
@@ -43,12 +42,6 @@ class ClockParams:
 
     def contains(self, c: int) -> bool:
         return -self.alpha <= c < self.ring
-
-
-class ValueClass(enum.Enum):
-    INIT_STRICT = "init_strict"
-    ZERO = "zero"
-    STAB_STRICT = "stab_strict"
 
 
 def check_value(c: int, params: ClockParams) -> None:
@@ -95,16 +88,6 @@ def reset(params: ClockParams) -> int:
     return -params.alpha
 
 
-def classify(c: int, params: ClockParams) -> ValueClass:
-    """Strictly-initial / zero / strictly-correct.  Zero belongs to both sets."""
-    check_value(c, params)
-    if c < 0:
-        return ValueClass.INIT_STRICT
-    if c == 0:
-        return ValueClass.ZERO
-    return ValueClass.STAB_STRICT
-
-
 def is_init(c: int, params: ClockParams) -> bool:
     """Membership in the initial segment {-alpha, ..., 0}."""
     check_value(c, params)
@@ -115,15 +98,6 @@ def is_stab(c: int, params: ClockParams) -> bool:
     """Membership in the correct segment {0, ..., K-1}."""
     check_value(c, params)
     return c >= 0
-
-
-def leq_init(a: int, b: int, params: ClockParams) -> bool:
-    """Integer order restricted to the initial segment."""
-    for c in (a, b):
-        check_value(c, params)
-        if c > 0:
-            raise ValueError(f"value {c} is not an initial value")
-    return a <= b
 
 
 def ssme_params(n: int, diam: int) -> ClockParams:

@@ -22,6 +22,7 @@ from typing import Mapping, Sequence
 from .clock import ClockParams
 from .daemon import StepContext
 from .graph import Graph
+from .protocol import is_unison_legitimate
 
 Config = tuple[int, ...]
 
@@ -109,25 +110,6 @@ def privileged_set(protocol, g: Graph, config: Sequence[int]) -> tuple[int, ...]
 def me_safety_ok(protocol, g: Graph, config: Sequence[int]) -> bool:
     """Mutual-exclusion safety: at most one privileged vertex."""
     return len(protocol.privileged_vertices(config, g)) <= 1
-
-
-def is_unison_legitimate(
-    config: Sequence[int], g: Graph, params: ClockParams
-) -> bool:
-    """Every register correct and every edge within one tick of drift.
-
-    Vacuously true for an edgeless graph, matching the neighborhood-quantified
-    definition.
-    """
-    ring = params.ring
-    for r in config:
-        if r < 0 or r >= ring:
-            return False
-    for u, v in g.edges:
-        d = (config[u] - config[v]) % ring
-        if d > 1 and ring - d > 1:
-            return False
-    return True
 
 
 def _checked_selection(selected: set[int], enabled: set[int]) -> set[int]:

@@ -11,11 +11,19 @@ reference point for scheduler-dependent stabilization-time comparisons.
 Guards read the closed neighborhood of the pre-step configuration; actions
 are evaluated against the same pre-step configuration, which makes
 simultaneous activation well defined.
+
+Each protocol states its rules twice: per vertex (`enabled_rule`, `apply`,
+`privileged_vertices`, `is_legitimate`), the literal reference that traces
+and tests use, and as one numpy kernel, `batch`, that evaluates a whole
+matrix of configurations at once for the searches and the ensembles.
+Differential tests hold the two equal.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .clock import ClockParams, increment, ssme_params
 from .graph import Graph
@@ -87,6 +95,42 @@ def ssme_rule(r_v: int, neighbor_values: Sequence[int], ring: int) -> str | None
     return None
 
 
+class Batch(NamedTuple):
+    """A protocol's view of a rows x vertices matrix of configurations.
+
+    ``nxt`` holds every vertex's value after it moves (its own value where
+    it is disabled), so activating the mask ``act`` gives
+    ``np.where(act, nxt, R)``.  ``hits`` marks the moves `CentralAdversarial`
+    keeps alive: reset-enabled vertices, or enabled ones for a protocol
+    without a reset rule.
+    """
+
+    nxt: np.ndarray
+    enabled: np.ndarray
+    priv: np.ndarray
+    legit: np.ndarray
+    hits: np.ndarray
+
+
+def is_unison_legitimate(
+    config: Sequence[int], g: Graph, params: ClockParams
+) -> bool:
+    """Every register correct and every edge within one tick of drift.
+
+    Vacuously true for an edgeless graph, matching the neighborhood-quantified
+    definition.
+    """
+    ring = params.ring
+    for r in config:
+        if r < 0 or r >= ring:
+            return False
+    for u, v in g.edges:
+        d = (config[u] - config[v]) % ring
+        if d > 1 and ring - d > 1:
+            return False
+    return True
+
+
 def ssme_privileged(r: int, vertex_id: int, n: int, diam: int) -> bool:
     """Privilege predicate: the register sits on this identity's threshold."""
     return r == 2 * n + 2 * diam * vertex_id
@@ -152,16 +196,34 @@ class SsmeProtocol:
         return tuple(v for v in range(self.n) if config[v] == thr[v])
 
     def is_legitimate(self, config: Sequence[int], g: Graph) -> bool:
-        """All registers correct and every edge within one tick of drift."""
-        for r in config:
-            if r < 0:
-                return False
+        return is_unison_legitimate(config, g, self.params)
+
+    def batch(self, R: np.ndarray, g: Graph) -> Batch:
+        """`Batch` of the rows of ``R``, one column per vertex."""
         ring = self.ring
-        for u, v in g.edges:
-            d = (config[u] - config[v]) % ring
-            if d > 1 and ring - d > 1:
-                return False
-        return True
+        stab = R >= 0
+        tick = np.empty_like(stab)  # NA or CA enabled
+        reset = np.empty_like(stab)  # RA enabled
+        legit = np.ones(len(R), dtype=bool)
+        for v in range(g.n):
+            rv, sv = R[:, v], stab[:, v]
+            # Vacuously true for a vertex without neighbours.
+            allc = namin = np.True_
+            conv = ~sv
+            for u in g.adj[v]:
+                ru = R[:, u]
+                d = (rv - ru) % ring
+                allc &= sv & stab[:, u] & ((d <= 1) | (d >= ring - 1))
+                namin &= ((ru - rv) % ring) <= 1
+                conv &= (ru <= 0) & (rv <= ru)
+            tick[:, v] = (allc & namin) | conv
+            reset[:, v] = ~allc & (rv > 0)
+            legit &= allc & sv
+        # `increment`: up the stem, then around the ring.
+        ticked = np.where(R == ring - 1, 0, R + 1)
+        nxt = np.where(reset, -self.alpha, np.where(tick, ticked, R))
+        priv = R == np.asarray(self.thresholds, dtype=R.dtype)
+        return Batch(nxt, tick | reset, priv, legit, reset)
 
     def sync_step_bound(self, g: Graph) -> int:
         # Synchronous runs settle into unison within 2n + diam steps.
@@ -239,6 +301,18 @@ class DijkstraProtocol:
     def is_legitimate(self, config: Sequence[int], g: Graph) -> bool:
         """Exactly one vertex holds the token."""
         return len(self.privileged_vertices(config, g)) == 1
+
+    def batch(self, R: np.ndarray, g: Graph) -> Batch:
+        """`Batch` of the rows of ``R``, one column per vertex."""
+        prev = np.roll(R, 1, axis=1)
+        enabled = R != prev
+        enabled[:, 0] = ~enabled[:, 0]
+        nxt = np.where(enabled, prev, R)
+        nxt[:, 0] = np.where(enabled[:, 0], (R[:, 0] + 1) % self.k, R[:, 0])
+        tokens = np.zeros(len(R), dtype=np.int32)
+        for v in range(self.n):
+            tokens += enabled[:, v]
+        return Batch(nxt, enabled, enabled, tokens == 1, enabled)
 
     def sync_step_bound(self, g: Graph) -> int:
         # Exhaustive synchronous worst case is 2n-3 for n = 3..5, under this.

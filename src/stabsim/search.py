@@ -1,14 +1,16 @@
 """Worst-case search oracles: exhaustive and sampled state-space sweeps.
 
-Three searches live here.
+Three searches live here.  The first two run on the protocol's numpy batch
+kernel (`batch`), which evaluates guards and actions for a whole matrix of
+configurations at once.
 
 * `sync_worst_case` measures the worst mutual-exclusion convergence index
   over many initial configurations under the synchronous scheduler, with an
-  optional liveness window.  For the clock protocol the sweep is vectorized
-  with numpy (hundreds of thousands of runs stepped as one matrix); once
-  every run is legitimate, runs that share their configuration and window
-  end are stepped through the window as one.  A scalar path drives any
-  protocol and doubles as the cross-check.
+  optional liveness window.  Hundreds of thousands of runs are stepped as
+  one matrix; once every run is legitimate, runs that share their
+  configuration and window end are stepped through the window as one.
+  `_sync_scan_scalar` states the same scan through `run` traces and is
+  kept only as the reference the tests compare against.
 
 * `worst_case_unfair` computes the longest action sequence from any
   configuration to the first legitimate one over the full nondeterministic
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,6 +50,8 @@ from .graph import Graph
 from .protocol import SsmeProtocol
 
 DEFAULT_CONFIG_BUDGET = 10_000_000
+# Configurations per kernel call.
+CHUNK_ROWS = 1 << 18
 
 
 def ssme_unfair_step_bound(n: int, diam: int) -> int:
@@ -70,38 +73,8 @@ class SyncScanResult:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized synchronous sweep for the clock protocol
+# Synchronous sweep on the protocol's batch kernel
 # ---------------------------------------------------------------------------
-
-
-def _batch_masks(R: np.ndarray, g: Graph, ring: int, thresholds: np.ndarray):
-    """Per-row guard masks for a matrix of configurations (rows) x vertices."""
-    n = g.n
-    stab = R >= 0
-    allc = np.ones(R.shape, dtype=bool)
-    namin = np.ones(R.shape, dtype=bool)
-    conv = R < 0
-    for v in range(n):
-        rv = R[:, v]
-        sv = stab[:, v]
-        for u in g.adj[v]:
-            ru = R[:, u]
-            d = (rv - ru) % ring
-            allc[:, v] &= sv & stab[:, u] & ((d <= 1) | (d >= ring - 1))
-            namin[:, v] &= ((ru - rv) % ring) <= 1
-            conv[:, v] &= (ru <= 0) & (rv <= ru)
-    na = allc & namin
-    ra = ~allc & (R > 0)
-    enabled = na | conv | ra
-    priv = R == thresholds
-    legit = allc.all(axis=1) & stab.all(axis=1)
-    return na, conv, ra, enabled, priv, legit
-
-
-def _batch_step(R: np.ndarray, na, conv, ra, alpha: int, ring: int) -> np.ndarray:
-    ticked = np.where(R < 0, R + 1, (R + 1) % ring)
-    out = np.where(na | conv, ticked, R)
-    return np.where(ra, -alpha, out)
 
 
 def _row_keys(columns: list[np.ndarray], radices: list[int]) -> np.ndarray:
@@ -120,15 +93,9 @@ def _row_keys(columns: list[np.ndarray], radices: list[int]) -> np.ndarray:
     return key
 
 
-def _sync_scan_ssme_chunk(
-    protocol: SsmeProtocol,
-    g: Graph,
-    chunk: np.ndarray,
-    liveness_window: int | None,
+def _sync_scan_chunk(
+    protocol, g: Graph, chunk: np.ndarray, liveness_window: int | None
 ) -> SyncScanResult:
-    ring = protocol.ring
-    alpha = protocol.alpha
-    thresholds = np.asarray(protocol.thresholds, dtype=chunk.dtype)
     init = chunk.copy()
     R = chunk
     B = R.shape[0]
@@ -139,19 +106,18 @@ def _sync_scan_ssme_chunk(
     unsafe_after = 0
     t = 0
     while True:
-        na, conv, ra, enabled, priv, legit = _batch_masks(R, g, ring, thresholds)
+        b = protocol.batch(R, g)
         # A row's own run, as the scalar path records it, ends `window`
         # steps after its first legitimate configuration.
-        hit = np.flatnonzero(priv.sum(axis=1) >= 2)
+        hit = np.flatnonzero(b.priv.sum(axis=1) >= 2)
         hit_legit = legit_at[hit]
         own = hit[(hit_legit < 0) | (t <= hit_legit + window)]
         last_unsafe[own] = t
         unsafe_after += int((legit_at[own] >= 0).sum())
-        fresh = legit & (legit_at < 0)
-        legit_at[fresh] = t
+        legit_at[b.legit & (legit_at < 0)] = t
         if (legit_at >= 0).all() or t >= cap:
             break
-        R = _batch_step(R, na, conv, ra, alpha, ring)
+        R = b.nxt
         t += 1
     unreached = int((legit_at < 0).sum())
     conv_me = last_unsafe + 1
@@ -178,11 +144,12 @@ def _sync_scan_ssme_chunk(
     # the row's own run.  Rows that share their configuration, their window
     # end and their run end count alike, so only one row of each such class
     # is stepped.
+    domain = protocol.state_domain()
     lo_conv, lo_legit = int(conv_me.min()), int(legit_at.min())
     keys = _row_keys(
-        [R[:, v] + alpha for v in range(g.n)]
+        [R[:, v] - domain[0] for v in range(g.n)]
         + [conv_me - lo_conv, legit_at - lo_legit],
-        [alpha + ring] * g.n
+        [len(domain)] * g.n
         + [int(conv_me.max()) - lo_conv + 1, int(legit_at.max()) - lo_legit + 1],
     )
     _, first, inverse, sizes = np.unique(
@@ -196,15 +163,13 @@ def _sync_scan_ssme_chunk(
     start = t
     last = max(int(ends.max()) - 1, int(stops.max()))
     while t <= last:
-        na, conv_m, ra, enabled, priv, _legit = _batch_masks(
-            R, g, ring, thresholds
-        )
+        b = protocol.batch(R, g)
         if t > start:
-            unsafe = (priv.sum(axis=1) >= 2) & (t <= stops)
+            unsafe = (b.priv.sum(axis=1) >= 2) & (t <= stops)
             result.unsafe_after_legitimate += int(sizes[unsafe].sum())
         live = t < ends
-        counts += (priv & enabled & live[:, None]).astype(np.int32)
-        R = _batch_step(R, na, conv_m, ra, alpha, ring)
+        counts += (b.priv & b.enabled & live[:, None]).astype(np.int32)
+        R = b.nxt
         t += 1
     per_row_min = counts.min(axis=1)[inverse]
     j = int(per_row_min.argmin())
@@ -241,7 +206,8 @@ def _exhaustive_chunks(domain: Sequence[int], n: int, chunk_rows: int):
     while start < total:
         stop = min(start + chunk_rows, total)
         idx = np.arange(start, stop, dtype=np.int64)
-        R = np.empty((stop - start, n), dtype=np.int32)
+        # Column-major, so that the kernel reads each vertex contiguously.
+        R = np.empty((stop - start, n), dtype=np.int32, order="F")
         for v in range(n - 1, -1, -1):
             R[:, v] = idx % D + lo
             idx //= D
@@ -257,7 +223,9 @@ def _sampled_chunks(
     left = count
     while left > 0:
         rows = min(left, chunk_rows)
-        yield rng.integers(lo, hi + 1, size=(rows, n), dtype=np.int32)
+        yield np.asfortranarray(
+            rng.integers(lo, hi + 1, size=(rows, n), dtype=np.int32)
+        )
         left -= rows
 
 
@@ -270,8 +238,7 @@ def sync_worst_case(
     seed: int = 0,
     liveness_window: int | None = None,
     config_budget: int = DEFAULT_CONFIG_BUDGET,
-    chunk_rows: int = 1 << 18,
-    force_scalar: bool = False,
+    chunk_rows: int = CHUNK_ROWS,
 ) -> SyncScanResult:
     """Worst ME convergence index under the synchronous scheduler.
 
@@ -298,20 +265,8 @@ def sync_worst_case(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     acc: SyncScanResult | None = None
-    if isinstance(protocol, SsmeProtocol) and not force_scalar:
-        for chunk in chunks:
-            acc = _merge(
-                acc, _sync_scan_ssme_chunk(protocol, g, chunk, liveness_window)
-            )
-    else:
-        for chunk in chunks:
-            acc = _merge(
-                acc,
-                _sync_scan_scalar(
-                    protocol, g, (tuple(int(x) for x in row) for row in chunk),
-                    liveness_window,
-                ),
-            )
+    for chunk in chunks:
+        acc = _merge(acc, _sync_scan_chunk(protocol, g, chunk, liveness_window))
     assert acc is not None
     return acc
 
@@ -320,6 +275,8 @@ def _sync_scan_scalar(
     protocol, g: Graph, configs: Iterable[tuple[int, ...]],
     liveness_window: int | None,
 ) -> SyncScanResult:
+    """`sync_worst_case` over ``configs``, one `run` trace each: the
+    reference the batched scan is tested against."""
     policy = SynchronousDaemon()
     cap = protocol.sync_step_bound(g)
     tail = liveness_window or 0
@@ -385,12 +342,12 @@ def worst_case_unfair(
     every initial configuration and every legal activation choice.
 
     Configurations are indexed in mixed radix, in ``product(domain,
-    repeat=n)`` order.  One pass over the state space evaluates every guard
-    and action once; the successors under each activation subset are then
-    built as index sums, and states are peeled level by level: level 0 is
-    the legitimate set, and level k holds the states whose successors all
-    lie in levels below k.  A state's level is its longest path to
-    legitimacy.
+    repeat=n)`` order.  One pass of the protocol's batch kernel over the
+    state space evaluates every guard and action once; the successors under
+    each activation subset are then built as index sums, and states are
+    peeled level by level: level 0 is the legitimate set, and level k holds
+    the states whose successors all lie in levels below k.  A state's level
+    is its longest path to legitimacy.
 
     Raises FalsificationError on a stuck non-legitimate configuration or on
     a cycle among non-legitimate configurations (the states that never
@@ -407,36 +364,31 @@ def worst_case_unfair(
             f"state space of {total} configurations exceeds budget {state_budget}"
         )
     itype = np.int32 if total < 2**31 else np.int64
-    pos = {x: i for i, x in enumerate(domain)}
     weight = [D ** (n - 1 - v) for v in range(n)]
 
     def config_at(i: int) -> tuple[int, ...]:
         return tuple(domain[i // w % D] for w in weight)
 
-    # One pass: legitimacy, enabled mask and per-vertex index delta.
-    is_legitimate = protocol.is_legitimate
-    enabled_rule = protocol.enabled_rule
-    apply = protocol.apply
-    done = np.zeros(total, dtype=bool)
-    mask_of = np.zeros(total, dtype=np.int64)
-    delta_of = np.zeros((total, n), dtype=itype)
-    for i, cfg in enumerate(product(domain, repeat=n)):
-        if is_legitimate(cfg, g):
-            done[i] = True
-            continue
-        m = 0
-        for v in range(n):
-            rule = enabled_rule(v, cfg, g)
-            if rule is not None:
-                m |= 1 << v
-                delta_of[i, v] = (
-                    pos[apply(v, rule, cfg, g)] - pos[cfg[v]]
-                ) * weight[v]
-        if not m:
+    # Kernel pass: legitimacy, enabled mask and per-vertex index delta.
+    # The domain is a range, so a value's index moves by its value's change.
+    done = np.empty(total, dtype=bool)
+    mask_of = np.empty(total, dtype=np.int64)
+    delta_of = np.empty((total, n), dtype=itype)
+    bits = 2 ** np.arange(n, dtype=np.int64)
+    start = 0
+    for R in _exhaustive_chunks(domain, n, CHUNK_ROWS):
+        b = protocol.batch(R, g)
+        here = slice(start, start + len(R))
+        done[here] = b.legit
+        mask_of[here] = b.enabled @ bits
+        delta_of[here] = (b.nxt - R) * weight
+        stuck = np.flatnonzero(~b.legit & (mask_of[here] == 0))
+        if len(stuck):
+            cfg = config_at(start + int(stuck[0]))
             raise FalsificationError(
                 f"stuck non-legitimate configuration {cfg}", artifact=cfg
             )
-        mask_of[i] = m
+        start += len(R)
 
     # Successors, grouped by enabled mask: row r of a group's matrix holds
     # the successors of its r-th state, one column per activation subset

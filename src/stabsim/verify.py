@@ -22,9 +22,8 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 
 from . import clock
-from .daemon import SynchronousDaemon, enumerate_choices, make_daemon
+from .daemon import SynchronousDaemon, enumerate_choices
 from .engine import (
-    is_unison_legitimate,
     islands,
     local_state,
     restrict_trace,
@@ -38,12 +37,11 @@ from .protocol import (
     RULE_NORMAL,
     RULE_RESET,
     SsmeProtocol,
+    is_unison_legitimate,
     ssme_guards,
     ssme_rule,
 )
 from .search import (
-    _batch_masks,
-    _batch_step,
     lower_bound_witness,
     ssme_unfair_step_bound,
     sync_worst_case,
@@ -446,16 +444,6 @@ ENSEMBLE_POLICIES = (
 )
 
 
-def ensemble_policy_factories(n: int) -> list[tuple[str, object]]:
-    """The scalar daemon of each ensemble policy, built from a seed."""
-
-    def factory(pname: str):
-        kind, _, prob = pname.partition(":")
-        return lambda s: make_daemon(kind, n=n, seed=s, prob=float(prob or 0.5))
-
-    return [(pname, factory(pname)) for pname in ENSEMBLE_POLICIES]
-
-
 @dataclass
 class EnsembleRuns:
     """Per-row summary of `ensemble_runs`, in the sense of `RunStats`.
@@ -471,7 +459,7 @@ class EnsembleRuns:
 
 
 def ensemble_runs(
-    proto: SsmeProtocol,
+    proto,
     g: Graph,
     inits: np.ndarray,
     select,
@@ -479,20 +467,18 @@ def ensemble_runs(
     max_steps: int,
     tail: int,
 ) -> EnsembleRuns:
-    """Step every row of ``inits`` as its own run of the clock protocol.
+    """Step every row of ``inits`` as its own run of ``proto``.
 
     Each row is one `run_stats` run: it stops ``tail`` steps after its first
     legitimate configuration, at ``max_steps``, or when nothing is enabled.
     All rows take step t together, and finished rows leave the matrix.
 
-    ``select(rows, R, masks)`` gets the ids (ascending) of the live rows,
-    their configurations and the `_batch_masks` guards of ``R``, and returns
-    a non-empty activation mask inside the enabled set per row, transposed:
+    ``select(rows, R, b)`` gets the ids (ascending) of the live rows, their
+    configurations and the protocol's `Batch` of ``R``, and returns a
+    non-empty activation mask inside the enabled set per row, transposed:
     vertex by row.  ``R`` is kept column-major, which makes each vertex's
     column contiguous for the kernel and the per-row reductions cheap.
     """
-    ring, alpha = proto.ring, proto.alpha
-    thresholds = np.asarray(proto.thresholds, dtype=np.int32)
     R = np.array(inits, dtype=np.int32, order="F")
     B = len(R)
     out = EnsembleRuns(
@@ -508,13 +494,12 @@ def ensemble_runs(
     unsafe_after = out.unsafe_after.copy()
     t = 0
     while len(rows):
-        masks = _batch_masks(R, g, ring, thresholds)
-        na, conv, ra, enabled, priv, legit = masks
-        unsafe = priv.sum(axis=1) >= 2
+        b = proto.batch(R, g)
+        unsafe = b.priv.sum(axis=1) >= 2
         last_unsafe[unsafe] = t
         unsafe_after += unsafe & (legit_at >= 0)
-        legit_at[legit & (legit_at < 0)] = t
-        stop = ((legit_at >= 0) & (t - legit_at >= tail)) | ~enabled.any(axis=1)
+        legit_at[b.legit & (legit_at < 0)] = t
+        stop = ((legit_at >= 0) & (t - legit_at >= tail)) | ~b.enabled.any(axis=1)
         if t >= max_steps:
             stop[:] = True
         if stop.any():
@@ -531,12 +516,9 @@ def ensemble_runs(
             R = np.asfortranarray(R[keep])
             legit_at, last_unsafe = legit_at[keep], last_unsafe[keep]
             unsafe_after = unsafe_after[keep]
-            masks = tuple(m[keep] for m in masks)
-            na, conv, ra = masks[:3]
-        act = select(rows, R, masks).T
-        R = np.asfortranarray(
-            _batch_step(R, na & act, conv & act, ra & act, alpha, ring)
-        )
+            b = b._make(m[keep] for m in b)
+        act = select(rows, R, b).T
+        R = np.asfortranarray(np.where(act, b.nxt, R))
         t += 1
     return out
 
@@ -568,18 +550,18 @@ def _uniform_pick(mask: np.ndarray, u: np.ndarray) -> np.ndarray:
     return _nth(mask, (u * mask.sum(axis=0)).astype(np.int32) + 1)
 
 
-def ensemble_selector(
-    pname: str, proto: SsmeProtocol, g: Graph, rngs: list, per_stream: int
-):
+def ensemble_selector(pname: str, proto, g: Graph, rngs: list, per_stream: int):
     """Batched form of the ensemble policy ``pname`` for `ensemble_runs`.
 
     Row r draws from ``rngs[r // per_stream]``.  ``central-rr`` equals
     `CentralRoundRobin` exactly.  The random policies have the distributions
     of their scalar daemons: ``central-rand`` picks an enabled vertex
     uniformly, ``central-adv`` picks uniformly among the enabled vertices
-    that leave the most reset-enabled vertices after moving alone, and
+    that leave the most `Batch.hits` (reset-enabled vertices, for the clock
+    protocol) after moving alone, and
     ``dist-rand:p`` activates each enabled vertex with probability p,
-    redrawing the rows that came out empty.
+    redrawing the rows that came out empty.  The protocol is reached only
+    through its batch kernel.
     """
     n = g.n
     idx = np.arange(n)
@@ -591,8 +573,8 @@ def ensemble_selector(
     if pname == "central-rr":
         cursor = np.zeros(len(rngs) * per_stream, dtype=np.int64)
 
-        def select(rows, R, masks):
-            enabled = masks[3].T
+        def select(rows, R, b):
+            enabled = b.enabled.T
             ahead = enabled & (cols >= cursor[rows])
             act = _nth(np.where(ahead.any(axis=0), ahead, enabled), 1)
             cursor[rows] = ((act * cols).sum(axis=0) + 1) % n
@@ -600,33 +582,29 @@ def ensemble_selector(
 
     elif pname == "central-rand":
 
-        def select(rows, R, masks):
-            return _uniform_pick(masks[3].T, uniform(rows)[:, 0])
+        def select(rows, R, b):
+            return _uniform_pick(b.enabled.T, uniform(rows)[:, 0])
 
     elif pname == "central-adv":
-        ring, alpha = proto.ring, proto.alpha
-        thresholds = np.asarray(proto.thresholds, dtype=np.int32)
 
-        def select(rows, R, masks):
-            # Score each enabled v by the reset-enabled vertices after v
-            # alone moves, as `CentralAdversarial` does.  The n one-vertex
-            # moves of every row are stacked into one matrix, candidate-major.
-            na, conv, ra, enabled = masks[:4]
+        def select(rows, R, b):
+            # Score each enabled v by the moves `CentralAdversarial` counts
+            # (`Batch.hits`) after v alone moves.  The n one-vertex moves of
+            # every row are stacked into one matrix, candidate-major.
             B = len(R)
-            moved = _batch_step(R, na, conv, ra, alpha, ring)
             trial = np.repeat(R.T[:, None, :], n, axis=1)
-            trial[idx, idx] = moved.T
-            after = _batch_masks(trial.reshape(n, n * B).T, g, ring, thresholds)[2]
+            trial[idx, idx] = b.nxt.T
+            after = proto.batch(trial.reshape(n, n * B).T, g).hits
             score = np.asfortranarray(after).sum(axis=1).reshape(n, B)
-            score = np.where(enabled.T, score, -1)
+            score = np.where(b.enabled.T, score, -1)
             best = score == score.max(axis=0)
             return _uniform_pick(best, uniform(rows)[:, 0])
 
     elif pname.startswith("dist-rand:"):
         p = float(pname.partition(":")[2])
 
-        def select(rows, R, masks):
-            enabled = masks[3].T
+        def select(rows, R, b):
+            enabled = b.enabled.T
             act = enabled & (uniform(rows, n).T < p)
             empty = np.flatnonzero(~act.any(axis=0))
             while len(empty):

@@ -1,0 +1,35 @@
+"""The traced benchmark (bench/tracer.py) wraps stabsim's functions under the
+names their callers look up.  Installing it here makes a renamed or removed
+name fail the test suite, not only a traced benchmark run."""
+
+import importlib.util
+from pathlib import Path
+
+from stabsim import engine, protocol, search, verify
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _patched_names():
+    return (
+        verify.run_stats,
+        search.run,
+        protocol.increment,
+        protocol.SsmeProtocol.__dict__["is_legitimate"],
+        protocol.DijkstraProtocol.__dict__["enabled_rule"],
+        engine.format_trace,
+    )
+
+
+def test_bench_tracer_installs_and_uninstalls():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    before = _patched_names()
+    tracer = module.Tracer("t")
+    tracer.install()
+    try:
+        assert all(a is not b for a, b in zip(_patched_names(), before))
+    finally:
+        tracer.uninstall()
+    assert all(a is b for a, b in zip(_patched_names(), before))

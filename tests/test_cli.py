@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from stabsim import generate, make_protocol, worst_case_unfair
 from stabsim.cli import main
 
 
@@ -96,6 +97,30 @@ def test_run_init_file_wrong_length(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "protocol, first", [("dijkstra", "9"), ("ssme", "999"), ("ssme", "-999")]
+)
+def test_run_init_file_outside_domain_exits_2(tmp_path, capsys, protocol, first):
+    cfg = tmp_path / "init.cfg"
+    cfg.write_text(f"{first}\n0\n0\n0\n")
+    rc = main([
+        "run", "--graph", "ring:4", "--protocol", protocol,
+        "--init", f"file:{cfg}", "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert f"holds {first}, outside the {protocol} states" in capsys.readouterr().err
+
+
+def test_run_witness_init_outside_token_ring_domain_exits_2(tmp_path, capsys):
+    # The witness is a clock-protocol configuration; its values exceed K.
+    rc = main([
+        "run", "--graph", "ring:4", "--protocol", "dijkstra",
+        "--init", "witness", "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert "outside the dijkstra states 0..4" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     conf = tmp_path / "exp.conf"
     conf.write_text("graph ring:5\nseed 9\ndaemon central-rr\n")
@@ -185,6 +210,23 @@ def test_compare_small(tmp_path, capsys):
     assert {r["protocol"] for r in rows} == {"ssme", "dijkstra"}
     for row in rows:
         assert float(row["unfair_worst"]) >= float(row["sync_worst"])
+
+
+def test_compare_sampled_unfair_is_a_lower_bound(tmp_path):
+    # A state budget of 1 forces the sampled ensemble for both protocols.
+    out = tmp_path / "o"
+    rc = main([
+        "compare", "--graphs", "ring:3", "--unfair-state-budget", "1",
+        "--out", str(out),
+    ])
+    assert rc == 0
+    with (out / "compare.csv").open() as fh:
+        rows = {r["protocol"]: r for r in csv.DictReader(fh)}
+    g = generate("ring:3")
+    for name in ("ssme", "dijkstra"):
+        p = make_protocol(name, g)
+        exact = worst_case_unfair(p, g, state_budget=10_000).max_steps
+        assert 1 <= int(rows[name]["unfair_worst"]) <= exact
 
 
 def test_unknown_daemon_exits_2():

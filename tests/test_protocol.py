@@ -1,9 +1,12 @@
 from itertools import combinations_with_replacement, product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabsim import generate
 from stabsim.clock import ring_distance, ssme_params
+from stabsim.engine import step
 from stabsim.protocol import (
     RULE_BUMP,
     RULE_CONVERGE,
@@ -142,3 +145,84 @@ def test_protocol_graph_mismatch():
     p = SsmeProtocol.for_graph(g4)
     with pytest.raises(ValueError):
         p.check_graph(g5)
+
+
+# ---------------------------------------------------------------------------
+# The batch kernels against the per-vertex rules
+# ---------------------------------------------------------------------------
+
+
+def _assert_batch_row(p, g, cfg, b, i):
+    """Row i of the kernel's `Batch` equals the scalar rules on ``cfg``."""
+    rules = [p.enabled_rule(v, cfg, g) for v in range(g.n)]
+    enabled = [v for v, rule in enumerate(rules) if rule is not None]
+    assert b.enabled[i].tolist() == [rule is not None for rule in rules], cfg
+    assert b.nxt[i].tolist() == [
+        cfg[v] if rule is None else p.apply(v, rule, cfg, g)
+        for v, rule in enumerate(rules)
+    ], cfg
+    if enabled:
+        assert step(p, g, cfg, enabled) == tuple(b.nxt[i].tolist()), cfg
+    assert tuple(np.flatnonzero(b.priv[i]).tolist()) == (
+        p.privileged_vertices(cfg, g)
+    ), cfg
+    assert bool(b.legit[i]) == p.is_legitimate(cfg, g), cfg
+    # The moves `CentralAdversarial` counts.
+    target = p.reset_rule
+    assert b.hits[i].tolist() == [
+        rule is not None if target is None else rule == target for rule in rules
+    ], cfg
+
+
+@pytest.mark.parametrize(
+    "proto,spec",
+    [
+        ("ssme", "path:1"),
+        ("ssme", "path:2"),
+        ("ssme", "path:3"),
+        ("ssme", "ring:3"),
+        ("dijkstra", "ring:3"),
+        ("dijkstra", "ring:4"),
+        ("dijkstra", "ring:5"),
+    ],
+)
+def test_batch_matches_scalar_rules_exhaustively(proto, spec):
+    g = generate(spec)
+    p = make_protocol(proto, g)
+    configs = list(product(p.state_domain(), repeat=g.n))
+    R = np.array(configs, dtype=np.int32)
+    b = p.batch(R, g)
+    for i, cfg in enumerate(configs):
+        _assert_batch_row(p, g, cfg, b, i)
+    # The ensembles hand the kernel column-major matrices.
+    for row_major, col_major in zip(b, p.batch(np.asfortranarray(R), g)):
+        assert np.array_equal(row_major, col_major)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    prob=st.sampled_from([0.0, 0.3, 0.6, 1.0]),
+    seed=st.integers(0, 10_000),
+    data=st.data(),
+)
+def test_guards_rule_and_kernel_agree_on_random_graphs(n, prob, seed, data):
+    g = generate(f"random:{n}:{prob}:{seed}")
+    p = SsmeProtocol.for_graph(g)
+    domain = p.state_domain()
+    configs = data.draw(
+        st.lists(
+            st.tuples(*[st.integers(domain[0], domain[-1])] * n),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    b = p.batch(np.array(configs, dtype=np.int32), g)
+    labels = (RULE_NORMAL, RULE_CONVERGE, RULE_RESET)
+    for i, cfg in enumerate(configs):
+        for v in range(n):
+            neigh = [cfg[u] for u in g.adj[v]]
+            guards = ssme_guards(cfg[v], neigh, p.ring)
+            first = next((lb for lb, hit in zip(labels, guards) if hit), None)
+            assert ssme_rule(cfg[v], neigh, p.ring) == first, (cfg, v)
+        _assert_batch_row(p, g, cfg, b, i)

@@ -6,7 +6,7 @@ import pytest
 from stabsim import generate
 from stabsim.engine import FalsificationError, run, step
 from stabsim.daemon import SynchronousDaemon
-from stabsim.protocol import DijkstraProtocol, SsmeProtocol, make_protocol
+from stabsim.protocol import Batch, DijkstraProtocol, SsmeProtocol, make_protocol
 from stabsim.search import (
     _row_keys,
     _sync_scan_scalar,
@@ -66,19 +66,12 @@ class TestSyncWorstCase:
         assert scalar.unsafe_after_legitimate == 0
 
     def test_batched_step_matches_engine_step(self):
-        from stabsim.search import _batch_masks, _batch_step
-
         g = generate("ring:4")
         p = SsmeProtocol.for_graph(g)
         rng = np.random.default_rng(5)
         rows = rng.integers(-p.alpha, p.ring, size=(100, 4), dtype=np.int32)
-        thresholds = np.asarray(p.thresholds, dtype=np.int32)
-        policy = SynchronousDaemon()
         for depth in range(4):
-            na, conv, ra, enabled, priv, legit = _batch_masks(
-                rows, g, p.ring, thresholds
-            )
-            nxt = _batch_step(rows, na, conv, ra, p.alpha, p.ring)
+            nxt, enabled, priv, legit, _hits = p.batch(rows, g)
             for i in range(rows.shape[0]):
                 cfg = tuple(int(x) for x in rows[i])
                 expected_enabled = set(
@@ -114,9 +107,7 @@ class TestSyncWorstCase:
         p = SsmeProtocol.for_graph(g)
         window = 2 * p.ring
         batched = sync_worst_case(p, g, "exhaustive", liveness_window=window)
-        scalar = sync_worst_case(
-            p, g, "exhaustive", liveness_window=window, force_scalar=True
-        )
+        scalar = _exhaustive_scalar(p, g, window)
         for field in (
             "runs",
             "max_convergence_me",
@@ -153,9 +144,7 @@ class TestSyncWorstCase:
         w = None if window is None else 2 * p.ring
         chunking = {} if chunk_rows is None else {"chunk_rows": chunk_rows}
         batched = sync_worst_case(p, g, "exhaustive", liveness_window=w, **chunking)
-        scalar = sync_worst_case(
-            p, g, "exhaustive", liveness_window=w, force_scalar=True
-        )
+        scalar = _exhaustive_scalar(p, g, w)
         for field in (
             "unsafe_after_legitimate",
             "runs",
@@ -176,6 +165,11 @@ class TestSyncWorstCase:
         _, by_row = np.unique(rows, axis=0, return_inverse=True)
         _, by_key = np.unique(keys, return_inverse=True)
         assert np.array_equal(by_row.ravel(), by_key)
+
+
+def _exhaustive_scalar(p, g, window):
+    """The scalar reference scan over every configuration."""
+    return _sync_scan_scalar(p, g, product(p.state_domain(), repeat=g.n), window)
 
 
 class OneThreshold(SsmeProtocol):
@@ -238,6 +232,10 @@ class Toggler:
 
     name = "toggler"
     reset_rule = None
+
+    def batch(self, R, g):
+        every = np.ones(R.shape, dtype=bool)
+        return Batch(1 - R, every, ~every, np.zeros(len(R), dtype=bool), every)
 
     def check_graph(self, g):
         pass
@@ -326,6 +324,9 @@ class TestUnfairWorstCase:
             def apply(self, v, rule, config, g):
                 return config[v]
 
+            def batch(self, R, g):
+                return super().batch(R, g)._replace(nxt=R.copy())
+
         with pytest.raises(ValueError, match="branching cap"):
             worst_case_unfair(Frozen(), generate("path:17"), state_budget=10)
 
@@ -352,9 +353,27 @@ class TestUnfairWorstCase:
             def is_legitimate(self, config, g):
                 return False
 
+            def batch(self, R, g):
+                none = np.zeros(R.shape, dtype=bool)
+                return Batch(R.copy(), none, none, none[:, 0], none)
+
         g = generate("path:1")
-        with pytest.raises(FalsificationError, match="stuck"):
+        with pytest.raises(FalsificationError, match="stuck") as exc:
             worst_case_unfair(Stuck(), g, state_budget=10)
+        assert exc.value.artifact == (0,)
+
+        class StuckPastZero(Stuck):
+            """Legitimate while vertex 0 holds 0, so (1, 0) is stuck first."""
+
+            def is_legitimate(self, config, g):
+                return config[0] == 0
+
+            def batch(self, R, g):
+                return super().batch(R, g)._replace(legit=R[:, 0] == 0)
+
+        with pytest.raises(FalsificationError, match="stuck") as exc:
+            worst_case_unfair(StuckPastZero(), generate("path:2"), state_budget=10)
+        assert exc.value.artifact == (1, 0)
 
 
 class TestWitness:

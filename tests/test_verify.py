@@ -6,7 +6,7 @@ import pytest
 from stabsim import generate, verify
 from stabsim.daemon import CentralAdversarial, CentralRoundRobin, StepContext
 from stabsim.engine import run_stats, step
-from stabsim.protocol import SsmeProtocol
+from stabsim.protocol import DijkstraProtocol, SsmeProtocol
 from stabsim.search import ssme_unfair_step_bound
 from stabsim.verify import (
     bounds_checks,
@@ -101,10 +101,17 @@ class OneThreshold(SsmeProtocol):
 
 def _initials(p, g, count, seed):
     rng = random.Random(seed)
+    domain = p.state_domain()
     return [
-        tuple(rng.randrange(-p.alpha, p.ring) for _ in range(g.n))
+        tuple(rng.randrange(domain[0], domain[-1] + 1) for _ in range(g.n))
         for _ in range(count)
     ]
+
+
+def _bound(p, g):
+    if isinstance(p, SsmeProtocol):
+        return ssme_unfair_step_bound(g.n, g.diam)
+    return p.default_max_steps(g)
 
 
 def _batched(pname, p, g, initials, seeds, select_wrapper=None):
@@ -112,7 +119,7 @@ def _batched(pname, p, g, initials, seeds, select_wrapper=None):
     select = ensemble_selector(pname, p, g, rngs, len(initials))
     if select_wrapper is not None:
         select = select_wrapper(select)
-    bound = ssme_unfair_step_bound(g.n, g.diam)
+    bound = _bound(p, g)
     batch = np.tile(np.array(initials, dtype=np.int32), (len(seeds), 1))
     return ensemble_runs(p, g, batch, select, max_steps=bound + TAIL, tail=TAIL)
 
@@ -122,9 +129,9 @@ def _logging(log):
     masks are kept."""
 
     def wrapper(select):
-        def logged(rows, R, masks):
-            act = select(rows, R, masks)
-            log.append((rows.copy(), np.array(R), act.T.copy(), masks[3].copy()))
+        def logged(rows, R, b):
+            act = select(rows, R, b)
+            log.append((rows.copy(), np.array(R), act.T.copy(), b.enabled.copy()))
             return act
 
         return logged
@@ -150,7 +157,12 @@ def _row_history(log, row):
 
 @pytest.mark.parametrize(
     "spec, proto",
-    [("path:3", SsmeProtocol), ("ring:4", SsmeProtocol), ("path:2", OneThreshold)],
+    [
+        ("path:3", SsmeProtocol),
+        ("ring:4", SsmeProtocol),
+        ("path:2", OneThreshold),
+        ("ring:4", DijkstraProtocol),
+    ],
 )
 def test_batched_round_robin_equals_run_stats(spec, proto):
     g = generate(spec)
@@ -158,7 +170,7 @@ def test_batched_round_robin_equals_run_stats(spec, proto):
     initials = _initials(p, g, 60, 3)
     seeds = (0, 1)
     res = _batched("central-rr", p, g, initials, seeds)
-    bound = ssme_unfair_step_bound(g.n, g.diam)
+    bound = _bound(p, g)
     for r in range(len(seeds) * len(initials)):
         init = initials[r % len(initials)]
         stats = run_stats(
@@ -178,7 +190,20 @@ def test_batched_round_robin_equals_run_stats(spec, proto):
 @pytest.mark.parametrize("spec", ["path:3", "ring:4"])
 def test_batched_random_policies_replay_through_step(spec, pname):
     g = generate(spec)
-    p = SsmeProtocol.for_graph(g)
+    _assert_replays_through_step(pname, SsmeProtocol.for_graph(g), g)
+
+
+@pytest.mark.parametrize(
+    "pname", ["central-rand", "central-adv", "dist-rand:0.3", "dist-rand:0.7"]
+)
+def test_batched_token_ring_policies_replay_through_step(pname):
+    g = generate("ring:4")
+    _assert_replays_through_step(pname, DijkstraProtocol.for_graph(g), g)
+
+
+def _assert_replays_through_step(pname, p, g):
+    """Logged masks of every 7th row, replayed through the scalar `step`,
+    give the batched run's configurations and summary."""
     initials = _initials(p, g, 40, 5)
     seeds = (0, 3)
     log: list = []
