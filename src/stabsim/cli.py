@@ -6,6 +6,11 @@ witness (worst-case initial configuration).  Every invocation prints its
 effective parameters, defaults materialized, so any result can be
 reproduced from the log alone.
 
+`run` records its one execution with `engine.run`, the literal reference.
+`sweep` steps all its executions as the rows of the protocol's batch kernel
+(`verify.ensemble_runs`), each row under its own seeded daemon, and writes
+the same summary rows `run` would.
+
 Exit codes: 0 success, 1 a checked property was falsified, 2 bad usage or
 bad input.
 """
@@ -18,6 +23,7 @@ import hashlib
 import json
 import random
 import sys
+from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +47,9 @@ SUMMARY_FIELDS = [
     "graph", "protocol", "daemon", "seed", "init_hash",
     "conv_me", "conv_au", "violations", "steps", "reason",
 ]
+# Runs per batched sweep call; each run's daemon holds a `random.Random` of
+# about 2.5 KB.
+SWEEP_CHUNK_RUNS = 2048
 
 
 def _load_graph_arg(spec: str) -> graphlib.Graph:
@@ -157,17 +166,10 @@ def _append_summary(out_dir: Path, rows: list[dict], fmt: str) -> Path:
     return target
 
 
-def _one_run(args, g, protocol, init, seed: int) -> tuple[dict, Trace]:
-    policy = make_daemon(args.daemon, n=g.n, seed=seed, prob=args.prob)
-    trace = run(
-        protocol, g, init, policy,
-        max_steps=args.max_steps,
-        stop_at_legitimate=not args.no_stop,
-        tail=args.tail,
-    )
-    conv_me = convergence_index_me(trace, protocol, g)
-    conv_au = convergence_index_au(trace, protocol, g)
-    row = {
+def _summary_row(
+    args, init, seed: int, conv_me, conv_au, violations: int, steps: int, reason: str
+) -> dict:
+    return {
         "graph": args.graph,
         "protocol": args.protocol,
         "daemon": args.daemon,
@@ -175,11 +177,72 @@ def _one_run(args, g, protocol, init, seed: int) -> tuple[dict, Trace]:
         "init_hash": _init_hash(init),
         "conv_me": "undetermined" if conv_me is None else conv_me,
         "conv_au": "undetermined" if conv_au is None else conv_au,
-        "violations": count_safety_violations(trace, protocol, g),
-        "steps": trace.steps,
-        "reason": trace.reason,
+        "violations": violations,
+        "steps": steps,
+        "reason": reason,
     }
+
+
+def _one_run(args, g, protocol, init, seed: int) -> tuple[dict, Trace]:
+    """One traced `engine.run` and its summary row: the literal reference
+    `cmd_run` records and `_sweep_rows` is tested against."""
+    policy = make_daemon(args.daemon, n=g.n, seed=seed, prob=args.prob)
+    trace = run(
+        protocol, g, init, policy,
+        max_steps=args.max_steps,
+        stop_at_legitimate=not args.no_stop,
+        tail=args.tail,
+    )
+    row = _summary_row(
+        args, init, seed,
+        convergence_index_me(trace, protocol, g),
+        convergence_index_au(trace, protocol, g),
+        count_safety_violations(trace, protocol, g),
+        trace.steps,
+        trace.reason,
+    )
     return row, trace
+
+
+def _sweep_rows(args, g, protocol, runs: list[tuple[tuple, int]]) -> list[dict]:
+    """The summary rows of ``runs``, (initial configuration, seed) pairs,
+    stepped together as the rows of one `verify.ensemble_runs` call.
+
+    Each row is the row `_one_run` gives for the same pair: its daemon draws
+    exactly as the scalar one, and the indices are kept while stepping
+    instead of rescanning a trace.
+    """
+    max_steps = args.max_steps
+    if max_steps is None:
+        max_steps = protocol.default_max_steps(g)
+    inits = np.array([init for init, _ in runs], dtype=np.int32)
+    seeds = [seed for _, seed in runs]
+    res = verifylib.ensemble_runs(
+        protocol, g, inits,
+        verifylib.daemon_selector(args.daemon, protocol, g, seeds, prob=args.prob),
+        max_steps=max_steps,
+        tail=args.tail,
+        stop_at_legitimate=not args.no_stop,
+    )
+    return [
+        _summary_row(
+            args, init, seed,
+            None if legit < 0 else unsafe + 1,
+            None if illegit == steps else illegit + 1,
+            violations,
+            steps,
+            verifylib.STOP_REASONS[why],
+        )
+        for (init, seed), legit, unsafe, illegit, violations, steps, why in zip(
+            runs,
+            res.legitimate_at.tolist(),
+            res.last_unsafe.tolist(),
+            res.last_illegitimate.tolist(),
+            res.violations.tolist(),
+            res.steps.tolist(),
+            res.reason.tolist(),
+        )
+    ]
 
 
 def cmd_run(args) -> int:
@@ -205,22 +268,19 @@ def cmd_sweep(args) -> int:
     g = _load_graph_arg(args.graph)
     protocol = make_protocol(args.protocol, g, args.k_states)
     if args.init.startswith("exhaustive"):
-        domain = list(protocol.state_domain())
+        domain = protocol.state_domain()
         total = len(domain) ** g.n
         if total > args.budget:
             raise ValueError(
                 f"exhaustive sweep needs {total} runs, budget is {args.budget}"
             )
-        from itertools import product as _product
-
-        inits = [cfg for cfg in _product(domain, repeat=g.n)]
+        inits = product(domain, repeat=g.n)
     else:
         inits = _parse_init(args.init, protocol, g)
+    runs = ((init, args.seed + s) for init in inits for s in range(args.seeds))
     rows = []
-    for init in inits:
-        for s in range(args.seeds):
-            row, _ = _one_run(args, g, protocol, init, args.seed + s)
-            rows.append(row)
+    while chunk := list(islice(runs, SWEEP_CHUNK_RUNS)):
+        rows += _sweep_rows(args, g, protocol, chunk)
     rows.sort(key=lambda r: (r["init_hash"], r["seed"]))
     summary = _append_summary(Path(args.out), rows, args.format)
     print(f"summary {summary}")
@@ -247,6 +307,16 @@ def cmd_verify(args) -> int:
         g = _load_graph_arg(args.graph)
         results = verifylib.bounds_checks(
             g, exhaustive=args.exhaustive, samples=args.samples, seed=args.seed
+        )
+    elif suite == "ensemble":
+        g = _load_graph_arg(args.graph)
+        results = [
+            verifylib.scheduler_ensemble_check(g, inits=args.samples, seed=args.seed)
+        ]
+    elif suite == "indist":
+        g = _load_graph_arg(args.graph)
+        results = verifylib.indistinguishability_checks(
+            g, pairs=args.samples, seed=args.seed
         )
     else:
         raise ValueError(f"unknown suite {suite!r}")
@@ -416,9 +486,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="property suites")
     p_verify.add_argument("suite",
-                          choices=["clock", "guards", "lemmas", "closure", "bounds"])
+                          choices=["clock", "guards", "lemmas", "closure", "bounds",
+                                   "ensemble", "indist"])
     p_verify.add_argument("--graph", default="ring:4")
-    p_verify.add_argument("--samples", type=int, default=1000)
+    p_verify.add_argument("--samples", type=int, default=1000,
+                          help="sampled configurations; initial configurations "
+                               "for ensemble, constructed pairs for indist")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--exhaustive", action="store_true")
     p_verify.set_defaults(func=cmd_verify)

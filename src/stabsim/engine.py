@@ -386,8 +386,9 @@ def run_stats(
 ) -> RunStats:
     """Like `run` with stop-at-legitimacy, but records only summary indices.
 
-    Guards are re-evaluated incrementally (only around activated vertices),
-    which keeps large scheduler ensembles affordable.
+    A test oracle: the scheduler ensemble runs on `verify.ensemble_runs`,
+    and the tests hold its rows equal to this.  Guards are re-evaluated
+    incrementally, only around activated vertices.
     """
     n = g.n
     adj = g.adj

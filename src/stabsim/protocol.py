@@ -112,6 +112,23 @@ class Batch(NamedTuple):
     hits: np.ndarray
 
 
+def rows_with(mask: np.ndarray, least: int) -> np.ndarray:
+    """The rows of a rows x vertices bool mask that hold at least ``least``
+    (1 or 2) set entries.
+
+    ORs the n columns together: on masks this narrow that is several times
+    faster than a per-row reduction such as ``mask.sum(axis=1)``.
+    """
+    seen = mask[:, 0].copy()
+    twice = np.zeros_like(seen)
+    for v in range(1, mask.shape[1]):
+        col = mask[:, v]
+        if least > 1:
+            twice |= seen & col
+        seen |= col
+    return seen if least == 1 else twice
+
+
 def is_unison_legitimate(
     config: Sequence[int], g: Graph, params: ClockParams
 ) -> bool:

@@ -47,7 +47,7 @@ from .engine import (
     run,
 )
 from .graph import Graph
-from .protocol import SsmeProtocol
+from .protocol import SsmeProtocol, rows_with
 
 DEFAULT_CONFIG_BUDGET = 10_000_000
 # Configurations per kernel call.
@@ -109,7 +109,7 @@ def _sync_scan_chunk(
         b = protocol.batch(R, g)
         # A row's own run, as the scalar path records it, ends `window`
         # steps after its first legitimate configuration.
-        hit = np.flatnonzero(b.priv.sum(axis=1) >= 2)
+        hit = np.flatnonzero(rows_with(b.priv, 2))
         hit_legit = legit_at[hit]
         own = hit[(hit_legit < 0) | (t <= hit_legit + window)]
         last_unsafe[own] = t
@@ -165,7 +165,7 @@ def _sync_scan_chunk(
     while t <= last:
         b = protocol.batch(R, g)
         if t > start:
-            unsafe = (b.priv.sum(axis=1) >= 2) & (t <= stops)
+            unsafe = rows_with(b.priv, 2) & (t <= stops)
             result.unsafe_after_legitimate += int(sizes[unsafe].sum())
         live = t < ends
         counts += (b.priv & b.enabled & live[:, None]).astype(np.int32)

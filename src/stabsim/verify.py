@@ -22,8 +22,11 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 
 from . import clock
-from .daemon import SynchronousDaemon, enumerate_choices
+from .daemon import SynchronousDaemon, enumerate_choices, make_daemon
 from .engine import (
+    REASON_CONVERGED,
+    REASON_MAX_STEPS,
+    REASON_TERMINAL,
     islands,
     local_state,
     restrict_trace,
@@ -38,6 +41,7 @@ from .protocol import (
     RULE_RESET,
     SsmeProtocol,
     is_unison_legitimate,
+    rows_with,
     ssme_guards,
     ssme_rule,
 )
@@ -446,16 +450,29 @@ ENSEMBLE_POLICIES = (
 
 @dataclass
 class EnsembleRuns:
-    """Per-row summary of `ensemble_runs`, in the sense of `RunStats`.
+    """Per-row summary of `ensemble_runs`.
 
-    ``legitimate_at`` is -1 for a row that never became legitimate.
+    A row's configurations are indexed from 0 (its initial one) to
+    ``steps`` (its last one).  ``legitimate_at`` is the first legitimate
+    index; ``last_unsafe`` and ``last_illegitimate`` are the last index with
+    two or more privileged vertices and the last index that is not
+    legitimate; each is -1 where there is none.  ``reason`` indexes
+    `STOP_REASONS`.
     """
 
     steps: np.ndarray
     legitimate_at: np.ndarray
     last_unsafe: np.ndarray
+    last_illegitimate: np.ndarray
+    violations: np.ndarray
     unsafe_after: np.ndarray
+    reason: np.ndarray
     final: np.ndarray
+
+
+# `engine.run`'s stop reasons, in its order of precedence.
+STOP_REASONS = (REASON_CONVERGED, REASON_MAX_STEPS, REASON_TERMINAL)
+_CONVERGED, _MAX_STEPS, _TERMINAL = range(3)
 
 
 def ensemble_runs(
@@ -466,58 +483,96 @@ def ensemble_runs(
     *,
     max_steps: int,
     tail: int,
+    stop_at_legitimate: bool = True,
 ) -> EnsembleRuns:
     """Step every row of ``inits`` as its own run of ``proto``.
 
-    Each row is one `run_stats` run: it stops ``tail`` steps after its first
-    legitimate configuration, at ``max_steps``, or when nothing is enabled.
-    All rows take step t together, and finished rows leave the matrix.
+    Each row stops as `engine.run` does: ``tail`` steps after its first
+    legitimate configuration (unless ``stop_at_legitimate`` is false), at
+    ``max_steps``, or when nothing is enabled; where several hold, the
+    reason is the first of `STOP_REASONS`.  All rows take step t together,
+    and finished rows leave the matrix.
+
+    Unsafe configurations (two or more privileged vertices) are counted in
+    two ways.  ``violations`` counts every one a row visits.
+    ``unsafe_after`` counts only those after the first legitimate
+    configuration, which itself is never counted there; `run_stats` and the
+    synchronous scans share that rule.
 
     ``select(rows, R, b)`` gets the ids (ascending) of the live rows, their
-    configurations and the protocol's `Batch` of ``R``, and returns a
-    non-empty activation mask inside the enabled set per row, transposed:
-    vertex by row.  ``R`` is kept column-major, which makes each vertex's
+    configurations and the protocol's `Batch` of ``R``, and returns an
+    activation mask per row, transposed: vertex by row.  As in `engine.run`,
+    an empty activation or one outside the enabled set raises
+    ``ValueError``.  ``R`` is kept column-major, which makes each vertex's
     column contiguous for the kernel and the per-row reductions cheap.
     """
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     R = np.array(inits, dtype=np.int32, order="F")
     B = len(R)
+    none = np.full(B, -1, dtype=np.int32)
     out = EnsembleRuns(
         steps=np.zeros(B, dtype=np.int32),
-        legitimate_at=np.full(B, -1, dtype=np.int32),
-        last_unsafe=np.full(B, -1, dtype=np.int32),
+        legitimate_at=none.copy(),
+        last_unsafe=none.copy(),
+        last_illegitimate=none.copy(),
+        violations=np.zeros(B, dtype=np.int32),
         unsafe_after=np.zeros(B, dtype=np.int32),
+        reason=np.zeros(B, dtype=np.int8),
         final=np.empty((B, g.n), dtype=np.int32),
     )
+    fields = (
+        "legitimate_at", "last_unsafe", "last_illegitimate", "violations",
+        "unsafe_after",
+    )
+    legit_at, last_unsafe, last_illegit, violations, unsafe_after = (
+        getattr(out, f).copy() for f in fields
+    )
     rows = np.arange(B)
-    legit_at = out.legitimate_at.copy()
-    last_unsafe = out.last_unsafe.copy()
-    unsafe_after = out.unsafe_after.copy()
     t = 0
     while len(rows):
         b = proto.batch(R, g)
-        unsafe = b.priv.sum(axis=1) >= 2
+        unsafe = rows_with(b.priv, 2)
         last_unsafe[unsafe] = t
+        violations += unsafe
         unsafe_after += unsafe & (legit_at >= 0)
+        last_illegit[~b.legit] = t
         legit_at[b.legit & (legit_at < 0)] = t
-        stop = ((legit_at >= 0) & (t - legit_at >= tail)) | ~b.enabled.any(axis=1)
+        why = np.where(rows_with(b.enabled, 1), -1, _TERMINAL).astype(np.int8)
         if t >= max_steps:
-            stop[:] = True
+            why[:] = _MAX_STEPS
+        if stop_at_legitimate:
+            why[(legit_at >= 0) & (t - legit_at >= tail)] = _CONVERGED
+        stop = why >= 0
         if stop.any():
             done = rows[stop]
+            tracked = (legit_at, last_unsafe, last_illegit, violations, unsafe_after)
+            for f, a in zip(fields, tracked):
+                getattr(out, f)[done] = a[stop]
             out.steps[done] = t
-            out.legitimate_at[done] = legit_at[stop]
-            out.last_unsafe[done] = last_unsafe[stop]
-            out.unsafe_after[done] = unsafe_after[stop]
+            out.reason[done] = why[stop]
             out.final[done] = R[stop]
             if stop.all():
                 break
             keep = ~stop
             rows = rows[keep]
             R = np.asfortranarray(R[keep])
-            legit_at, last_unsafe = legit_at[keep], last_unsafe[keep]
-            unsafe_after = unsafe_after[keep]
+            legit_at, last_unsafe, last_illegit, violations, unsafe_after = (
+                a[keep] for a in tracked
+            )
             b = b._make(m[keep] for m in b)
         act = select(rows, R, b).T
+        empty = ~rows_with(act, 1)
+        if empty.any():
+            raise ValueError(
+                f"scheduler returned an empty selection in row {rows[empty][0]}"
+            )
+        stray = act & ~b.enabled
+        if stray.any():
+            r, v = np.argwhere(stray)[0]
+            raise ValueError(
+                f"scheduler selected non-enabled vertex {v} in row {rows[r]}"
+            )
         R = np.asfortranarray(np.where(act, b.nxt, R))
         t += 1
     return out
@@ -550,37 +605,59 @@ def _uniform_pick(mask: np.ndarray, u: np.ndarray) -> np.ndarray:
     return _nth(mask, (u * mask.sum(axis=0)).astype(np.int32) + 1)
 
 
+def _round_robin(n: int, size: int):
+    """`CentralRoundRobin` for `ensemble_runs`, with one cursor per row id
+    below ``size``."""
+    cols = np.arange(n)[:, None]
+    cursor = np.zeros(size, dtype=np.int64)
+
+    def select(rows, R, b):
+        enabled = b.enabled.T
+        ahead = enabled & (cols >= cursor[rows])
+        act = _nth(np.where(ahead.any(axis=0), ahead, enabled), 1)
+        cursor[rows] = ((act * cols).sum(axis=0) + 1) % n
+        return act
+
+    return select
+
+
+def _adversarial_best(proto, g: Graph, R: np.ndarray, b) -> np.ndarray:
+    """The vertex-by-row mask `CentralAdversarial` draws from: the enabled
+    vertices that leave the most `Batch.hits` (reset-enabled vertices, for
+    the clock protocol) after moving alone.
+
+    The n one-vertex moves of every row are stacked into one matrix,
+    candidate-major, and scored by one kernel call.
+    """
+    n, B = g.n, len(R)
+    idx = np.arange(n)
+    trial = np.repeat(R.T[:, None, :], n, axis=1)
+    trial[idx, idx] = b.nxt.T
+    after = proto.batch(trial.reshape(n, n * B).T, g).hits
+    score = np.asfortranarray(after).sum(axis=1).reshape(n, B)
+    score = np.where(b.enabled.T, score, -1)
+    return score == score.max(axis=0)
+
+
 def ensemble_selector(pname: str, proto, g: Graph, rngs: list, per_stream: int):
     """Batched form of the ensemble policy ``pname`` for `ensemble_runs`.
 
     Row r draws from ``rngs[r // per_stream]``.  ``central-rr`` equals
     `CentralRoundRobin` exactly.  The random policies have the distributions
     of their scalar daemons: ``central-rand`` picks an enabled vertex
-    uniformly, ``central-adv`` picks uniformly among the enabled vertices
-    that leave the most `Batch.hits` (reset-enabled vertices, for the clock
-    protocol) after moving alone, and
+    uniformly, ``central-adv`` picks uniformly from `_adversarial_best`, and
     ``dist-rand:p`` activates each enabled vertex with probability p,
     redrawing the rows that came out empty.  The protocol is reached only
     through its batch kernel.
     """
     n = g.n
-    idx = np.arange(n)
-    cols = idx[:, None]
 
     def uniform(rows, width=1):
         return _uniform(rngs, rows // per_stream, width)
 
     if pname == "central-rr":
-        cursor = np.zeros(len(rngs) * per_stream, dtype=np.int64)
-
-        def select(rows, R, b):
-            enabled = b.enabled.T
-            ahead = enabled & (cols >= cursor[rows])
-            act = _nth(np.where(ahead.any(axis=0), ahead, enabled), 1)
-            cursor[rows] = ((act * cols).sum(axis=0) + 1) % n
-            return act
-
-    elif pname == "central-rand":
+        return _round_robin(n, len(rngs) * per_stream)
+    if pname == "central-rand":
 
         def select(rows, R, b):
             return _uniform_pick(b.enabled.T, uniform(rows)[:, 0])
@@ -588,16 +665,7 @@ def ensemble_selector(pname: str, proto, g: Graph, rngs: list, per_stream: int):
     elif pname == "central-adv":
 
         def select(rows, R, b):
-            # Score each enabled v by the moves `CentralAdversarial` counts
-            # (`Batch.hits`) after v alone moves.  The n one-vertex moves of
-            # every row are stacked into one matrix, candidate-major.
-            B = len(R)
-            trial = np.repeat(R.T[:, None, :], n, axis=1)
-            trial[idx, idx] = b.nxt.T
-            after = proto.batch(trial.reshape(n, n * B).T, g).hits
-            score = np.asfortranarray(after).sum(axis=1).reshape(n, B)
-            score = np.where(b.enabled.T, score, -1)
-            best = score == score.max(axis=0)
+            best = _adversarial_best(proto, g, R, b)
             return _uniform_pick(best, uniform(rows)[:, 0])
 
     elif pname.startswith("dist-rand:"):
@@ -614,6 +682,61 @@ def ensemble_selector(pname: str, proto, g: Graph, rngs: list, per_stream: int):
 
     else:
         raise ValueError(f"unknown ensemble policy {pname!r}")
+    return select
+
+
+def _coin_flips(rng: random.Random, k: int, p: float) -> list[bool]:
+    """`RandomDistributed.select`'s draws over k enabled vertices: one flag
+    per vertex in ascending order, redrawn until one is set."""
+    while True:
+        flips = [rng.random() < p for _ in range(k)]
+        if True in flips:
+            return flips
+
+
+def daemon_selector(name: str, proto, g: Graph, seeds: list[int], *, prob: float):
+    """`make_daemon` for `ensemble_runs`: row r is driven by the daemon
+    ``make_daemon(name, n=g.n, seed=seeds[r], prob=prob)``.
+
+    The kernel hands each row its enabled set, or for ``central-adv`` its
+    `_adversarial_best` set, and the row's own daemon draws from it with its
+    own `random.Random`, exactly as the scalar ``select`` would:
+    ``central-rand`` and ``central-adv`` make one ``choice`` over the
+    ascending set (a ``choice`` draw depends only on the length of its
+    sequence), and ``dist-rand`` draws one ``random()`` per enabled vertex
+    in ascending order until the selection is non-empty.  ``sync`` takes
+    every enabled vertex, and ``central-rr`` keeps a cursor per row.  So
+    every row replays `engine.run` under the same daemon step for step.
+    """
+    kind = make_daemon(name, n=g.n, prob=prob).name
+    if kind == "sync":
+        return lambda rows, R, b: b.enabled.T
+    if kind == "central-rr":
+        return _round_robin(g.n, len(seeds))
+    rngs = [make_daemon(name, n=g.n, seed=s, prob=prob).rng for s in seeds]
+    if kind == "dist-rand":
+
+        def select(rows, R, b):
+            sizes = b.enabled.T.sum(axis=0).tolist()
+            act = np.zeros(b.enabled.shape, dtype=bool)
+            act[b.enabled] = [
+                f
+                for r, k in zip(rows.tolist(), sizes)
+                for f in _coin_flips(rngs[r], k, prob)
+            ]
+            return act.T
+
+        return select
+
+    def select(rows, R, b):
+        if kind == "central-rand":
+            pool = b.enabled.T
+        else:
+            pool = _adversarial_best(proto, g, R, b)
+        sizes = pool.sum(axis=0).tolist()
+        picks = [rngs[r].choice(range(k)) for r, k in zip(rows.tolist(), sizes)]
+        return _nth(pool, np.array(picks, dtype=np.int32) + 1)
+
     return select
 
 

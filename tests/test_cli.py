@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from stabsim import generate, make_protocol, worst_case_unfair
+from stabsim import cli, generate, make_protocol, worst_case_unfair
 from stabsim.cli import main
 
 
@@ -187,6 +187,22 @@ def test_verify_bounds_path2(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_verify_ensemble_small(capsys):
+    rc = main(["verify", "ensemble", "--graph", "path:3", "--samples", "20"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "PASS adversarial schedulers converge in budget" in out
+    assert "500 runs on n=3" in out
+
+
+def test_verify_indist_small(capsys):
+    rc = main(["verify", "indist", "--graph", "ring:4", "--samples", "50"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "PASS agreeing radius-k balls" in out
+    assert "50 constructed pairs" in out
+
+
 def test_witness_command(tmp_path, capsys):
     out = tmp_path / "o"
     rc = main(["witness", "--graph", "ring:8", "--out", str(out)])
@@ -258,3 +274,88 @@ def test_config_file_bad_int_exits_2(tmp_path, capsys):
         ])
     assert exc.value.code == 2
     assert "invalid int value: 'fifty'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# The batched sweep against one `_one_run` trace per run
+# ---------------------------------------------------------------------------
+
+SWEEP_OPTIONS = ([], ["--no-stop"], ["--max-steps", "3"], ["--tail", "0"])
+
+
+def _scalar_sweep(argv, out):
+    """The summary `sweep` writes, built from one `_one_run` per run."""
+    args = cli.build_parser().parse_args(argv)
+    g = cli._load_graph_arg(args.graph)
+    protocol = make_protocol(args.protocol, g, args.k_states)
+    rows = [
+        cli._one_run(args, g, protocol, init, args.seed + s)[0]
+        for init in cli._parse_init(args.init, protocol, g)
+        for s in range(args.seeds)
+    ]
+    rows.sort(key=lambda r: (r["init_hash"], r["seed"]))
+    return cli._append_summary(out, rows, args.format)
+
+
+@pytest.mark.parametrize(
+    "daemon", ["sync", "central-rr", "central-rand", "central-adv", "dist-rand"]
+)
+@pytest.mark.parametrize(
+    "graph, protocol",
+    [
+        ("path:3", ["--protocol", "ssme"]),
+        ("ring:4", ["--protocol", "ssme"]),
+        ("ring:4", ["--protocol", "dijkstra"]),
+        ("ring:4", ["--protocol", "dijkstra", "--k-states", "6"]),
+    ],
+    ids=["ssme-path:3", "ssme-ring:4", "dijkstra-ring:4", "dijkstra-ring:4-k6"],
+)
+def test_batched_sweep_equals_scalar_runs(
+    tmp_path, monkeypatch, daemon, graph, protocol
+):
+    # 24 runs per sweep, stepped in chunks of 5.
+    monkeypatch.setattr(cli, "SWEEP_CHUNK_RUNS", 5)
+    for i, options in enumerate(SWEEP_OPTIONS):
+        for fmt in ("csv", "json-lines"):
+            argv = [
+                "sweep", "--graph", graph, *protocol, "--daemon", daemon,
+                "--prob", "0.4", "--init", f"random:12:{i}", "--seeds", "2",
+                "--seed", str(3 * i), "--format", fmt, *options,
+            ]
+            batched = tmp_path / f"b{i}{fmt}"
+            assert main([*argv, "--out", str(batched)]) == 0
+            (summary,) = batched.iterdir()
+            expected = _scalar_sweep(argv, tmp_path / f"s{i}{fmt}")
+            # json-lines also fails on any numpy int left in a row.
+            assert summary.read_bytes() == expected.read_bytes(), (argv, fmt)
+
+
+def test_sweep_exhaustive_streams_every_configuration(tmp_path):
+    out = tmp_path / "o"
+    rc = main([
+        "sweep", "--graph", "ring:3", "--protocol", "dijkstra", "--init",
+        "exhaustive", "--daemon", "central-rand", "--out", str(out),
+    ])
+    assert rc == 0
+    with (out / "summary.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4**3
+    assert len({r["init_hash"] for r in rows}) == 4**3
+
+
+def test_sweep_exhaustive_over_budget_exits_2(tmp_path, capsys):
+    rc = main([
+        "sweep", "--graph", "ring:3", "--protocol", "dijkstra", "--init",
+        "exhaustive", "--budget", "63", "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert "needs 64 runs, budget is 63" in capsys.readouterr().err
+
+
+def test_sweep_negative_max_steps_exits_2(tmp_path, capsys):
+    rc = main([
+        "sweep", "--graph", "path:2", "--max-steps", "-1",
+        "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert "max_steps must be >= 0" in capsys.readouterr().err

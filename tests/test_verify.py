@@ -6,9 +6,10 @@ import pytest
 from stabsim import generate, verify
 from stabsim.daemon import CentralAdversarial, CentralRoundRobin, StepContext
 from stabsim.engine import run_stats, step
-from stabsim.protocol import DijkstraProtocol, SsmeProtocol
+from stabsim.protocol import Batch, DijkstraProtocol, SsmeProtocol
 from stabsim.search import ssme_unfair_step_bound
 from stabsim.verify import (
+    STOP_REASONS,
     bounds_checks,
     clock_checks,
     closure_checks,
@@ -314,3 +315,67 @@ def test_ensemble_reports_unsafe_legitimate_runs(monkeypatch):
     assert f"first: ('central-rr', 0, {first}, 'unsafe after legitimacy')" in (
         res.details
     )
+
+
+class Countdown:
+    """Every vertex counts down to 0 and stays there, so a row turns
+    terminal at its largest value.  With ``settle``, a row is legitimate
+    once vertex 0 reads 0."""
+
+    def __init__(self, settle=False):
+        self.settle = settle
+
+    def batch(self, R, g):
+        enabled = R > 0
+        legit = R[:, 0] == 0 if self.settle else np.zeros(len(R), dtype=bool)
+        none = np.zeros_like(enabled)
+        return Batch(np.where(enabled, R - 1, R), enabled, none, legit, enabled)
+
+
+def _everyone(rows, R, b):
+    return b.enabled.T
+
+
+def _countdown(inits, settle=False, **kw):
+    kw = {"max_steps": 3, "tail": 0, **kw}
+    res = ensemble_runs(
+        Countdown(settle), generate("path:2"), np.array(inits), _everyone, **kw
+    )
+    return [STOP_REASONS[why] for why in res.reason.tolist()], res
+
+
+def test_ensemble_runs_stop_reasons_in_run_precedence():
+    reasons, res = _countdown([[0, 0], [2, 1], [5, 0]])
+    assert reasons == ["terminal", "terminal", "max_steps"]
+    assert res.steps.tolist() == [0, 2, 3]
+    assert res.legitimate_at.tolist() == [-1, -1, -1]
+    # At step 2 the second row is both terminal and at the step budget.
+    reasons, _ = _countdown([[2, 1]], max_steps=2)
+    assert reasons == ["max_steps"]
+    # Converged wins over terminal and over the step budget, and is never
+    # the reason when runs do not stop at legitimacy.
+    reasons, res = _countdown([[2, 1], [1, 3]], settle=True)
+    assert reasons == ["converged", "converged"]
+    assert res.steps.tolist() == [2, 1]
+    assert res.last_illegitimate.tolist() == [1, 0]
+    reasons, res = _countdown([[2, 1], [1, 3]], settle=True, tail=2)
+    assert reasons == ["terminal", "converged"]
+    assert res.steps.tolist() == [2, 3]
+    reasons, res = _countdown([[2, 1]], settle=True, stop_at_legitimate=False)
+    assert reasons == ["terminal"]
+    assert res.legitimate_at.tolist() == [2]
+
+
+@pytest.mark.parametrize(
+    "select, message",
+    [
+        (lambda rows, R, b: np.zeros_like(b.enabled.T), "empty selection in row 0"),
+        (lambda rows, R, b: np.ones_like(b.enabled.T), "non-enabled vertex 1 in row 0"),
+    ],
+)
+def test_ensemble_runs_rejects_a_bad_selection(select, message):
+    with pytest.raises(ValueError, match=message):
+        ensemble_runs(
+            Countdown(), generate("path:2"), np.array([[1, 0], [0, 2]]), select,
+            max_steps=3, tail=0,
+        )
