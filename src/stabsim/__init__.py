@@ -18,13 +18,10 @@ from .engine import (
     Trace,
     convergence_index_au,
     convergence_index_me,
-    enabled_set,
     format_trace,
     islands,
     liveness_report,
     local_state,
-    me_safety_ok,
-    privileged_set,
     restrict_trace,
     run,
     run_stats,
@@ -62,9 +59,6 @@ __all__ = [
     "run",
     "run_stats",
     "step",
-    "enabled_set",
-    "privileged_set",
-    "me_safety_ok",
     "is_unison_legitimate",
     "islands",
     "local_state",

@@ -81,7 +81,7 @@ def _write_init_file(config, path: str | Path) -> None:
 
 def _random_inits(protocol, n: int, count: int, seed: int) -> list[tuple[int, ...]]:
     rng = random.Random(seed)
-    domain = list(protocol.state_domain())
+    domain = protocol.state_domain()
     return [
         tuple(rng.choice(domain) for _ in range(n)) for _ in range(count)
     ]
@@ -335,7 +335,7 @@ def cmd_compare(args) -> int:
         g = _load_graph_arg(spec)
         for proto_name in ("ssme", "dijkstra"):
             protocol = make_protocol(proto_name, g)
-            domain = len(list(protocol.state_domain())) ** g.n
+            domain = len(protocol.state_domain()) ** g.n
             if domain <= args.exhaustive_budget:
                 scan = sync_worst_case(protocol, g, "exhaustive")
             else:
@@ -398,7 +398,7 @@ def _sampled_unfair_worst(protocol, g, *, samples: int, seed: int) -> int:
     each of five policy seeds, all as rows of one batched ensemble.
     """
     rng = random.Random(seed)
-    domain = list(protocol.state_domain())
+    domain = protocol.state_domain()
     budget = (
         ssme_unfair_step_bound(g.n, g.diam)
         if protocol.name == "ssme"

@@ -25,14 +25,6 @@ class ClockParams:
             raise ValueError(f"clock ring size must be >= 2, got {self.ring}")
 
     @property
-    def low(self) -> int:
-        return -self.alpha
-
-    @property
-    def high(self) -> int:
-        return self.ring - 1
-
-    @property
     def size(self) -> int:
         return self.alpha + self.ring
 

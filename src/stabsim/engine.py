@@ -75,13 +75,6 @@ def enabled_rules(protocol, g: Graph, config: Sequence[int]) -> list[str | None]
     return [protocol.enabled_rule(v, config, g) for v in range(g.n)]
 
 
-def enabled_set(protocol, g: Graph, config: Sequence[int]) -> tuple[int, ...]:
-    """Vertices whose guard holds in this configuration."""
-    return tuple(
-        v for v in range(g.n) if protocol.enabled_rule(v, config, g) is not None
-    )
-
-
 def step(
     protocol, g: Graph, config: Sequence[int], activated: Sequence[int]
 ) -> Config:
@@ -101,15 +94,6 @@ def step(
     for v, rule in rules.items():
         new[v] = protocol.apply(v, rule, config, g)
     return tuple(new)
-
-
-def privileged_set(protocol, g: Graph, config: Sequence[int]) -> tuple[int, ...]:
-    return protocol.privileged_vertices(config, g)
-
-
-def me_safety_ok(protocol, g: Graph, config: Sequence[int]) -> bool:
-    """Mutual-exclusion safety: at most one privileged vertex."""
-    return len(protocol.privileged_vertices(config, g)) <= 1
 
 
 def _checked_selection(selected: set[int], enabled: set[int]) -> set[int]:
@@ -355,7 +339,7 @@ def restrict_trace(trace: Trace, v: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Compact runner (no trace recording) for large ensembles
+# Run summaries
 # ---------------------------------------------------------------------------
 
 
@@ -384,70 +368,34 @@ def run_stats(
     max_steps: int,
     tail: int = 0,
 ) -> RunStats:
-    """Like `run` with stop-at-legitimacy, but records only summary indices.
+    """`run` with stop-at-legitimacy, summarised to its indices.
 
     A test oracle: the scheduler ensemble runs on `verify.ensemble_runs`,
-    and the tests hold its rows equal to this.  Guards are re-evaluated
-    incrementally, only around activated vertices.
+    and the tests hold its rows equal to this.  An unsafe configuration
+    counts in ``unsafe_at_or_after_legitimate`` only after the first
+    legitimate one, never at it.
     """
-    n = g.n
-    adj = g.adj
-    config = list(init)
-    rules: list[str | None] = [
-        protocol.enabled_rule(v, config, g) for v in range(n)
+    trace = run(
+        protocol, g, init, policy,
+        max_steps=max_steps, stop_at_legitimate=True, tail=tail,
+    )
+    configs = trace.configs
+    unsafe = [
+        i for i, c in enumerate(configs)
+        if len(protocol.privileged_vertices(c, g)) > 1
     ]
-    enabled = {v for v, r in enumerate(rules) if r is not None}
-    # While any repair rule is enabled the configuration cannot be
-    # legitimate, so the full legitimacy scan is skipped.
-    repair_rules = frozenset(protocol.repair_rules)
-    repair_count = sum(1 for r in rules if r in repair_rules)
-    legit_at: int | None = None
-    last_unsafe = -1
-    unsafe_after = 0
-    t = 0
-    reason = REASON_MAX_STEPS
-    ctx = StepContext(protocol, g, config, rules)
-    priv_of = protocol.privileged_vertices
-    while True:
-        if len(priv_of(config, g)) > 1:
-            last_unsafe = t
-            if legit_at is not None:
-                unsafe_after += 1
-        if legit_at is None:
-            if repair_count == 0 and protocol.is_legitimate(config, g):
-                legit_at = t
-        if legit_at is not None and t - legit_at >= tail:
-            reason = REASON_CONVERGED
-            break
-        if t >= max_steps:
-            reason = REASON_MAX_STEPS
-            break
-        if not enabled:
-            reason = REASON_TERMINAL
-            break
-        selected = _checked_selection(set(policy.select(enabled, ctx)), enabled)
-        updates = {v: protocol.apply(v, rules[v], config, g) for v in selected}
-        affected = set()
-        for v in selected:
-            config[v] = updates[v]
-            affected.add(v)
-            affected.update(adj[v])
-        for v in affected:
-            new_rule = protocol.enabled_rule(v, config, g)
-            repair_count += (new_rule in repair_rules) - (rules[v] in repair_rules)
-            rules[v] = new_rule
-            if new_rule is None:
-                enabled.discard(v)
-            else:
-                enabled.add(v)
-        t += 1
+    legit_at = next(
+        (i for i, c in enumerate(configs) if protocol.is_legitimate(c, g)), None
+    )
     return RunStats(
-        steps=t,
+        steps=trace.steps,
         legitimate_at=legit_at,
-        last_unsafe=last_unsafe,
-        unsafe_at_or_after_legitimate=unsafe_after,
-        reason=reason,
-        final=tuple(config),
+        last_unsafe=unsafe[-1] if unsafe else -1,
+        unsafe_at_or_after_legitimate=(
+            0 if legit_at is None else sum(i > legit_at for i in unsafe)
+        ),
+        reason=trace.reason,
+        final=configs[-1],
     )
 
 

@@ -16,7 +16,8 @@ Each protocol states its rules twice: per vertex (`enabled_rule`, `apply`,
 `privileged_vertices`, `is_legitimate`), the literal reference that traces
 and tests use, and as one numpy kernel, `batch`, that evaluates a whole
 matrix of configurations at once for the searches and the ensembles.
-Differential tests hold the two equal.
+Differential tests hold the two equal.  The clock protocol's per-vertex
+rule is read straight off its guard definitions, `ssme_guards`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .graph import Graph
 RULE_NORMAL = "NA"
 RULE_CONVERGE = "CA"
 RULE_RESET = "RA"
+# The order of `ssme_guards`.
+SSME_RULES = (RULE_NORMAL, RULE_CONVERGE, RULE_RESET)
 
 # Rule labels of the token ring.
 RULE_BUMP = "INC"
@@ -43,8 +46,9 @@ def ssme_guards(
 ) -> tuple[bool, bool, bool]:
     """Evaluate the three guards (normal, converge, reset) from definitions.
 
-    Slow but literal; the fused `ssme_rule` below must agree with it, which
-    is asserted exhaustively in the test suite.
+    The literal statement of the clock rule: `SsmeProtocol.enabled_rule`
+    fires the first guard that holds, and the test suite checks
+    exhaustively that at most one holds at a vertex with neighbours.
     """
     stab_v = r_v >= 0
     all_correct = True
@@ -61,38 +65,6 @@ def ssme_guards(
     )
     reset_ = (not all_correct) and r_v > 0
     return normal, converge, reset_
-
-
-def ssme_rule(r_v: int, neighbor_values: Sequence[int], ring: int) -> str | None:
-    """Enabled rule label at a vertex, or None.  Hot path, hand-fused guards."""
-    all_correct = True
-    if r_v < 0:
-        if neighbor_values:
-            all_correct = False
-    else:
-        for r_u in neighbor_values:
-            if r_u < 0:
-                all_correct = False
-                break
-            d = (r_v - r_u) % ring
-            if d > 1 and ring - d > 1:
-                all_correct = False
-                break
-    if all_correct:
-        for r_u in neighbor_values:
-            if (r_u - r_v) % ring > 1:
-                break
-        else:
-            return RULE_NORMAL
-    if r_v < 0:
-        for r_u in neighbor_values:
-            if r_u > 0 or r_v > r_u:
-                break
-        else:
-            return RULE_CONVERGE
-    elif not all_correct and r_v > 0:
-        return RULE_RESET
-    return None
 
 
 class Batch(NamedTuple):
@@ -164,8 +136,6 @@ class SsmeProtocol:
 
     name = "ssme"
     reset_rule = RULE_RESET
-    # Rules that only fire outside the legitimate set.
-    repair_rules = (RULE_CONVERGE, RULE_RESET)
 
     def __init__(self, n: int, diam: int):
         self.n = n
@@ -195,8 +165,8 @@ class SsmeProtocol:
         return self.params.values()
 
     def enabled_rule(self, v: int, config: Sequence[int], g: Graph) -> str | None:
-        neigh = g.adj[v]
-        return ssme_rule(config[v], [config[u] for u in neigh], self.ring)
+        guards = ssme_guards(config[v], [config[u] for u in g.adj[v]], self.ring)
+        return next((rule for rule, hit in zip(SSME_RULES, guards) if hit), None)
 
     def apply(self, v: int, rule: str, config: Sequence[int], g: Graph) -> int:
         if rule == RULE_NORMAL or rule == RULE_CONVERGE:
@@ -204,9 +174,6 @@ class SsmeProtocol:
         if rule == RULE_RESET:
             return -self.alpha
         raise ValueError(f"unknown rule {rule!r}")
-
-    def privileged(self, v: int, config: Sequence[int], g: Graph) -> bool:
-        return config[v] == self.thresholds[v]
 
     def privileged_vertices(self, config: Sequence[int], g: Graph) -> tuple[int, ...]:
         thr = self.thresholds
@@ -261,7 +228,6 @@ class DijkstraProtocol:
 
     name = "dijkstra"
     reset_rule = None
-    repair_rules = ()
 
     def __init__(self, n: int, k_states: int | None = None):
         if n < 2:
@@ -269,6 +235,10 @@ class DijkstraProtocol:
         k = n + 1 if k_states is None else k_states
         if k <= n:
             raise ValueError(f"token ring needs K >= n+1, got K={k} for n={n}")
+        top = np.iinfo(np.int32).max
+        if k > top:
+            # The batch kernels hold states as int32.
+            raise ValueError(f"token ring needs K <= {top}, got K={k}")
         self.n = n
         self.k = k
 
@@ -301,9 +271,6 @@ class DijkstraProtocol:
         if rule == RULE_COPY:
             return config[v - 1]
         raise ValueError(f"unknown rule {rule!r}")
-
-    def privileged(self, v: int, config: Sequence[int], g: Graph) -> bool:
-        return self.enabled_rule(v, config, g) is not None
 
     def privileged_vertices(self, config: Sequence[int], g: Graph) -> tuple[int, ...]:
         out = []

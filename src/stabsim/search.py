@@ -509,7 +509,7 @@ def lower_bound_witness(g: Graph, protocol: SsmeProtocol | None = None) -> Witne
 
     def ball_at_privilege(w: int) -> dict[int, int] | None:
         for i in range(t, len(reference.configs)):
-            if protocol.privileged(w, reference.configs[i], g):
+            if w in protocol.privileged_vertices(reference.configs[i], g):
                 src = reference.configs[i - t]
                 return {
                     x: src[x] for x in range(g.n) if g.dist[w][x] <= t

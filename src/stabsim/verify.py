@@ -37,13 +37,11 @@ from .engine import (
 from .graph import Graph, bfs_distances
 from .protocol import (
     RULE_CONVERGE,
-    RULE_NORMAL,
     RULE_RESET,
     SsmeProtocol,
     is_unison_legitimate,
     rows_with,
     ssme_guards,
-    ssme_rule,
 )
 from .search import (
     lower_bound_witness,
@@ -155,15 +153,6 @@ def guard_checks(n: int = 3, diam: int = 1, max_degree: int = 3) -> list[CheckRe
                 guards = ssme_guards(r_v, neigh, params.ring)
                 if sum(guards) > 1:
                     bad.append(f"r={r_v} neigh={neigh} guards={guards}")
-                first = None
-                for label, hit in zip(
-                    (RULE_NORMAL, RULE_CONVERGE, RULE_RESET), guards
-                ):
-                    if hit:
-                        first = label
-                        break
-                if ssme_rule(r_v, neigh, params.ring) != first:
-                    bad.append(f"fused rule mismatch at r={r_v} neigh={neigh}")
     out.append(
         _result(
             "at most one guard holds per vertex "

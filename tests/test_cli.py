@@ -121,6 +121,20 @@ def test_run_witness_init_outside_token_ring_domain_exits_2(tmp_path, capsys):
     assert "outside the dijkstra states 0..4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k, rc", [(2**31 - 1, 0), (3_000_000_000, 2)])
+def test_sweep_token_ring_k_states_fit_int32(tmp_path, capsys, k, rc):
+    # The random inits are drawn from the domain without listing it.
+    out = tmp_path / "o"
+    assert main([
+        "sweep", "--protocol", "dijkstra", "--graph", "ring:4",
+        "--k-states", str(k), "--init", "random:3:1", "--out", str(out),
+    ]) == rc
+    if rc == 0:
+        assert "runs 3" in capsys.readouterr().out
+    else:
+        assert "needs K <= 2147483647" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     conf = tmp_path / "exp.conf"
     conf.write_text("graph ring:5\nseed 9\ndaemon central-rr\n")

@@ -16,14 +16,12 @@ from stabsim.engine import (
     REASON_TERMINAL,
     convergence_index_au,
     convergence_index_me,
-    enabled_set,
+    enabled_rules,
     format_trace,
     is_unison_legitimate,
     islands,
     liveness_report,
     local_state,
-    me_safety_ok,
-    privileged_set,
     restrict_trace,
     run,
     run_stats,
@@ -68,13 +66,13 @@ class IdleProtocol:
 
 class TestEnabled:
     def test_both_ticking(self):
-        assert enabled_set(SSME2, PATH2, (0, 0)) == (0, 1)
+        assert enabled_rules(SSME2, PATH2, (0, 0)) == ["NA", "NA"]
 
     def test_only_lower_stem_vertex(self):
-        assert enabled_set(SSME2, PATH2, (-2, -1)) == (0,)
+        assert enabled_rules(SSME2, PATH2, (-2, -1)) == ["CA", None]
 
     def test_empty_when_no_guard_holds(self):
-        assert enabled_set(IdleProtocol(), PATH2, (0, 0)) == ()
+        assert enabled_rules(IdleProtocol(), PATH2, (0, 0)) == [None, None]
 
 
 class TestStep:
@@ -109,16 +107,13 @@ class TestLegitimacy:
 
 class TestPrivilegeAndSafety:
     def test_planted_thresholds_unsafe(self):
-        assert privileged_set(SSME2, PATH2, (4, 6)) == (0, 1)
-        assert not me_safety_ok(SSME2, PATH2, (4, 6))
+        assert SSME2.privileged_vertices((4, 6), PATH2) == (0, 1)
 
     def test_zero_config_safe(self):
-        assert privileged_set(SSME2, PATH2, (0, 0)) == ()
-        assert me_safety_ok(SSME2, PATH2, (0, 0))
+        assert SSME2.privileged_vertices((0, 0), PATH2) == ()
 
     def test_dijkstra_two_tokens(self):
-        assert privileged_set(DIJK3, RING3, (0, 1, 2)) == (1, 2)
-        assert not me_safety_ok(DIJK3, RING3, (0, 1, 2))
+        assert DIJK3.privileged_vertices((0, 1, 2), RING3) == (1, 2)
 
 
 class TestRun:
@@ -170,7 +165,8 @@ class TestRun:
         for i in range(trace.steps):
             before, after = trace.configs[i], trace.configs[i + 1]
             active = set(trace.activated[i])
-            assert active <= set(enabled_set(SSME2, PATH2, before))
+            rules = enabled_rules(SSME2, PATH2, before)
+            assert all(rules[v] is not None for v in active)
             for v in range(2):
                 if v not in active:
                     assert before[v] == after[v]
