@@ -6,11 +6,14 @@ configurations at once.
 
 * `sync_worst_case` measures the worst mutual-exclusion convergence index
   over many initial configurations under the synchronous scheduler, with an
-  optional liveness window.  Hundreds of thousands of runs are stepped as
-  one matrix; once every run is legitimate, runs that share their
-  configuration and window end are stepped through the window as one.
-  `_sync_scan_scalar` states the same scan through `run` traces and is
-  kept only as the reference the tests compare against.
+  optional liveness window.  There every configuration has exactly one
+  successor, so the exhaustive mode evaluates the kernel once per
+  configuration, stores the successor as a mixed-radix index, and solves
+  every run at once on that functional graph: levels are peeled back from
+  the legitimate set, and each configuration's fields are gathered from
+  its successor's.  The sample mode has no state graph; it steps its runs
+  as one matrix.  `_sync_scan_scalar` states the same scan through `run`
+  traces and is kept only as the reference the tests compare against.
 
 * `worst_case_unfair` computes the longest action sequence from any
   configuration to the first legitimate one over the full nondeterministic
@@ -96,6 +99,8 @@ def _row_keys(columns: list[np.ndarray], radices: list[int]) -> np.ndarray:
 def _sync_scan_chunk(
     protocol, g: Graph, chunk: np.ndarray, liveness_window: int | None
 ) -> SyncScanResult:
+    """The sample mode: the runs from the rows of ``chunk``, stepped as one
+    matrix."""
     init = chunk.copy()
     R = chunk
     B = R.shape[0]
@@ -229,6 +234,147 @@ def _sampled_chunks(
         left -= rows
 
 
+def _int_type(top: int) -> np.dtype:
+    """The narrowest signed integer type holding ``-1..top``."""
+    return np.min_scalar_type(-top - 1)
+
+
+def _sync_scan_exhaustive(
+    protocol, g: Graph, domain: range, liveness_window: int | None,
+    chunk_rows: int,
+) -> SyncScanResult:
+    """`sync_worst_case` over every configuration, solved on the
+    synchronous successor function."""
+    n = g.n
+    D = len(domain)
+    total = D**n
+    cap = protocol.sync_step_bound(g)
+    tail = liveness_window or 0
+    weight = [D ** (n - 1 - v) for v in range(n)]
+
+    def config_at(i: int) -> tuple[int, ...]:
+        return tuple(domain[i // w % D] for w in weight)
+
+    # Kernel pass: the successor's index, and the flags the fields read.
+    succ = np.empty(total, dtype=np.int32)
+    legit = np.empty(total, dtype=bool)
+    unsafe = np.empty(total, dtype=bool)
+    # Critical-section bits, one row per vertex.
+    cs = None if liveness_window is None else np.empty((n, total), dtype=bool)
+    # Legitimate configurations where no vertex is enabled.
+    stuck = [np.empty(0, dtype=np.int64)]
+    w32 = np.asarray(weight, dtype=np.int32)
+    start = 0
+    for R in _exhaustive_chunks(domain, n, chunk_rows):
+        b = protocol.batch(R, g)
+        here = slice(start, start + len(R))
+        succ[here] = (b.nxt - domain[0]) @ w32
+        legit[here] = b.legit
+        unsafe[here] = rows_with(b.priv, 2)
+        if cs is not None:
+            cs[:, here] = (b.priv & b.enabled).T
+            stuck.append(np.flatnonzero(b.legit & ~rows_with(b.enabled, 1)) + start)
+        start += len(R)
+    top = np.flatnonzero(legit)
+    gone = top[~legit[succ[top]]]
+    if len(gone):
+        cfg = config_at(int(gone[0]))
+        raise FalsificationError(
+            f"legitimate configuration {cfg} steps out of the legitimate set",
+            artifact=[cfg, config_at(int(succ[gone[0]]))],
+        )
+
+    # Legitimate configurations: each runs its own tail of `tail` steps,
+    # cut short where a configuration has no enabled vertex.
+    level = np.full(total, -1, dtype=_int_type(cap))
+    level[top] = 0
+    conv = np.full(total, -1, dtype=_int_type(cap + tail + 1))
+    cur = top
+    alive = np.ones(len(top), dtype=bool)
+    last = np.full(len(top), -1, dtype=np.int32)
+    after = np.zeros(len(top), dtype=np.int32)
+    stuck = np.concatenate(stuck)
+    if cs is not None:
+        full = np.zeros((n, len(top)), dtype=np.int32)  # window from 0
+        since = np.zeros((n, len(top)), dtype=np.int32)  # from the last unsafe
+    for t in range(tail + 1):
+        hit = unsafe[cur] & alive
+        last[hit] = t
+        if t:
+            after += hit
+        if cs is not None and t < tail:
+            here_cs = cs[:, cur]
+            full += here_cs
+            since += here_cs
+            since[:, hit] = 0
+        if len(stuck):
+            alive &= ~np.isin(cur, stuck)
+        cur = succ[cur]
+    conv[top] = last + 1
+    if cs is not None:
+        ctype = _int_type(tail + 1)
+        after_of = np.zeros(total, dtype=ctype)
+        after_of[top] = after
+        low = np.full(total, np.iinfo(ctype).max, dtype=ctype)
+        low[top] = since.min(axis=0)
+        sums = np.zeros((n, total), dtype=ctype)
+        sums[:, top] = full
+        del full, since
+        # succ^tail by repeated squaring.
+        ahead = np.arange(total, dtype=np.int32)
+        power, k = succ, tail
+        while k:
+            if k & 1:
+                ahead = power[ahead]
+            k >>= 1
+            if k:
+                power = power[power]
+        del power
+
+    # Level k holds the configurations whose successor sits at level k - 1:
+    # they are k synchronous steps from legitimacy.  A run's fields are its
+    # successor's, one step later, except where its window opens at step 0
+    # (conv == 0); there the window's counts slide along the successor's.
+    for k in range(1, cap + 1):
+        i = np.flatnonzero((level < 0) & (level[succ] == k - 1))
+        if not len(i):
+            break
+        s = succ[i]
+        level[i] = k
+        conv_s = conv[s]
+        conv[i] = np.where(conv_s > 0, conv_s + 1, unsafe[i])
+        if cs is not None:
+            after_of[i] = after_of[s]
+            low[i] = low[s]
+            z = conv[i] == 0
+            i, s = i[z], s[z]
+            here_sums = cs[:, i] + sums[:, s] - cs[:, ahead[i]]
+            sums[:, i] = here_sums
+            low[i] = here_sums.min(axis=0)
+
+    unreached = int((level < 0).sum())
+    result = SyncScanResult(
+        runs=total,
+        max_convergence_me=-1,
+        witness_me=(),
+        max_convergence_legit=-1,
+        witness_legit=(),
+        unreached=unreached,
+        unsafe_after_legitimate=0,
+    )
+    if unreached == total:
+        return result
+    i_me, i_lg = int(conv.argmax()), int(level.argmax())
+    result.max_convergence_me, result.witness_me = int(conv[i_me]), config_at(i_me)
+    result.max_convergence_legit = int(level[i_lg])
+    result.witness_legit = config_at(i_lg)
+    if cs is not None:
+        result.unsafe_after_legitimate = int(after_of.sum(dtype=np.int64))
+        j = int(low.argmin())
+        result.min_cs_count, result.cs_witness = int(low[j]), config_at(j)
+    return result
+
+
 def sync_worst_case(
     protocol,
     g: Graph,
@@ -243,29 +389,62 @@ def sync_worst_case(
     """Worst ME convergence index under the synchronous scheduler.
 
     ``mode`` is ``exhaustive`` (every configuration of the state space,
-    rejected when it exceeds ``config_budget``) or ``sample`` (``samples``
-    configurations drawn uniformly from ``seed``).  Sampled maxima are lower
-    bounds on the true worst case.
+    rejected when it exceeds ``config_budget`` or does not fit an int32
+    index) or ``sample`` (``samples`` configurations drawn uniformly from
+    ``seed``).  Sampled maxima are lower bounds on the true worst case.
+
+    Each initial configuration is one run, as `_sync_scan_scalar` records
+    it.  A run is reached when it is legitimate within
+    ``protocol.sync_step_bound(g)`` steps (`_sync_scan_scalar` lets a run
+    with a window take ``liveness_window`` steps more); it then goes on for
+    ``liveness_window`` steps (none without a window) and ends early only
+    where no vertex is enabled.  Its ME convergence index is one past its
+    last configuration with two or more privileged vertices.
+    ``unsafe_after_legitimate`` counts such configurations after the run's
+    first legitimate one; that configuration itself is never counted.  The
+    liveness window of a run covers its steps ``[conv, conv + window)``,
+    clipped to the run's end, and ``min_cs_count`` is the fewest
+    critical-section entries (privileged and activated) of any vertex in
+    it.  Witnesses are the lowest-indexed configurations, in
+    ``product(domain, repeat=n)`` order, attaining each extremum.
+
+    The exhaustive mode solves every run on the successor function.
+    Legitimate configurations step through their own tail.  A
+    configuration k steps from legitimacy takes its fields from its
+    successor's, one step later: its ME convergence index is the
+    successor's plus one, unless the successor's run is ME-safe
+    throughout, in which case it is 1 when this configuration is unsafe
+    and 0 otherwise.  Only a run that is ME-safe from its start opens its
+    window at step 0; its per-vertex counts slide along its successor's as
+    ``S(i) = cs(i) + S(succ i) - cs(succ^window i)``.  Every other run
+    shares its successor's window.  The scan relies on the legitimate set
+    being closed under the synchronous step, and raises FalsificationError
+    with a legitimate configuration and its successor where it is not.
     """
     protocol.check_graph(g)
-    domain = list(protocol.state_domain())
+    domain = protocol.state_domain()
     n = g.n
     if mode == "exhaustive":
         total = len(domain) ** n
+        if total >= 2**31:
+            raise ValueError(
+                f"exhaustive mode indexes configurations as int32; "
+                f"{total} configurations do not fit"
+            )
         if total > config_budget:
             raise ValueError(
                 f"exhaustive mode needs {total} configurations, "
                 f"budget is {config_budget}"
             )
-        chunks: Iterable[np.ndarray] = _exhaustive_chunks(domain, n, chunk_rows)
-    elif mode == "sample":
-        if samples <= 0:
-            raise ValueError("sample mode needs samples > 0")
-        chunks = _sampled_chunks(domain, n, samples, seed, chunk_rows)
-    else:
+        return _sync_scan_exhaustive(
+            protocol, g, domain, liveness_window, chunk_rows
+        )
+    if mode != "sample":
         raise ValueError(f"unknown mode {mode!r}")
+    if samples <= 0:
+        raise ValueError("sample mode needs samples > 0")
     acc: SyncScanResult | None = None
-    for chunk in chunks:
+    for chunk in _sampled_chunks(domain, n, samples, seed, chunk_rows):
         acc = _merge(acc, _sync_scan_chunk(protocol, g, chunk, liveness_window))
     assert acc is not None
     return acc

@@ -33,7 +33,7 @@ def _report(number: int, label: str, ok: bool, detail: str = "") -> None:
     print(f"ACCEPTANCE {number} {label}: {tag}{suffix}")
 
 
-SYNC_SCAN_SPECS = ("path:2", "path:3", "ring:4")
+SYNC_SCAN_SPECS = ("path:2", "path:3", "ring:4", "path:4")
 
 
 @pytest.fixture(scope="module")
@@ -53,10 +53,18 @@ def sync_scans():
 
 def test_1_tight_synchronous_bound(sync_scans):
     """Worst ME convergence under the synchronous scheduler is exactly
-    ceil(diam/2), exhaustively over every initial configuration."""
+    ceil(diam/2), exhaustively over every initial configuration.  path:4
+    (diameter 3) checks a target of 2; the others have diameter <= 2.  The
+    witness of each worst case is replayed through the trace engine."""
     failures = []
     for spec, (g, p, scan) in sync_scans.items():
         target = math.ceil(g.diam / 2)
+        replay = run(
+            p, g, scan.witness_me, SynchronousDaemon(),
+            max_steps=p.sync_step_bound(g), stop_at_legitimate=True,
+        )
+        if convergence_index_me(replay, p, g) != target:
+            failures.append(f"{spec}: witness {scan.witness_me} does not replay")
         expected_runs = p.params.size ** g.n
         if scan.runs != expected_runs:
             failures.append(f"{spec}: ran {scan.runs} of {expected_runs}")
@@ -157,8 +165,9 @@ def test_7_token_ring_speculation_gap():
     """Token ring, K = n+1, exhaustive over all (n+1)^n starts.
 
     Synchronous: every start stabilizes, and the worst case is exactly
-    2n-3 for n in {3,4,5} (within ``sync_step_bound`` = 2n), witnessed by a
-    start whose replay first reaches legitimacy at 2n-3.  Unconstrained:
+    2n-3 for n in {3,...,7} (within ``sync_step_bound`` = 2n), witnessed by a
+    start whose replay first reaches legitimacy at 2n-3 (replayed for n <= 5;
+    pinned to its known value at n = 6, 7).  Unconstrained:
     the exhaustive worst case is never below the synchronous one (the
     synchronous choice is one of the unconstrained ones), equal at n=3
     (3 = 3) and strictly above it from n=4 on (13 > 5, 24 > 7).
@@ -219,6 +228,21 @@ def test_7_token_ring_speculation_gap():
                 f"n={n}: unconstrained worst case {unfair.max_steps} does not "
                 f"exceed synchronous worst case {sync_worst}"
             )
+    # Synchronous only at n = 6, 7: the unconstrained search there is too
+    # slow for this suite.
+    sync_witness = {6: (0, 1, 0, 1, 1, 1), 7: (0, 1, 0, 1, 1, 1, 1)}
+    for n, witness in sync_witness.items():
+        g = generate(f"ring:{n}")
+        p = DijkstraProtocol.for_graph(g)
+        scan = sync_worst_case(p, g, "exhaustive")
+        got = (
+            scan.runs, scan.unreached, scan.max_convergence_legit, scan.witness_legit
+        )
+        want = ((n + 1) ** n, 0, 2 * n - 3, witness)
+        if got != want:
+            failures.append(
+                f"n={n}: (runs, unreached, sync worst, witness) {got} != {want}"
+            )
     # Hand-checkable anchors.  n=3 from (0,1,2): one step to a single token.
     g3 = generate("ring:3")
     p3 = DijkstraProtocol.for_graph(g3)
@@ -248,7 +272,7 @@ def test_7_token_ring_speculation_gap():
     detail = "; ".join(failures) or ", ".join(
         f"n={n}: sync {s} = 2n-3, unconstrained {u}"
         for n, (s, u) in measured.items()
-    )
+    ) + ", n=6, 7: sync 2n-3"
     _report(7, "token-ring speculation gap", ok, detail)
     assert ok, failures
 

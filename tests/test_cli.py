@@ -76,6 +76,20 @@ def test_run_missing_graph_file_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "bounds", "--graph", "path:6", "--exhaustive"],
+        ["compare", "--graphs", "path:6", "--exhaustive-budget", str(10**12)],
+    ],
+)
+def test_exhaustive_scan_past_int32_exits_2(tmp_path, capsys, argv):
+    # 74**6 clock configurations do not fit the scan's int32 index.
+    rc = main(argv + ([] if argv[0] == "verify" else ["--out", str(tmp_path)]))
+    assert rc == 2
+    assert "int32" in capsys.readouterr().err
+
+
 def test_run_init_file(tmp_path, capsys):
     cfg = tmp_path / "init.cfg"
     cfg.write_text("4\n6\n")

@@ -1,3 +1,4 @@
+import functools
 from itertools import combinations, product
 
 import numpy as np
@@ -20,6 +21,26 @@ from stabsim.search import (
 def test_unfair_step_bound_values():
     assert ssme_unfair_step_bound(2, 1) == 28
     assert ssme_unfair_step_bound(5, 2) == 655
+
+
+# (protocol, graph, window) triples on which the exhaustive scan must equal
+# the scalar reference field by field.  Hasty runs without a window only:
+# `_sync_scan_scalar` lets a run with a window take the window's steps more
+# to reach legitimacy, so there it reaches runs the scan counts unreached.
+DIFFERENTIAL_CASES = (
+    [
+        ("ssme", spec, window)
+        for spec in ("path:1", "path:2", "path:3", "ring:3", "complete:3")
+        for window in (None, "2K")
+    ]
+    + [("dijkstra", f"ring:{n}", None) for n in (3, 4, 5)]
+    + [
+        ("frozen", "path:2", None),
+        ("frozen", "path:2", "2K"),
+        ("hasty", "path:3", None),
+        ("toggler", "path:2", None),
+    ]
+)
 
 
 class TestSyncWorstCase:
@@ -107,7 +128,7 @@ class TestSyncWorstCase:
         p = SsmeProtocol.for_graph(g)
         window = 2 * p.ring
         batched = sync_worst_case(p, g, "exhaustive", liveness_window=window)
-        scalar = _exhaustive_scalar(p, g, window)
+        scalar = _cached_scalar("ssme", spec, "2K")
         for field in (
             "runs",
             "max_convergence_me",
@@ -138,24 +159,55 @@ class TestSyncWorstCase:
     @pytest.mark.parametrize("chunk_rows", [7, None])
     def test_unsafe_counts_each_run_alone(self, window, chunk_rows):
         # With one shared threshold the legitimate set is not ME-safe, so
-        # the count depends on where each run ends.
+        # the count depends on where each run ends, and a run's window can
+        # open after its first legitimate configuration.
         g = generate("path:2")
         p = OneThreshold.for_graph(g)
         w = None if window is None else 2 * p.ring
         chunking = {} if chunk_rows is None else {"chunk_rows": chunk_rows}
         batched = sync_worst_case(p, g, "exhaustive", liveness_window=w, **chunking)
         scalar = _exhaustive_scalar(p, g, w)
-        for field in (
-            "unsafe_after_legitimate",
-            "runs",
-            "unreached",
-            "max_convergence_legit",
-        ):
-            assert getattr(batched, field) == getattr(scalar, field), field
-        if window is None:
-            assert batched.max_convergence_me == scalar.max_convergence_me
-        else:
+        assert batched == scalar
+        if window is not None:
             assert batched.unsafe_after_legitimate > 0
+            assert (batched.max_convergence_me, batched.min_cs_count) == (17, 0)
+
+    @pytest.mark.parametrize("chunk_rows", [7, None])
+    @pytest.mark.parametrize(
+        "case", DIFFERENTIAL_CASES, ids=lambda c: "-".join(map(str, c))
+    )
+    def test_exhaustive_equals_scalar(self, case, chunk_rows):
+        g, p, w = _differential_case(*case)
+        chunking = {} if chunk_rows is None else {"chunk_rows": chunk_rows}
+        scan = sync_worst_case(p, g, "exhaustive", liveness_window=w, **chunking)
+        assert scan == _cached_scalar(*case)
+
+    def test_unreached_states(self):
+        # Frozen strands 45 of its 100 runs; SyncToggler reaches none.
+        g = generate("path:2")
+        scan = sync_worst_case(Frozen.for_graph(g), g, "exhaustive", liveness_window=4)
+        assert scan.unreached == 45
+        assert scan.min_cs_count is not None
+        scan = sync_worst_case(SyncToggler(), g, "exhaustive", liveness_window=4)
+        assert scan.unreached == scan.runs == 4
+        assert (scan.max_convergence_me, scan.witness_me) == (-1, ())
+        assert scan.min_cs_count is None
+
+    def test_legitimate_set_must_be_closed(self):
+        g = generate("path:2")
+        with pytest.raises(FalsificationError, match="steps out") as exc:
+            sync_worst_case(Leaky(), g, "exhaustive")
+        assert exc.value.artifact == [(0, 0), (1, 1)]
+
+    def test_int32_index_limit(self):
+        # 2000**3 configurations: rejected before anything is allocated.
+        g = generate("ring:3")
+        p = DijkstraProtocol(3, 2000)
+        with pytest.raises(ValueError, match="int32"):
+            sync_worst_case(p, g, "exhaustive", config_budget=10**12)
+        g = generate("path:6")
+        with pytest.raises(ValueError, match="int32"):
+            sync_worst_case(SsmeProtocol.for_graph(g), g, "exhaustive")
 
     def test_row_keys_renumber_before_overflow(self):
         rng = np.random.default_rng(3)
@@ -172,12 +224,62 @@ def _exhaustive_scalar(p, g, window):
     return _sync_scan_scalar(p, g, product(p.state_domain(), repeat=g.n), window)
 
 
+def _differential_case(name, spec, window):
+    g = generate(spec)
+    make = {
+        "ssme": SsmeProtocol.for_graph,
+        "dijkstra": DijkstraProtocol.for_graph,
+        "frozen": Frozen.for_graph,
+        "hasty": Hasty.for_graph,
+        "toggler": lambda g: SyncToggler(),
+    }[name]
+    p = make(g)
+    return g, p, None if window is None else 2 * p.ring
+
+
+@functools.cache
+def _cached_scalar(name, spec, window):
+    """`_exhaustive_scalar` for one differential case, computed once."""
+    g, p, w = _differential_case(name, spec, window)
+    return _exhaustive_scalar(p, g, w)
+
+
 class OneThreshold(SsmeProtocol):
     """Clock protocol whose vertices all share vertex 0's threshold."""
 
     def __init__(self, n, diam):
         super().__init__(n, diam)
         self.thresholds = (self.thresholds[0],) * n
+
+
+class Frozen(OneThreshold):
+    """OneThreshold with two terminal configurations: every vertex at the
+    stem's bottom (not legitimate), and every vertex on the shared
+    threshold (legitimate and unsafe)."""
+
+    def _frozen(self, R):
+        return (R == -self.alpha).all(axis=1) | (R == self.thresholds[0]).all(axis=1)
+
+    def enabled_rule(self, v, config, g):
+        if self._frozen(np.array([config]))[0]:
+            return None
+        return super().enabled_rule(v, config, g)
+
+    def batch(self, R, g):
+        b = super().batch(R, g)
+        frozen = self._frozen(R)[:, None]
+        return b._replace(
+            nxt=np.where(frozen, R, b.nxt),
+            enabled=b.enabled & ~frozen,
+            hits=b.hits & ~frozen,
+        )
+
+
+class Hasty(SsmeProtocol):
+    """Clock protocol that promises legitimacy within two synchronous steps."""
+
+    def sync_step_bound(self, g):
+        return 2
 
 
 def _oracle_unfair(protocol, g):
@@ -254,6 +356,19 @@ class Toggler:
 
     def is_legitimate(self, config, g):
         return False
+
+
+class SyncToggler(Toggler):
+    def sync_step_bound(self, g):
+        return 3
+
+
+class Leaky(SyncToggler):
+    """Toggler whose all-zero configuration counts as legitimate, although
+    its successor does not."""
+
+    def batch(self, R, g):
+        return super().batch(R, g)._replace(legit=(R == 0).all(axis=1))
 
 
 class TestUnfairWorstCase:
