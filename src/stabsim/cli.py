@@ -8,7 +8,7 @@ reproduced from the log alone.
 
 `run` records its one execution with `engine.run`, the literal reference.
 `sweep` steps all its executions as the rows of the protocol's batch kernel
-(`verify.ensemble_runs`), each row under its own seeded daemon, and writes
+(`engine.ensemble_runs`), each row under its own seeded daemon, and writes
 the same summary rows `run` would.
 
 Exit codes: 0 success, 1 a checked property was falsified, 2 bad usage or
@@ -31,11 +31,13 @@ import numpy as np
 from . import graph as graphlib
 from .daemon import make_daemon
 from .engine import (
+    STOP_REASONS,
     FalsificationError,
     Trace,
     convergence_index_au,
     convergence_index_me,
     count_safety_violations,
+    ensemble_runs,
     format_trace,
     run,
 )
@@ -50,6 +52,17 @@ SUMMARY_FIELDS = [
 # Runs per batched sweep call; each run's daemon holds a `random.Random` of
 # about 2.5 KB.
 SWEEP_CHUNK_RUNS = 2048
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _load_graph_arg(spec: str) -> graphlib.Graph:
@@ -206,7 +219,7 @@ def _one_run(args, g, protocol, init, seed: int) -> tuple[dict, Trace]:
 
 def _sweep_rows(args, g, protocol, runs: list[tuple[tuple, int]]) -> list[dict]:
     """The summary rows of ``runs``, (initial configuration, seed) pairs,
-    stepped together as the rows of one `verify.ensemble_runs` call.
+    stepped together as the rows of one `engine.ensemble_runs` call.
 
     Each row is the row `_one_run` gives for the same pair: its daemon draws
     exactly as the scalar one, and the indices are kept while stepping
@@ -217,7 +230,7 @@ def _sweep_rows(args, g, protocol, runs: list[tuple[tuple, int]]) -> list[dict]:
         max_steps = protocol.default_max_steps(g)
     inits = np.array([init for init, _ in runs], dtype=np.int32)
     seeds = [seed for _, seed in runs]
-    res = verifylib.ensemble_runs(
+    res = ensemble_runs(
         protocol, g, inits,
         verifylib.daemon_selector(args.daemon, protocol, g, seeds, prob=args.prob),
         max_steps=max_steps,
@@ -231,7 +244,7 @@ def _sweep_rows(args, g, protocol, runs: list[tuple[tuple, int]]) -> list[dict]:
             None if illegit == steps else illegit + 1,
             violations,
             steps,
-            verifylib.STOP_REASONS[why],
+            STOP_REASONS[why],
         )
         for (init, seed), legit, unsafe, illegit, violations, steps, why in zip(
             runs,
@@ -417,7 +430,7 @@ def _sampled_unfair_worst(protocol, g, *, samples: int, seed: int) -> int:
         )
         rngs = [np.random.default_rng([abs(seed), i, s]) for s in seeds]
         select = verifylib.ensemble_selector(pname, protocol, g, rngs, count)
-        res = verifylib.ensemble_runs(
+        res = ensemble_runs(
             protocol, g, inits, select, max_steps=budget, tail=0
         )
         worst = max(worst, int(res.legitimate_at.max()))
@@ -489,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["clock", "guards", "lemmas", "closure", "bounds",
                                    "ensemble", "indist"])
     p_verify.add_argument("--graph", default="ring:4")
-    p_verify.add_argument("--samples", type=int, default=1000,
+    p_verify.add_argument("--samples", type=_positive_int, default=1000,
                           help="sampled configurations; initial configurations "
                                "for ensemble, constructed pairs for indist")
     p_verify.add_argument("--seed", type=int, default=0)
@@ -498,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="scheduler-dependent stabilization times")
     p_cmp.add_argument("--graphs", default="ring:4")
-    p_cmp.add_argument("--samples", type=int, default=500)
+    p_cmp.add_argument("--samples", type=_positive_int, default=500)
     p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.add_argument("--exhaustive-budget", type=int, default=1_000_000)
     p_cmp.add_argument("--unfair-state-budget", type=int, default=5000)

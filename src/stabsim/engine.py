@@ -7,6 +7,10 @@ regardless of how many vertices moved.  A trace records the configuration
 sequence together with who moved, which rule fired, and which moves were
 critical-section events (privileged vertex activated).
 
+`ensemble_runs` steps a matrix of runs at once, as the rows of the
+protocol's batch kernel, each row stopping where `run` would; it is the
+one batched run loop, and every batched caller steps its runs on it.
+
 Besides plain runs, this module carries the analysis ops over
 configurations and traces: legitimacy, mutual-exclusion safety,
 convergence indices, per-vertex liveness counts, island decomposition of
@@ -19,10 +23,12 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .clock import ClockParams
 from .daemon import StepContext
 from .graph import Graph
-from .protocol import is_unison_legitimate
+from .protocol import is_unison_legitimate, rows_with
 
 Config = tuple[int, ...]
 
@@ -370,8 +376,9 @@ def run_stats(
 ) -> RunStats:
     """`run` with stop-at-legitimacy, summarised to its indices.
 
-    A test oracle: the scheduler ensemble runs on `verify.ensemble_runs`,
-    and the tests hold its rows equal to this.  An unsafe configuration
+    A test oracle: the scheduler ensemble, `sweep` and the sampled
+    synchronous scan run on `ensemble_runs`, and the tests hold its rows
+    equal to this.  An unsafe configuration
     counts in ``unsafe_at_or_after_legitimate`` only after the first
     legitimate one, never at it.
     """
@@ -397,6 +404,141 @@ def run_stats(
         reason=trace.reason,
         final=configs[-1],
     )
+
+
+# ---------------------------------------------------------------------------
+# Batched runs
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class EnsembleRuns:
+    """Per-row summary of `ensemble_runs`.
+
+    A row's configurations are indexed from 0 (its initial one) to
+    ``steps`` (its last one).  ``legitimate_at`` is the first legitimate
+    index; ``last_unsafe`` and ``last_illegitimate`` are the last index with
+    two or more privileged vertices and the last index that is not
+    legitimate; each is -1 where there is none.  ``reason`` indexes
+    `STOP_REASONS`.
+    """
+
+    steps: np.ndarray
+    legitimate_at: np.ndarray
+    last_unsafe: np.ndarray
+    last_illegitimate: np.ndarray
+    violations: np.ndarray
+    unsafe_after: np.ndarray
+    reason: np.ndarray
+    final: np.ndarray
+
+
+# `run`'s stop reasons, in its order of precedence.
+STOP_REASONS = (REASON_CONVERGED, REASON_MAX_STEPS, REASON_TERMINAL)
+_CONVERGED, _MAX_STEPS, _TERMINAL = range(3)
+
+
+def ensemble_runs(
+    proto,
+    g: Graph,
+    inits: np.ndarray,
+    select,
+    *,
+    max_steps: int,
+    tail: int,
+    stop_at_legitimate: bool = True,
+) -> EnsembleRuns:
+    """Step every row of ``inits`` as its own run of ``proto``.
+
+    Each row stops as `run` does: ``tail`` steps after its first
+    legitimate configuration (unless ``stop_at_legitimate`` is false), at
+    ``max_steps``, or when nothing is enabled; where several hold, the
+    reason is the first of `STOP_REASONS`.  All rows take step t together,
+    and finished rows leave the matrix.
+
+    Unsafe configurations (two or more privileged vertices) are counted in
+    two ways.  ``violations`` counts every one a row visits.
+    ``unsafe_after`` counts only those after the first legitimate
+    configuration, which itself is never counted there; `run_stats` and the
+    synchronous scans share that rule.
+
+    ``select(rows, R, b)`` gets the ids (ascending) of the live rows, their
+    configurations and the protocol's `Batch` of ``R``, and returns an
+    activation mask per row, transposed: vertex by row.  As in `run`,
+    an empty activation or one outside the enabled set raises
+    ``ValueError``.  ``R`` is kept column-major, which makes each vertex's
+    column contiguous for the kernel and the per-row reductions cheap.
+    """
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
+    R = np.array(inits, dtype=np.int32, order="F")
+    B = len(R)
+    none = np.full(B, -1, dtype=np.int32)
+    out = EnsembleRuns(
+        steps=np.zeros(B, dtype=np.int32),
+        legitimate_at=none.copy(),
+        last_unsafe=none.copy(),
+        last_illegitimate=none.copy(),
+        violations=np.zeros(B, dtype=np.int32),
+        unsafe_after=np.zeros(B, dtype=np.int32),
+        reason=np.zeros(B, dtype=np.int8),
+        final=np.empty((B, g.n), dtype=np.int32),
+    )
+    fields = (
+        "legitimate_at", "last_unsafe", "last_illegitimate", "violations",
+        "unsafe_after",
+    )
+    legit_at, last_unsafe, last_illegit, violations, unsafe_after = (
+        getattr(out, f).copy() for f in fields
+    )
+    rows = np.arange(B)
+    t = 0
+    while len(rows):
+        b = proto.batch(R, g)
+        unsafe = rows_with(b.priv, 2)
+        last_unsafe[unsafe] = t
+        violations += unsafe
+        unsafe_after += unsafe & (legit_at >= 0)
+        last_illegit[~b.legit] = t
+        legit_at[b.legit & (legit_at < 0)] = t
+        why = np.where(rows_with(b.enabled, 1), -1, _TERMINAL).astype(np.int8)
+        if t >= max_steps:
+            why[:] = _MAX_STEPS
+        if stop_at_legitimate:
+            why[(legit_at >= 0) & (t - legit_at >= tail)] = _CONVERGED
+        stop = why >= 0
+        if stop.any():
+            done = rows[stop]
+            tracked = (legit_at, last_unsafe, last_illegit, violations, unsafe_after)
+            for f, a in zip(fields, tracked):
+                getattr(out, f)[done] = a[stop]
+            out.steps[done] = t
+            out.reason[done] = why[stop]
+            out.final[done] = R[stop]
+            if stop.all():
+                break
+            keep = ~stop
+            rows = rows[keep]
+            R = np.asfortranarray(R[keep])
+            legit_at, last_unsafe, last_illegit, violations, unsafe_after = (
+                a[keep] for a in tracked
+            )
+            b = b._make(m[keep] for m in b)
+        act = select(rows, R, b).T
+        empty = ~rows_with(act, 1)
+        if empty.any():
+            raise ValueError(
+                f"scheduler returned an empty selection in row {rows[empty][0]}"
+            )
+        stray = act & ~b.enabled
+        if stray.any():
+            r, v = np.argwhere(stray)[0]
+            raise ValueError(
+                f"scheduler selected non-enabled vertex {v} in row {rows[r]}"
+            )
+        R = np.asfortranarray(np.where(act, b.nxt, R))
+        t += 1
+    return out
 
 
 # ---------------------------------------------------------------------------

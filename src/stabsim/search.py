@@ -5,15 +5,16 @@ kernel (`batch`), which evaluates guards and actions for a whole matrix of
 configurations at once.
 
 * `sync_worst_case` measures the worst mutual-exclusion convergence index
-  over many initial configurations under the synchronous scheduler, with an
-  optional liveness window.  There every configuration has exactly one
-  successor, so the exhaustive mode evaluates the kernel once per
-  configuration, stores the successor as a mixed-radix index, and solves
-  every run at once on that functional graph: levels are peeled back from
-  the legitimate set, and each configuration's fields are gathered from
-  its successor's.  The sample mode has no state graph; it steps its runs
-  as one matrix.  `_sync_scan_scalar` states the same scan through `run`
-  traces and is kept only as the reference the tests compare against.
+  over many initial configurations under the synchronous scheduler.  There
+  every configuration has exactly one successor, so the exhaustive mode
+  evaluates the kernel once per configuration, stores the successor as a
+  mixed-radix index, and solves every run at once on that functional
+  graph: levels are peeled back from the legitimate set, and each
+  configuration's fields are gathered from its successor's.  Only the
+  exhaustive mode takes a liveness window.  The sample mode has no state
+  graph; it steps its runs as the rows of `engine.ensemble_runs`.
+  `_sync_scan_scalar` states the same scan through `run` traces and is
+  kept only as the reference the tests compare against.
 
 * `worst_case_unfair` computes the longest action sequence from any
   configuration to the first legitimate one over the full nondeterministic
@@ -46,6 +47,7 @@ from .engine import (
     FalsificationError,
     convergence_index_au,
     convergence_index_me,
+    ensemble_runs,
     liveness_report,
     run,
 )
@@ -65,12 +67,13 @@ def ssme_unfair_step_bound(n: int, diam: int) -> int:
 @dataclass
 class SyncScanResult:
     runs: int
-    max_convergence_me: int
-    witness_me: tuple[int, ...]
-    max_convergence_legit: int
-    witness_legit: tuple[int, ...]
-    unreached: int
-    unsafe_after_legitimate: int
+    # -1 and () while no run is reached.
+    max_convergence_me: int = -1
+    witness_me: tuple[int, ...] = ()
+    max_convergence_legit: int = -1
+    witness_legit: tuple[int, ...] = ()
+    unreached: int = 0
+    unsafe_after_legitimate: int = 0
     min_cs_count: int | None = None
     cs_witness: tuple[int, ...] | None = None
 
@@ -80,127 +83,18 @@ class SyncScanResult:
 # ---------------------------------------------------------------------------
 
 
-def _row_keys(columns: list[np.ndarray], radices: list[int]) -> np.ndarray:
-    """One int64 key per row, equal exactly when the rows are equal.
-
-    Column ``c`` holds values in ``[0, radices[c])``.  The key is their
-    mixed-radix number; when it would overflow int64 it is first renumbered
-    densely by ``np.unique``.
-    """
-    key = np.zeros(len(columns[0]), dtype=np.int64)
-    limit = np.iinfo(np.int64).max
-    for col, radix in zip(columns, radices):
-        if int(key.max()) > (limit - radix) // radix:
-            key = np.unique(key, return_inverse=True)[1].astype(np.int64)
-        key = key * radix + col
-    return key
-
-
-def _sync_scan_chunk(
-    protocol, g: Graph, chunk: np.ndarray, liveness_window: int | None
-) -> SyncScanResult:
-    """The sample mode: the runs from the rows of ``chunk``, stepped as one
-    matrix."""
-    init = chunk.copy()
-    R = chunk
-    B = R.shape[0]
-    cap = protocol.sync_step_bound(g)
-    window = liveness_window or 0
-    last_unsafe = np.full(B, -1, dtype=np.int32)
-    legit_at = np.full(B, -1, dtype=np.int32)
-    unsafe_after = 0
-    t = 0
-    while True:
-        b = protocol.batch(R, g)
-        # A row's own run, as the scalar path records it, ends `window`
-        # steps after its first legitimate configuration.
-        hit = np.flatnonzero(rows_with(b.priv, 2))
-        hit_legit = legit_at[hit]
-        own = hit[(hit_legit < 0) | (t <= hit_legit + window)]
-        last_unsafe[own] = t
-        unsafe_after += int((legit_at[own] >= 0).sum())
-        legit_at[b.legit & (legit_at < 0)] = t
-        if (legit_at >= 0).all() or t >= cap:
-            break
-        R = b.nxt
-        t += 1
-    unreached = int((legit_at < 0).sum())
-    conv_me = last_unsafe + 1
-    reached = legit_at >= 0
-    conv_me_eff = np.where(reached, conv_me, -1)
-    i_me = int(conv_me_eff.argmax())
-    i_lg = int(np.where(reached, legit_at, -1).argmax())
-    result = SyncScanResult(
-        runs=B,
-        max_convergence_me=int(conv_me_eff[i_me]),
-        witness_me=tuple(int(x) for x in init[i_me]),
-        max_convergence_legit=int(legit_at[i_lg]),
-        witness_legit=tuple(int(x) for x in init[i_lg]),
-        unreached=unreached,
-        unsafe_after_legitimate=unsafe_after,
-    )
-    if liveness_window is None or unreached:
-        return result
-    # Count critical-section events from here on, crediting each row only
-    # inside [conv, conv + window).  Events before this point are ignored,
-    # which can only undercount; the window is still long enough because the
-    # settled system ticks every clock at least once per (window - diam)
-    # steps.  Unsafe configurations after this point count up to the end of
-    # the row's own run.  Rows that share their configuration, their window
-    # end and their run end count alike, so only one row of each such class
-    # is stepped.
-    domain = protocol.state_domain()
-    lo_conv, lo_legit = int(conv_me.min()), int(legit_at.min())
-    keys = _row_keys(
-        [R[:, v] - domain[0] for v in range(g.n)]
-        + [conv_me - lo_conv, legit_at - lo_legit],
-        [len(domain)] * g.n
-        + [int(conv_me.max()) - lo_conv + 1, int(legit_at.max()) - lo_legit + 1],
-    )
-    _, first, inverse, sizes = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
-    R = R[first]
-    ends = conv_me[first] + liveness_window
-    stops = legit_at[first] + liveness_window
-    counts = np.zeros(R.shape, dtype=np.int32)
-    # The configuration at t was counted above.
-    start = t
-    last = max(int(ends.max()) - 1, int(stops.max()))
-    while t <= last:
-        b = protocol.batch(R, g)
-        if t > start:
-            unsafe = rows_with(b.priv, 2) & (t <= stops)
-            result.unsafe_after_legitimate += int(sizes[unsafe].sum())
-        live = t < ends
-        counts += (b.priv & b.enabled & live[:, None]).astype(np.int32)
-        R = b.nxt
-        t += 1
-    per_row_min = counts.min(axis=1)[inverse]
-    j = int(per_row_min.argmin())
-    result.min_cs_count = int(per_row_min[j])
-    result.cs_witness = tuple(int(x) for x in init[j])
+def _scan_result(conv: np.ndarray, legit: np.ndarray, config_at) -> SyncScanResult:
+    """The result of runs whose ME convergence and first legitimate indices
+    are ``conv`` and ``legit``, -1 where a run is unreached; run i starts
+    from ``config_at(i)``."""
+    result = SyncScanResult(runs=len(legit), unreached=int((legit < 0).sum()))
+    if result.unreached < result.runs:
+        i_me, i_lg = int(conv.argmax()), int(legit.argmax())
+        result.max_convergence_me = int(conv[i_me])
+        result.witness_me = config_at(i_me)
+        result.max_convergence_legit = int(legit[i_lg])
+        result.witness_legit = config_at(i_lg)
     return result
-
-
-def _merge(acc: SyncScanResult | None, nxt: SyncScanResult) -> SyncScanResult:
-    if acc is None:
-        return nxt
-    if nxt.max_convergence_me > acc.max_convergence_me:
-        acc.max_convergence_me = nxt.max_convergence_me
-        acc.witness_me = nxt.witness_me
-    if nxt.max_convergence_legit > acc.max_convergence_legit:
-        acc.max_convergence_legit = nxt.max_convergence_legit
-        acc.witness_legit = nxt.witness_legit
-    acc.runs += nxt.runs
-    acc.unreached += nxt.unreached
-    acc.unsafe_after_legitimate += nxt.unsafe_after_legitimate
-    if nxt.min_cs_count is not None and (
-        acc.min_cs_count is None or nxt.min_cs_count < acc.min_cs_count
-    ):
-        acc.min_cs_count = nxt.min_cs_count
-        acc.cs_witness = nxt.cs_witness
-    return acc
 
 
 def _exhaustive_chunks(domain: Sequence[int], n: int, chunk_rows: int):
@@ -352,23 +246,8 @@ def _sync_scan_exhaustive(
             sums[:, i] = here_sums
             low[i] = here_sums.min(axis=0)
 
-    unreached = int((level < 0).sum())
-    result = SyncScanResult(
-        runs=total,
-        max_convergence_me=-1,
-        witness_me=(),
-        max_convergence_legit=-1,
-        witness_legit=(),
-        unreached=unreached,
-        unsafe_after_legitimate=0,
-    )
-    if unreached == total:
-        return result
-    i_me, i_lg = int(conv.argmax()), int(level.argmax())
-    result.max_convergence_me, result.witness_me = int(conv[i_me]), config_at(i_me)
-    result.max_convergence_legit = int(level[i_lg])
-    result.witness_legit = config_at(i_lg)
-    if cs is not None:
+    result = _scan_result(conv, level, config_at)
+    if cs is not None and result.unreached < total:
         result.unsafe_after_legitimate = int(after_of.sum(dtype=np.int64))
         j = int(low.argmin())
         result.min_cs_count, result.cs_witness = int(low[j]), config_at(j)
@@ -391,12 +270,13 @@ def sync_worst_case(
     ``mode`` is ``exhaustive`` (every configuration of the state space,
     rejected when it exceeds ``config_budget`` or does not fit an int32
     index) or ``sample`` (``samples`` configurations drawn uniformly from
-    ``seed``).  Sampled maxima are lower bounds on the true worst case.
+    ``seed``, ``chunk_rows`` at a time).  Sampled maxima are lower bounds on
+    the true worst case.  A ``liveness_window`` is taken by the exhaustive
+    mode only; the sample mode raises ``ValueError`` on one.
 
     Each initial configuration is one run, as `_sync_scan_scalar` records
     it.  A run is reached when it is legitimate within
-    ``protocol.sync_step_bound(g)`` steps (`_sync_scan_scalar` lets a run
-    with a window take ``liveness_window`` steps more); it then goes on for
+    ``protocol.sync_step_bound(g)`` steps; it then goes on for
     ``liveness_window`` steps (none without a window) and ends early only
     where no vertex is enabled.  Its ME convergence index is one past its
     last configuration with two or more privileged vertices.
@@ -405,8 +285,12 @@ def sync_worst_case(
     liveness window of a run covers its steps ``[conv, conv + window)``,
     clipped to the run's end, and ``min_cs_count`` is the fewest
     critical-section entries (privileged and activated) of any vertex in
-    it.  Witnesses are the lowest-indexed configurations, in
-    ``product(domain, repeat=n)`` order, attaining each extremum.
+    it.  Witnesses are the first configurations attaining each extremum,
+    in ``product(domain, repeat=n)`` order or in the order drawn.
+
+    The sample mode steps each chunk of runs as the rows of
+    `engine.ensemble_runs` under the synchronous selection, stopping each
+    at its first legitimate configuration.
 
     The exhaustive mode solves every run on the successor function.
     Legitimate configurations step through their own tail.  A
@@ -443,11 +327,23 @@ def sync_worst_case(
         raise ValueError(f"unknown mode {mode!r}")
     if samples <= 0:
         raise ValueError("sample mode needs samples > 0")
-    acc: SyncScanResult | None = None
-    for chunk in _sampled_chunks(domain, n, samples, seed, chunk_rows):
-        acc = _merge(acc, _sync_scan_chunk(protocol, g, chunk, liveness_window))
-    assert acc is not None
-    return acc
+    if liveness_window is not None:
+        raise ValueError("sample mode takes no liveness window")
+    cap = protocol.sync_step_bound(g)
+    chunks = list(_sampled_chunks(domain, n, samples, seed, chunk_rows))
+    runs = [
+        ensemble_runs(
+            protocol, g, chunk, lambda rows, R, b: b.enabled.T,
+            max_steps=cap, tail=0,
+        )
+        for chunk in chunks
+    ]
+    legit = np.concatenate([res.legitimate_at for res in runs])
+    conv = np.concatenate([res.last_unsafe for res in runs]) + 1
+    inits = np.concatenate(chunks)
+    return _scan_result(
+        np.where(legit >= 0, conv, -1), legit, lambda i: tuple(inits[i].tolist())
+    )
 
 
 def _sync_scan_scalar(
@@ -459,15 +355,7 @@ def _sync_scan_scalar(
     policy = SynchronousDaemon()
     cap = protocol.sync_step_bound(g)
     tail = liveness_window or 0
-    acc = SyncScanResult(
-        runs=0,
-        max_convergence_me=-1,
-        witness_me=(),
-        max_convergence_legit=-1,
-        witness_legit=(),
-        unreached=0,
-        unsafe_after_legitimate=0,
-    )
+    acc = SyncScanResult(runs=0)
     for init in configs:
         trace = run(
             protocol, g, init, policy,
@@ -476,7 +364,7 @@ def _sync_scan_scalar(
         conv = convergence_index_me(trace, protocol, g)
         legit = convergence_index_au(trace, protocol, g)
         acc.runs += 1
-        if conv is None or legit is None:
+        if conv is None or legit is None or legit > cap:
             acc.unreached += 1
             continue
         acc.unsafe_after_legitimate += sum(

@@ -97,23 +97,47 @@ def test_2_stabilization_under_adversarial_schedulers():
     assert ok, failures
 
 
+# Exact unconstrained worst cases: steps and witness per graph.
+UNFAIR_EXACT = {
+    "path:2": (6, (1, 3)),
+    "complete:4": (20, (1, 1, 1, 3)),
+    "ring:4": (23, (0, 1, 3, 1)),
+    "path:4": (33, (2, 0, 1, 3)),
+}
+
+
 def test_3_unfair_worst_case_bound():
-    """Exhaustive longest-path search on the 100-state two-vertex instance:
-    worst recovery within 28 steps, no cycle outside the legitimate set."""
-    g = generate("path:2")
-    p = SsmeProtocol.for_graph(g)
-    bound = ssme_unfair_step_bound(2, 1)
-    assert bound == 28
-    detail = ""
-    try:
-        res = worst_case_unfair(p, g, state_budget=200)
-        ok = res.max_steps <= bound and res.states == 100
-        detail = f"worst {res.max_steps} <= {bound}, {res.states} states, no cycle"
-    except Exception as exc:  # cycle or stuck state would land here
-        ok = False
-        detail = str(exc)
+    """Exhaustive longest-path search over every configuration and every
+    activation choice: each exact worst recovery within the cubic bound
+    (28 steps on the two-vertex instance), no cycle outside the legitimate
+    set."""
+    assert ssme_unfair_step_bound(2, 1) == 28
+    failures = []
+    details = []
+    for spec, (worst, witness) in UNFAIR_EXACT.items():
+        g = generate(spec)
+        p = SsmeProtocol.for_graph(g)
+        bound = ssme_unfair_step_bound(g.n, g.diam)
+        total = p.params.size ** g.n
+        try:  # a cycle or a stuck state raises
+            res = worst_case_unfair(p, g, state_budget=total)
+        except Exception as exc:
+            failures.append(f"{spec}: {exc}")
+            continue
+        details.append(f"{spec} worst {res.max_steps} <= {bound}")
+        if res.states != total:
+            failures.append(f"{spec}: searched {res.states} of {total} states")
+        if res.max_steps > bound:
+            failures.append(f"{spec}: worst {res.max_steps} exceeds bound {bound}")
+        if (res.max_steps, res.witness) != (worst, witness):
+            failures.append(
+                f"{spec}: worst {res.max_steps} (witness {res.witness}) != "
+                f"{worst} ({witness})"
+            )
+    ok = not failures
+    detail = "; ".join(failures) if failures else ", ".join(details) + ", no cycle"
     _report(3, "unfair worst-case bound", ok, detail)
-    assert ok, detail
+    assert ok, failures
 
 
 def test_4_liveness_window(sync_scans):

@@ -279,6 +279,22 @@ def test_unknown_daemon_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "ensemble", "--graph", "ring:4", "--samples", "0"],
+        ["verify", "indist", "--samples", "-1"],
+        ["verify", "lemmas", "--samples", "-1"],
+        ["compare", "--samples", "0"],
+    ],
+)
+def test_samples_must_be_positive(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--samples: must be >= 1" in capsys.readouterr().err
+
+
 def test_config_file_int_key(tmp_path, capsys):
     conf = tmp_path / "cfg.txt"
     conf.write_text("max_steps 50\nk_states 6\n")

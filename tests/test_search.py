@@ -9,7 +9,8 @@ from stabsim.engine import FalsificationError, run, step
 from stabsim.daemon import SynchronousDaemon
 from stabsim.protocol import Batch, DijkstraProtocol, SsmeProtocol, make_protocol
 from stabsim.search import (
-    _row_keys,
+    CHUNK_ROWS,
+    _sampled_chunks,
     _sync_scan_scalar,
     lower_bound_witness,
     ssme_unfair_step_bound,
@@ -24,9 +25,8 @@ def test_unfair_step_bound_values():
 
 
 # (protocol, graph, window) triples on which the exhaustive scan must equal
-# the scalar reference field by field.  Hasty runs without a window only:
-# `_sync_scan_scalar` lets a run with a window take the window's steps more
-# to reach legitimacy, so there it reaches runs the scan counts unreached.
+# the scalar reference field by field; the windowless ones also hold the
+# sample mode to it.
 DIFFERENTIAL_CASES = (
     [
         ("ssme", spec, window)
@@ -38,6 +38,7 @@ DIFFERENTIAL_CASES = (
         ("frozen", "path:2", None),
         ("frozen", "path:2", "2K"),
         ("hasty", "path:3", None),
+        ("hasty", "path:3", "2K"),
         ("toggler", "path:2", None),
     ]
 )
@@ -66,23 +67,26 @@ class TestSyncWorstCase:
         with pytest.raises(ValueError):
             sync_worst_case(p, g, "sample", samples=0)
 
+    def test_sample_mode_takes_no_window(self):
+        g = generate("path:2")
+        p = SsmeProtocol.for_graph(g)
+        with pytest.raises(ValueError, match="window"):
+            sync_worst_case(p, g, "sample", samples=10, liveness_window=4)
+
     def test_batched_equals_scalar_on_sampled_configs(self):
         g = generate("ring:4")
         p = SsmeProtocol.for_graph(g)
-        batched = sync_worst_case(
-            p, g, "sample", samples=1500, seed=13, liveness_window=2 * p.ring
-        )
+        batched = sync_worst_case(p, g, "sample", samples=1500, seed=13)
         rng = np.random.default_rng(13)
         rows = rng.integers(-p.alpha, p.ring, size=(1500, 4), dtype=np.int32)
         scalar = _sync_scan_scalar(
-            p, g, (tuple(int(x) for x in r) for r in rows), 2 * p.ring
+            p, g, (tuple(int(x) for x in r) for r in rows), None
         )
         assert batched.max_convergence_me == scalar.max_convergence_me
         assert batched.witness_me == scalar.witness_me
         assert batched.max_convergence_legit == scalar.max_convergence_legit
         assert batched.witness_legit == scalar.witness_legit
         assert batched.unreached == scalar.unreached == 0
-        assert batched.min_cs_count == scalar.min_cs_count == 1
         assert batched.unsafe_after_legitimate == 0
         assert scalar.unsafe_after_legitimate == 0
 
@@ -182,6 +186,22 @@ class TestSyncWorstCase:
         scan = sync_worst_case(p, g, "exhaustive", liveness_window=w, **chunking)
         assert scan == _cached_scalar(*case)
 
+    @pytest.mark.parametrize("chunk_rows", [7, None])
+    @pytest.mark.parametrize(
+        "case",
+        [c for c in DIFFERENTIAL_CASES if c[2] is None],
+        ids=lambda c: "-".join(map(str, c[:2])),
+    )
+    def test_sample_equals_scalar_on_the_same_draws(self, case, chunk_rows):
+        g, p, _ = _differential_case(*case)
+        chunking = {} if chunk_rows is None else {"chunk_rows": chunk_rows}
+        scan = sync_worst_case(p, g, "sample", samples=300, seed=11, **chunking)
+        draws = _sampled_chunks(
+            p.state_domain(), g.n, 300, 11, chunk_rows or CHUNK_ROWS
+        )
+        configs = (tuple(r) for R in draws for r in R.tolist())
+        assert scan == _sync_scan_scalar(p, g, configs, None)
+
     def test_unreached_states(self):
         # Frozen strands 45 of its 100 runs; SyncToggler reaches none.
         g = generate("path:2")
@@ -208,15 +228,6 @@ class TestSyncWorstCase:
         g = generate("path:6")
         with pytest.raises(ValueError, match="int32"):
             sync_worst_case(SsmeProtocol.for_graph(g), g, "exhaustive")
-
-    def test_row_keys_renumber_before_overflow(self):
-        rng = np.random.default_rng(3)
-        radix = 1 << 40
-        rows = rng.integers(0, 4, size=(300, 3)) * (radix // 4)
-        keys = _row_keys([rows[:, c] for c in range(3)], [radix] * 3)
-        _, by_row = np.unique(rows, axis=0, return_inverse=True)
-        _, by_key = np.unique(keys, return_inverse=True)
-        assert np.array_equal(by_row.ravel(), by_key)
 
 
 def _exhaustive_scalar(p, g, window):

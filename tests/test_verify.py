@@ -5,15 +5,13 @@ import pytest
 
 from stabsim import generate, verify
 from stabsim.daemon import CentralAdversarial, CentralRoundRobin, StepContext
-from stabsim.engine import run_stats, step
+from stabsim.engine import STOP_REASONS, ensemble_runs, run_stats, step
 from stabsim.protocol import Batch, DijkstraProtocol, SsmeProtocol
 from stabsim.search import ssme_unfair_step_bound
 from stabsim.verify import (
-    STOP_REASONS,
     bounds_checks,
     clock_checks,
     closure_checks,
-    ensemble_runs,
     ensemble_selector,
     graph_checks,
     guard_checks,
