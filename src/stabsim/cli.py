@@ -6,9 +6,11 @@ witness (worst-case initial configuration).  Every invocation prints its
 effective parameters, defaults materialized, so any result can be
 reproduced from the log alone.
 
-`run` records its one execution with `engine.run`, the literal reference.
-`sweep` steps all its executions as the rows of the protocol's batch kernel
-(`engine.ensemble_runs`), each row under its own seeded daemon, and writes
+`run` records its one execution with `engine.run`, the literal reference,
+and writes the summary indices the trace kept.  `sweep` steps all its
+executions as the rows of the protocol's batch kernel
+(`engine.ensemble_runs`) under `verify.batched_selector`, each row
+replaying the draws of its own seeded daemon (`verify.Replay`), and writes
 the same summary rows `run` would.
 
 Exit codes: 0 success, 1 a checked property was falsified, 2 bad usage or
@@ -208,9 +210,9 @@ def _one_run(args, g, protocol, init, seed: int) -> tuple[dict, Trace]:
     )
     row = _summary_row(
         args, init, seed,
-        convergence_index_me(trace, protocol, g),
-        convergence_index_au(trace, protocol, g),
-        count_safety_violations(trace, protocol, g),
+        convergence_index_me(trace),
+        convergence_index_au(trace),
+        count_safety_violations(trace),
         trace.steps,
         trace.reason,
     )
@@ -222,17 +224,19 @@ def _sweep_rows(args, g, protocol, runs: list[tuple[tuple, int]]) -> list[dict]:
     stepped together as the rows of one `engine.ensemble_runs` call.
 
     Each row is the row `_one_run` gives for the same pair: its daemon draws
-    exactly as the scalar one, and the indices are kept while stepping
-    instead of rescanning a trace.
+    exactly as the scalar one, and its indices are kept by `run`'s rule.
     """
     max_steps = args.max_steps
     if max_steps is None:
         max_steps = protocol.default_max_steps(g)
     inits = np.array([init for init, _ in runs], dtype=np.int32)
     seeds = [seed for _, seed in runs]
+    draws = verifylib.Replay(args.daemon, g.n, seeds, prob=args.prob)
+    select = verifylib.batched_selector(
+        args.daemon, protocol, g, draws, len(runs), prob=args.prob
+    )
     res = ensemble_runs(
-        protocol, g, inits,
-        verifylib.daemon_selector(args.daemon, protocol, g, seeds, prob=args.prob),
+        protocol, g, inits, select,
         max_steps=max_steps,
         tail=args.tail,
         stop_at_legitimate=not args.no_stop,
@@ -420,7 +424,7 @@ def _sampled_unfair_worst(protocol, g, *, samples: int, seed: int) -> int:
     count = max(1, samples // 25)
     seeds = range(5)
     worst = 0
-    for i, pname in enumerate(verifylib.ENSEMBLE_POLICIES):
+    for i, (_, name, prob) in enumerate(verifylib.ENSEMBLE_POLICIES):
         inits = np.array(
             [
                 [rng.choice(domain) for _ in range(g.n)]
@@ -429,7 +433,9 @@ def _sampled_unfair_worst(protocol, g, *, samples: int, seed: int) -> int:
             dtype=np.int32,
         )
         rngs = [np.random.default_rng([abs(seed), i, s]) for s in seeds]
-        select = verifylib.ensemble_selector(pname, protocol, g, rngs, count)
+        select = verifylib.batched_selector(
+            name, protocol, g, verifylib.Streams(rngs, count), len(inits), prob=prob
+        )
         res = ensemble_runs(
             protocol, g, inits, select, max_steps=budget, tail=0
         )

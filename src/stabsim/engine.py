@@ -10,6 +10,9 @@ critical-section events (privileged vertex activated).
 `ensemble_runs` steps a matrix of runs at once, as the rows of the
 protocol's batch kernel, each row stopping where `run` would; it is the
 one batched run loop, and every batched caller steps its runs on it.
+Both loops keep a run's summary indices while they step, by one rule:
+`run` on its `Trace`, `ensemble_runs` per row.  The convergence indices,
+the violation count and `run_stats` read them off the trace.
 
 Besides plain runs, this module carries the analysis ops over
 configurations and traces: legitimacy, mutual-exclusion safety,
@@ -55,7 +58,9 @@ class Trace:
 
     ``rules[i]`` is aligned with ``activated[i]``: the label fired by each
     activated vertex during action i.  ``cs_events[i]`` lists the activated
-    vertices that were privileged in ``configs[i]``.
+    vertices that were privileged in ``configs[i]``.  The five summary
+    indices are the per-row fields of `EnsembleRuns`, kept by `run` while
+    it steps.
     """
 
     configs: tuple[Config, ...]
@@ -63,6 +68,11 @@ class Trace:
     rules: tuple[tuple[str, ...], ...]
     cs_events: tuple[tuple[int, ...], ...]
     reason: str
+    legitimate_at: int
+    last_unsafe: int
+    last_illegitimate: int
+    violations: int
+    unsafe_after: int
 
     @property
     def steps(self) -> int:
@@ -126,7 +136,9 @@ def run(
 
     Stops on a terminal configuration (empty enabled set), on the step
     budget, or - when ``stop_at_legitimate`` - ``tail`` steps after the
-    first legitimate configuration.
+    first legitimate configuration.  Each recorded configuration's
+    privileged set and legitimacy are evaluated once, and the trace's
+    summary indices are kept from them as `ensemble_runs` keeps its rows'.
     """
     protocol.check_graph(g)
     if max_steps is None:
@@ -138,17 +150,23 @@ def run(
     activated_log: list[tuple[int, ...]] = []
     rules_log: list[tuple[str, ...]] = []
     cs_log: list[tuple[int, ...]] = []
-    legit_at: int | None = None
-    reason = REASON_MAX_STEPS
+    legit_at = last_unsafe = last_illegit = -1
+    violations = unsafe_after = 0
     ctx = StepContext(protocol, g, config, None)
     while True:
         here = len(configs) - 1
-        if stop_at_legitimate:
-            if legit_at is None and protocol.is_legitimate(config, g):
-                legit_at = here
-            if legit_at is not None and here - legit_at >= tail:
-                reason = REASON_CONVERGED
-                break
+        priv = protocol.privileged_vertices(config, g)
+        if len(priv) > 1:
+            last_unsafe = here
+            violations += 1
+            unsafe_after += legit_at >= 0
+        if not protocol.is_legitimate(config, g):
+            last_illegit = here
+        elif legit_at < 0:
+            legit_at = here
+        if stop_at_legitimate and legit_at >= 0 and here - legit_at >= tail:
+            reason = REASON_CONVERGED
+            break
         if here >= max_steps:
             reason = REASON_MAX_STEPS
             break
@@ -164,7 +182,6 @@ def run(
         new = list(config)
         for v in sel:
             new[v] = protocol.apply(v, rules[v], config, g)
-        priv = protocol.privileged_vertices(config, g)
         cs_log.append(tuple(v for v in sel if v in priv))
         activated_log.append(sel)
         rules_log.append(tuple(rules[v] for v in sel))
@@ -176,6 +193,11 @@ def run(
         rules=tuple(rules_log),
         cs_events=tuple(cs_log),
         reason=reason,
+        legitimate_at=legit_at,
+        last_unsafe=last_unsafe,
+        last_illegitimate=last_illegit,
+        violations=violations,
+        unsafe_after=unsafe_after,
     )
 
 
@@ -184,52 +206,38 @@ def run(
 # ---------------------------------------------------------------------------
 
 
-def convergence_index_me(trace: Trace, protocol, g: Graph) -> int | None:
+def convergence_index_me(trace: Trace) -> int | None:
     """Smallest index from which every recorded configuration is ME-safe.
 
     Only meaningful when the trace reached a legitimate configuration
     (closure of the legitimate set makes the suffix check sound); returns
     None ("undetermined") otherwise.
     """
-    if not any(protocol.is_legitimate(c, g) for c in trace.configs):
-        return None
-    last_unsafe = -1
-    for i, c in enumerate(trace.configs):
-        if len(protocol.privileged_vertices(c, g)) > 1:
-            last_unsafe = i
-    return last_unsafe + 1
+    return None if trace.legitimate_at < 0 else trace.last_unsafe + 1
 
 
-def convergence_index_au(trace: Trace, protocol, g: Graph) -> int | None:
+def convergence_index_au(trace: Trace) -> int | None:
     """Smallest index from which every recorded configuration is legitimate.
 
     None when even the final configuration is not legitimate.
     """
-    idx: int | None = None
-    for i in range(len(trace.configs) - 1, -1, -1):
-        if not protocol.is_legitimate(trace.configs[i], g):
-            break
-        idx = i
-    return idx
+    last = trace.last_illegitimate
+    return None if last == trace.steps else last + 1
 
 
-def count_safety_violations(trace: Trace, protocol, g: Graph) -> int:
-    return sum(
-        1
-        for c in trace.configs
-        if len(protocol.privileged_vertices(c, g)) > 1
-    )
+def count_safety_violations(trace: Trace) -> int:
+    return trace.violations
 
 
-def liveness_report(trace: Trace, protocol, g: Graph, window: int) -> dict[int, int]:
+def liveness_report(trace: Trace, window: int) -> dict[int, int]:
     """Critical-section events per vertex in the ``window`` steps after the
     ME convergence index."""
     if window < 0:
         raise ValueError("window must be >= 0")
-    conv = convergence_index_me(trace, protocol, g)
+    conv = convergence_index_me(trace)
     if conv is None:
         raise ValueError("trace did not reach a legitimate configuration")
-    counts = {v: 0 for v in range(g.n)}
+    counts = {v: 0 for v in range(len(trace.configs[0]))}
     for i in range(conv, min(conv + window, trace.steps)):
         for v in trace.cs_events[i]:
             counts[v] += 1
@@ -247,10 +255,6 @@ class Island:
     has_zero: bool
     border: frozenset[int]
     depth: float  # math.inf when the island has no border
-
-    @property
-    def is_zero(self) -> bool:
-        return self.has_zero
 
 
 @dataclass(frozen=True)
@@ -378,31 +382,20 @@ def run_stats(
 
     A test oracle: the scheduler ensemble, `sweep` and the sampled
     synchronous scan run on `ensemble_runs`, and the tests hold its rows
-    equal to this.  An unsafe configuration
-    counts in ``unsafe_at_or_after_legitimate`` only after the first
-    legitimate one, never at it.
+    equal to this.  ``unsafe_at_or_after_legitimate`` is the trace's
+    ``unsafe_after``, which never counts the first legitimate configuration.
     """
     trace = run(
         protocol, g, init, policy,
         max_steps=max_steps, stop_at_legitimate=True, tail=tail,
     )
-    configs = trace.configs
-    unsafe = [
-        i for i, c in enumerate(configs)
-        if len(protocol.privileged_vertices(c, g)) > 1
-    ]
-    legit_at = next(
-        (i for i, c in enumerate(configs) if protocol.is_legitimate(c, g)), None
-    )
     return RunStats(
         steps=trace.steps,
-        legitimate_at=legit_at,
-        last_unsafe=unsafe[-1] if unsafe else -1,
-        unsafe_at_or_after_legitimate=(
-            0 if legit_at is None else sum(i > legit_at for i in unsafe)
-        ),
+        legitimate_at=None if trace.legitimate_at < 0 else trace.legitimate_at,
+        last_unsafe=trace.last_unsafe,
+        unsafe_at_or_after_legitimate=trace.unsafe_after,
         reason=trace.reason,
-        final=configs[-1],
+        final=trace.configs[-1],
     )
 
 
@@ -459,8 +452,8 @@ def ensemble_runs(
     Unsafe configurations (two or more privileged vertices) are counted in
     two ways.  ``violations`` counts every one a row visits.
     ``unsafe_after`` counts only those after the first legitimate
-    configuration, which itself is never counted there; `run_stats` and the
-    synchronous scans share that rule.
+    configuration, which itself is never counted there; `run` keeps its
+    trace's indices by the same rule.
 
     ``select(rows, R, b)`` gets the ids (ascending) of the live rows, their
     configurations and the protocol's `Batch` of ``R``, and returns an

@@ -27,9 +27,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def distance(self, u: int, v: int) -> int:
-        return self.dist[u][v]
-
 
 def _frontier_distances(adj: Sequence[Sequence[int]], source: int) -> list[int]:
     # Level-set BFS: expand whole frontiers, recording the level at first sight.

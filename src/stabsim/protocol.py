@@ -120,11 +120,6 @@ def is_unison_legitimate(
     return True
 
 
-def ssme_privileged(r: int, vertex_id: int, n: int, diam: int) -> bool:
-    """Privilege predicate: the register sits on this identity's threshold."""
-    return r == 2 * n + 2 * diam * vertex_id
-
-
 class SsmeProtocol:
     """Clock-unison mutual exclusion on an arbitrary connected graph.
 

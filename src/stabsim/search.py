@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .daemon import DEFAULT_BRANCH_CAP, SynchronousDaemon, enumerate_choices
+from .daemon import SynchronousDaemon, enumerate_choices
 from .engine import (
     FalsificationError,
     convergence_index_au,
@@ -361,16 +361,13 @@ def _sync_scan_scalar(
             protocol, g, init, policy,
             max_steps=cap + tail, stop_at_legitimate=True, tail=tail,
         )
-        conv = convergence_index_me(trace, protocol, g)
-        legit = convergence_index_au(trace, protocol, g)
+        conv = convergence_index_me(trace)
+        legit = convergence_index_au(trace)
         acc.runs += 1
         if conv is None or legit is None or legit > cap:
             acc.unreached += 1
             continue
-        acc.unsafe_after_legitimate += sum(
-            len(protocol.privileged_vertices(c, g)) >= 2
-            for c in trace.configs[legit + 1:]
-        )
+        acc.unsafe_after_legitimate += trace.unsafe_after
         if conv > acc.max_convergence_me:
             acc.max_convergence_me = conv
             acc.witness_me = init
@@ -378,7 +375,7 @@ def _sync_scan_scalar(
             acc.max_convergence_legit = legit
             acc.witness_legit = init
         if liveness_window is not None:
-            counts = liveness_report(trace, protocol, g, liveness_window)
+            counts = liveness_report(trace, liveness_window)
             low = min(counts.values())
             if acc.min_cs_count is None or low < acc.min_cs_count:
                 acc.min_cs_count = low
@@ -403,7 +400,6 @@ def worst_case_unfair(
     g: Graph,
     *,
     state_budget: int = 250_000,
-    branch_cap: int = DEFAULT_BRANCH_CAP,
 ) -> UnfairSearchResult:
     """Longest action sequence to the first legitimate configuration, over
     every initial configuration and every legal activation choice.
@@ -465,9 +461,7 @@ def worst_case_unfair(
     groups = []
     for m in np.unique(live_masks).tolist():
         states = live[live_masks == m]
-        subsets = enumerate_choices(
-            [v for v in range(n) if m >> v & 1], cap=branch_cap
-        )
+        subsets = enumerate_choices([v for v in range(n) if m >> v & 1])
         choose = np.array(
             [[v in subset for subset in subsets] for v in range(n)], dtype=itype
         )
@@ -539,7 +533,7 @@ def _measure_sync_convergence(protocol, g: Graph, init: Sequence[int]) -> int | 
         protocol, g, init, SynchronousDaemon(),
         max_steps=cap, stop_at_legitimate=True, tail=0,
     )
-    return convergence_index_me(trace, protocol, g)
+    return convergence_index_me(trace)
 
 
 def lower_bound_witness(g: Graph, protocol: SsmeProtocol | None = None) -> WitnessResult:

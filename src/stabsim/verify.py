@@ -11,6 +11,12 @@ never inside an island containing a zero register; islands that do not
 contain zero lose depth every synchronous step; and diam steps after any
 illegitimate start, every register is confined to the initial segment plus
 a narrow arc of the ring.
+
+Every scheduler policy is stated once in batched form, by
+`batched_selector`, for `engine.ensemble_runs`.  Only the source of its
+random numbers differs between callers: `Streams`, numpy streams for the
+ensemble and `compare`'s sampled bounds, or `Replay`, the scalar daemons'
+own `random.Random` draws, for `sweep`.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .engine import (
     run_stats,  # bound here for bench/tracer.py, which patches it per module
     step,
 )
-from .graph import Graph, bfs_distances
+from .graph import Graph
 from .protocol import (
     RULE_CONVERGE,
     RULE_RESET,
@@ -46,6 +52,16 @@ from .search import (
     sync_worst_case,
     worst_case_unfair,
 )
+
+
+# The suites' fixed instances: the algebra suite's clock (stem, ring); the
+# guard check's n, diam and largest neighbourhood; the largest state space
+# the exhaustive closure check walks; and the largest one whose
+# unconstrained worst case the bounds suite solves.
+CLOCK_ALPHA, CLOCK_RING = 5, 12
+GUARD_N, GUARD_DIAM, GUARD_MAX_DEGREE = 3, 1, 3
+CLOSURE_EXHAUSTIVE_CAP = 20_000
+UNFAIR_STATE_BUDGET = 4096
 
 
 @dataclass
@@ -70,7 +86,8 @@ def _result(name: str, failures: list, extra: str = "") -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def clock_checks(alpha: int = 5, ring: int = 12) -> list[CheckResult]:
+def clock_checks() -> list[CheckResult]:
+    alpha, ring = CLOCK_ALPHA, CLOCK_RING
     params = clock.ClockParams(alpha, ring)
     out = []
 
@@ -138,7 +155,8 @@ def clock_checks(alpha: int = 5, ring: int = 12) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def guard_checks(n: int = 3, diam: int = 1, max_degree: int = 3) -> list[CheckResult]:
+def guard_checks() -> list[CheckResult]:
+    n, diam, max_degree = GUARD_N, GUARD_DIAM, GUARD_MAX_DEGREE
     params = clock.ssme_params(n, diam)
     values = list(params.values())
     out = []
@@ -178,20 +196,6 @@ def guard_checks(n: int = 3, diam: int = 1, max_degree: int = 3) -> list[CheckRe
 
 
 # ---------------------------------------------------------------------------
-# Graph metrics
-# ---------------------------------------------------------------------------
-
-
-def graph_checks(graphs: list[Graph]) -> list[CheckResult]:
-    bad = []
-    for g in graphs:
-        for v in range(g.n):
-            if list(g.dist[v]) != bfs_distances(g.adj, v):
-                bad.append(f"n={g.n} m={g.m} source={v}")
-    return [_result("distance matrix agrees with per-query BFS", bad)]
-
-
-# ---------------------------------------------------------------------------
 # Closure of the legitimate set
 # ---------------------------------------------------------------------------
 
@@ -224,7 +228,6 @@ def closure_checks(
     samples: int = 2000,
     seed: int = 1,
     exhaustive: bool = False,
-    exhaustive_cap: int = 20_000,
 ) -> list[CheckResult]:
     proto = SsmeProtocol.for_graph(g)
     params = proto.params
@@ -248,10 +251,10 @@ def closure_checks(
     checked = 0
     if exhaustive:
         total = params.size ** g.n
-        if total > exhaustive_cap:
+        if total > CLOSURE_EXHAUSTIVE_CAP:
             raise ValueError(
                 f"exhaustive closure over {total} configurations exceeds cap "
-                f"{exhaustive_cap}"
+                f"{CLOSURE_EXHAUSTIVE_CAP}"
             )
         for cfg in product(params.values(), repeat=g.n):
             if is_unison_legitimate(cfg, g, params):
@@ -429,20 +432,14 @@ def indistinguishability_checks(
 # ---------------------------------------------------------------------------
 
 
+# (label, `make_daemon` name, activation probability, which dist-rand reads)
 ENSEMBLE_POLICIES = (
-    "central-rr", "central-rand", "central-adv", "dist-rand:0.3", "dist-rand:0.7",
+    ("central-rr", "central-rr", 0.5),
+    ("central-rand", "central-rand", 0.5),
+    ("central-adv", "central-adv", 0.5),
+    ("dist-rand:0.3", "dist-rand", 0.3),
+    ("dist-rand:0.7", "dist-rand", 0.7),
 )
-
-
-def _uniform(rngs: list, stream: np.ndarray, width: int = 1) -> np.ndarray:
-    """``width`` uniforms per entry of ``stream`` (ascending stream ids), as
-    a row-by-width matrix whose row i is drawn from ``rngs[stream[i]]``."""
-    out = np.empty((len(stream), width))
-    cuts = np.searchsorted(stream, np.arange(1, len(rngs)))
-    for rng, part in zip(rngs, np.split(out, cuts)):
-        if len(part):
-            rng.random(out=part)
-    return out
 
 
 def _nth(mask: np.ndarray, nth: np.ndarray) -> np.ndarray:
@@ -454,11 +451,6 @@ def _nth(mask: np.ndarray, nth: np.ndarray) -> np.ndarray:
         seen += col
         out[v] = col & (seen == nth)
     return out
-
-
-def _uniform_pick(mask: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One set entry per column of a vertex-by-row mask, uniformly by ``u``."""
-    return _nth(mask, (u * mask.sum(axis=0)).astype(np.int32) + 1)
 
 
 def _round_robin(n: int, size: int):
@@ -495,103 +487,97 @@ def _adversarial_best(proto, g: Graph, R: np.ndarray, b) -> np.ndarray:
     return score == score.max(axis=0)
 
 
-def ensemble_selector(pname: str, proto, g: Graph, rngs: list, per_stream: int):
-    """Batched form of the ensemble policy ``pname`` for `ensemble_runs`.
+class Streams:
+    """Draws from numpy streams: row r draws from ``rngs[r // per_stream]``."""
 
-    Row r draws from ``rngs[r // per_stream]``.  ``central-rr`` equals
-    `CentralRoundRobin` exactly.  The random policies have the distributions
-    of their scalar daemons: ``central-rand`` picks an enabled vertex
-    uniformly, ``central-adv`` picks uniformly from `_adversarial_best`, and
-    ``dist-rand:p`` activates each enabled vertex with probability p,
-    redrawing the rows that came out empty.  The protocol is reached only
-    through its batch kernel.
-    """
-    n = g.n
+    def __init__(self, rngs: list, per_stream: int):
+        self.rngs = rngs
+        self.per_stream = per_stream
 
-    def uniform(rows, width=1):
-        return _uniform(rngs, rows // per_stream, width)
+    def _draw(self, rows: np.ndarray, width: int) -> np.ndarray:
+        """``width`` uniforms per row id (ascending), one row each."""
+        out = np.empty((len(rows), width))
+        stream = rows // self.per_stream
+        cuts = np.searchsorted(stream, np.arange(1, len(self.rngs)))
+        for rng, part in zip(self.rngs, np.split(out, cuts)):
+            if len(part):
+                rng.random(out=part)
+        return out
 
-    if pname == "central-rr":
-        return _round_robin(n, len(rngs) * per_stream)
-    if pname == "central-rand":
+    def pick(self, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """A uniform index below ``sizes[i]`` for each row."""
+        return (self._draw(rows, 1)[:, 0] * sizes).astype(np.int32)
 
-        def select(rows, R, b):
-            return _uniform_pick(b.enabled.T, uniform(rows)[:, 0])
-
-    elif pname == "central-adv":
-
-        def select(rows, R, b):
-            best = _adversarial_best(proto, g, R, b)
-            return _uniform_pick(best, uniform(rows)[:, 0])
-
-    elif pname.startswith("dist-rand:"):
-        p = float(pname.partition(":")[2])
-
-        def select(rows, R, b):
-            enabled = b.enabled.T
-            act = enabled & (uniform(rows, n).T < p)
-            empty = np.flatnonzero(~act.any(axis=0))
-            while len(empty):
-                act[:, empty] = enabled[:, empty] & (uniform(rows[empty], n).T < p)
-                empty = empty[~act[:, empty].any(axis=0)]
-            return act
-
-    else:
-        raise ValueError(f"unknown ensemble policy {pname!r}")
-    return select
+    def coins(self, rows: np.ndarray, enabled: np.ndarray, p: float) -> np.ndarray:
+        """Each set entry of the vertex-by-row ``enabled`` with probability
+        p, every row redrawn whole while it comes out empty."""
+        n = len(enabled)
+        act = enabled & (self._draw(rows, n).T < p)
+        empty = np.flatnonzero(~act.any(axis=0))
+        while len(empty):
+            act[:, empty] = enabled[:, empty] & (self._draw(rows[empty], n).T < p)
+            empty = empty[~act[:, empty].any(axis=0)]
+        return act
 
 
-def _coin_flips(rng: random.Random, k: int, p: float) -> list[bool]:
-    """`RandomDistributed.select`'s draws over k enabled vertices: one flag
-    per vertex in ascending order, redrawn until one is set."""
-    while True:
-        flips = [rng.random() < p for _ in range(k)]
-        if True in flips:
-            return flips
+class Replay:
+    """The draws of the scalar daemons: row r draws from the `random.Random`
+    of ``make_daemon(name, n=n, seed=seeds[r], prob=prob)`` exactly as its
+    ``select`` does."""
+
+    def __init__(self, name: str, n: int, seeds: list[int], *, prob: float):
+        daemons = [make_daemon(name, n=n, seed=s, prob=prob) for s in seeds]
+        # sync and central-rr hold no generator; they draw nothing.
+        self.rngs = [getattr(d, "rng", None) for d in daemons]
+
+    def pick(self, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        # One ``choice`` over the ascending pool; it draws on the length only.
+        picks = zip(rows.tolist(), sizes.tolist())
+        return np.array(
+            [self.rngs[r].choice(range(k)) for r, k in picks], dtype=np.int32
+        )
+
+    def coins(self, rows: np.ndarray, enabled: np.ndarray, p: float) -> np.ndarray:
+        # One ``random()`` per enabled vertex in ascending order, until one
+        # comes out set.
+        flips = []
+        for r, k in zip(rows.tolist(), enabled.sum(axis=0).tolist()):
+            row = []
+            while True not in row:
+                row = [self.rngs[r].random() < p for _ in range(k)]
+            flips += row
+        act = np.zeros(enabled.shape[::-1], dtype=bool)
+        act[enabled.T] = flips
+        return act.T
 
 
-def daemon_selector(name: str, proto, g: Graph, seeds: list[int], *, prob: float):
-    """`make_daemon` for `ensemble_runs`: row r is driven by the daemon
-    ``make_daemon(name, n=g.n, seed=seeds[r], prob=prob)``.
+def batched_selector(name: str, proto, g: Graph, draws, size: int, *, prob: float):
+    """The daemon ``make_daemon(name, n=g.n, prob=prob)`` as a selection for
+    `ensemble_runs` over row ids below ``size``.
 
-    The kernel hands each row its enabled set, or for ``central-adv`` its
-    `_adversarial_best` set, and the row's own daemon draws from it with its
-    own `random.Random`, exactly as the scalar ``select`` would:
-    ``central-rand`` and ``central-adv`` make one ``choice`` over the
-    ascending set (a ``choice`` draw depends only on the length of its
-    sequence), and ``dist-rand`` draws one ``random()`` per enabled vertex
-    in ascending order until the selection is non-empty.  ``sync`` takes
-    every enabled vertex, and ``central-rr`` keeps a cursor per row.  So
-    every row replays `engine.run` under the same daemon step for step.
+    ``sync`` takes every enabled vertex and ``central-rr`` keeps a cursor
+    per row; neither draws.  ``central-rand`` and ``central-adv`` pick
+    uniformly from the enabled set or from `_adversarial_best`, and
+    ``dist-rand`` activates each enabled vertex with probability ``prob``,
+    redrawing empty selections.  The random numbers come from ``draws``:
+    `Streams` for the ensembles, `Replay` for rows that must equal
+    `engine.run` under the scalar daemon step for step.  The protocol is
+    reached only through its batch kernel.
     """
     kind = make_daemon(name, n=g.n, prob=prob).name
     if kind == "sync":
         return lambda rows, R, b: b.enabled.T
     if kind == "central-rr":
-        return _round_robin(g.n, len(seeds))
-    rngs = [make_daemon(name, n=g.n, seed=s, prob=prob).rng for s in seeds]
+        return _round_robin(g.n, size)
     if kind == "dist-rand":
-
-        def select(rows, R, b):
-            sizes = b.enabled.T.sum(axis=0).tolist()
-            act = np.zeros(b.enabled.shape, dtype=bool)
-            act[b.enabled] = [
-                f
-                for r, k in zip(rows.tolist(), sizes)
-                for f in _coin_flips(rngs[r], k, prob)
-            ]
-            return act.T
-
-        return select
+        return lambda rows, R, b: draws.coins(rows, b.enabled.T, prob)
 
     def select(rows, R, b):
         if kind == "central-rand":
             pool = b.enabled.T
         else:
             pool = _adversarial_best(proto, g, R, b)
-        sizes = pool.sum(axis=0).tolist()
-        picks = [rngs[r].choice(range(k)) for r, k in zip(rows.tolist(), sizes)]
-        return _nth(pool, np.array(picks, dtype=np.int32) + 1)
+        return _nth(pool, draws.pick(rows, pool.sum(axis=0)) + 1)
 
     return select
 
@@ -625,20 +611,19 @@ def scheduler_ensemble_check(
         np.array(initials, dtype=np.int32).reshape(inits, g.n), (len(seeds), 1)
     )
     bad: list = []
-    for i, pname in enumerate(ENSEMBLE_POLICIES):
+    for i, (label, name, prob) in enumerate(ENSEMBLE_POLICIES):
         # Like random.Random, a negative seed seeds as its absolute value.
         rngs = [np.random.default_rng([abs(seed), i, abs(s)]) for s in seeds]
-        res = ensemble_runs(
-            proto, g, batch, ensemble_selector(pname, proto, g, rngs, inits),
-            max_steps=bound + tail, tail=tail,
-        )
+        draws = Streams(rngs, inits)
+        select = batched_selector(name, proto, g, draws, len(batch), prob=prob)
+        res = ensemble_runs(proto, g, batch, select, max_steps=bound + tail, tail=tail)
         late = (res.legitimate_at < 0) | (res.legitimate_at > bound)
         unsafe = ~late & (res.unsafe_after > 0)
         for r in np.flatnonzero(late | unsafe).tolist():
             reason = "no legitimacy within bound" if late[r] else (
                 "unsafe after legitimacy"
             )
-            bad.append((pname, seeds[r // inits], initials[r % inits], reason))
+            bad.append((label, seeds[r // inits], initials[r % inits], reason))
     return _result(
         "adversarial schedulers converge in budget and stay safe",
         bad,
@@ -657,7 +642,6 @@ def bounds_checks(
     exhaustive: bool = False,
     samples: int = 100_000,
     seed: int = 0,
-    unfair_state_budget: int = 4096,
 ) -> list[CheckResult]:
     proto = SsmeProtocol.for_graph(g)
     out = []
@@ -687,9 +671,9 @@ def bounds_checks(
         )
     )
     total = proto.params.size ** g.n
-    if total <= unfair_state_budget:
+    if total <= UNFAIR_STATE_BUDGET:
         bound = ssme_unfair_step_bound(g.n, g.diam)
-        res = worst_case_unfair(proto, g, state_budget=unfair_state_budget)
+        res = worst_case_unfair(proto, g, state_budget=UNFAIR_STATE_BUDGET)
         bad = []
         if res.max_steps > bound:
             bad.append(f"longest recovery {res.max_steps} exceeds bound {bound}")
@@ -705,7 +689,7 @@ def bounds_checks(
             CheckResult(
                 "unconstrained-scheduler worst case within the cubic bound",
                 True,
-                f"skipped: state space {total} exceeds budget {unfair_state_budget}",
+                f"skipped: state space {total} exceeds budget {UNFAIR_STATE_BUDGET}",
             )
         )
     return out

@@ -63,7 +63,7 @@ def test_1_tight_synchronous_bound(sync_scans):
             p, g, scan.witness_me, SynchronousDaemon(),
             max_steps=p.sync_step_bound(g), stop_at_legitimate=True,
         )
-        if convergence_index_me(replay, p, g) != target:
+        if convergence_index_me(replay) != target:
             failures.append(f"{spec}: witness {scan.witness_me} does not replay")
         expected_runs = p.params.size ** g.n
         if scan.runs != expected_runs:
@@ -274,7 +274,7 @@ def test_7_token_ring_speculation_gap():
         p3, g3, (0, 1, 2), SynchronousDaemon(),
         max_steps=20, stop_at_legitimate=True, tail=2,
     )
-    if convergence_index_me(trace, p3, g3) != 1:
+    if convergence_index_me(trace) != 1:
         failures.append("n=3: run from (0,1,2) deviated from the known trace")
     # n=4 from the alternating start: tokens 3,3,3,2,2,1, legitimate at 5.
     g4 = generate("ring:4")

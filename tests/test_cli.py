@@ -295,6 +295,17 @@ def test_samples_must_be_positive(argv, capsys):
     assert "--samples: must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("prob", ["0", "1.5"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_dist_rand_probability_out_of_range_exits_2(tmp_path, capsys, command, prob):
+    rc = main([
+        command, "--daemon", "dist-rand", "--prob", prob,
+        "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert "activation probability must be in (0,1]" in capsys.readouterr().err
+
+
 def test_config_file_int_key(tmp_path, capsys):
     conf = tmp_path / "cfg.txt"
     conf.write_text("max_steps 50\nk_states 6\n")

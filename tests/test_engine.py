@@ -9,6 +9,7 @@ from stabsim.daemon import (
     CentralRoundRobin,
     RandomDistributed,
     SynchronousDaemon,
+    make_daemon,
 )
 from stabsim.engine import (
     REASON_CONVERGED,
@@ -16,6 +17,7 @@ from stabsim.engine import (
     REASON_TERMINAL,
     convergence_index_au,
     convergence_index_me,
+    count_safety_violations,
     enabled_rules,
     format_trace,
     is_unison_legitimate,
@@ -133,8 +135,8 @@ class TestRun:
         init = (-SSME2.alpha,) * 2
         trace = run(SSME2, PATH2, init, SynchronousDaemon(), max_steps=30)
         assert trace.configs[SSME2.alpha] == (0, 0)
-        assert convergence_index_au(trace, SSME2, PATH2) == SSME2.alpha
-        assert convergence_index_me(trace, SSME2, PATH2) == 0
+        assert convergence_index_au(trace) == SSME2.alpha
+        assert convergence_index_me(trace) == 0
 
     def test_single_vertex_ticks_forever(self):
         g1 = generate("path:1")
@@ -157,7 +159,7 @@ class TestRun:
             max_steps=60, stop_at_legitimate=True, tail=3,
         )
         assert trace.reason == REASON_CONVERGED
-        assert convergence_index_me(trace, SSME2, PATH2) == 1
+        assert convergence_index_me(trace) == 1
 
     def test_trace_shape_invariants(self):
         policy = RandomDistributed(0.6, seed=2)
@@ -177,8 +179,8 @@ class TestRun:
 class TestConvergenceIndices:
     def test_undetermined_when_budget_too_small(self):
         trace = run(SSME2, PATH2, (5, 2), SynchronousDaemon(), max_steps=1)
-        assert convergence_index_me(trace, SSME2, PATH2) is None
-        assert convergence_index_au(trace, SSME2, PATH2) is None
+        assert convergence_index_me(trace) is None
+        assert convergence_index_au(trace) is None
 
     def test_violation_only_at_start(self):
         trace = run(
@@ -186,15 +188,15 @@ class TestConvergenceIndices:
             max_steps=40, stop_at_legitimate=True, tail=2,
         )
         assert trace.configs[1] == (-2, -2)
-        assert convergence_index_me(trace, SSME2, PATH2) == 1
+        assert convergence_index_me(trace) == 1
 
     def test_zero_when_never_violated(self):
         trace = run(
             SSME2, PATH2, (0, 1), SynchronousDaemon(),
             max_steps=20, stop_at_legitimate=True, tail=2,
         )
-        assert convergence_index_me(trace, SSME2, PATH2) == 0
-        assert convergence_index_au(trace, SSME2, PATH2) == 0
+        assert convergence_index_me(trace) == 0
+        assert convergence_index_au(trace) == 0
 
 
 class TestLiveness:
@@ -204,7 +206,7 @@ class TestLiveness:
             SSME2, PATH2, (5, 2), SynchronousDaemon(),
             max_steps=100, stop_at_legitimate=True, tail=window,
         )
-        counts = liveness_report(trace, SSME2, PATH2, window)
+        counts = liveness_report(trace, window)
         assert all(c >= 1 for c in counts.values())
 
     def test_zero_window(self):
@@ -212,7 +214,7 @@ class TestLiveness:
             SSME2, PATH2, (0, 0), SynchronousDaemon(),
             max_steps=20, stop_at_legitimate=True, tail=0,
         )
-        assert liveness_report(trace, SSME2, PATH2, 0) == {0: 0, 1: 0}
+        assert liveness_report(trace, 0) == {0: 0, 1: 0}
 
     def test_single_vertex_one_cycle(self):
         g1 = generate("path:1")
@@ -221,7 +223,7 @@ class TestLiveness:
             p1, g1, (0,), SynchronousDaemon(),
             max_steps=p1.ring + 2, stop_at_legitimate=True, tail=p1.ring,
         )
-        counts = liveness_report(trace, p1, g1, p1.ring)
+        counts = liveness_report(trace, p1.ring)
         assert counts[0] >= 1
 
 
@@ -309,6 +311,14 @@ class TestDeterminism:
         assert len(outs) > 1
 
 
+class OneThreshold(SsmeProtocol):
+    """Clock protocol whose vertices all share vertex 0's threshold."""
+
+    def __init__(self, n, diam):
+        super().__init__(n, diam)
+        self.thresholds = (self.thresholds[0],) * n
+
+
 class TestRunStatsAgreesWithRun:
     @pytest.mark.parametrize("graph_spec", ["path:3", "ring:4"])
     def test_indices_match_full_run(self, graph_spec):
@@ -325,9 +335,73 @@ class TestRunStatsAgreesWithRun:
             stats = run_stats(p, g, init, policy_b, max_steps=budget, tail=4)
             assert stats.final == trace.configs[-1]
             assert stats.steps == trace.steps
-            assert stats.convergence_me == convergence_index_me(trace, p, g)
+            assert stats.convergence_me == convergence_index_me(trace)
             legit_idx = next(
                 (k for k, c in enumerate(trace.configs)
                  if p.is_legitimate(c, g)), None,
             )
             assert stats.legitimate_at == legit_idx
+
+    @pytest.mark.parametrize("stop", [True, False])
+    @pytest.mark.parametrize(
+        "daemon", ["sync", "central-rr", "central-rand", "central-adv", "dist-rand"]
+    )
+    @pytest.mark.parametrize(
+        "proto, spec",
+        [
+            (SsmeProtocol, "path:3"),
+            (SsmeProtocol, "ring:4"),
+            (DijkstraProtocol, "ring:4"),
+            (OneThreshold, "path:2"),
+        ],
+    )
+    def test_trace_fields_equal_a_rescan(self, proto, spec, daemon, stop):
+        g = generate(spec)
+        p = proto.for_graph(g)
+        domain = p.state_domain()
+        rng = random.Random(11)
+        inits = [tuple(rng.choice(domain) for _ in range(g.n)) for _ in range(25)]
+        if isinstance(p, SsmeProtocol):
+            # Legitimate, and unsafe where the vertices share a threshold.
+            inits.append((p.thresholds[0],) * g.n)
+        for i, init in enumerate(inits):
+            trace = run(
+                p, g, init, make_daemon(daemon, n=g.n, seed=i, prob=0.4),
+                max_steps=60, stop_at_legitimate=stop, tail=3,
+            )
+            want = _rescan(trace, p, g)
+            got = {f: getattr(trace, f) for f in want}
+            assert got == want, init
+            legit_at = want["legitimate_at"]
+            assert convergence_index_me(trace) == (
+                None if legit_at < 0 else want["last_unsafe"] + 1
+            )
+            last = want["last_illegitimate"]
+            assert convergence_index_au(trace) == (
+                None if last == trace.steps else last + 1
+            )
+            assert count_safety_violations(trace) == want["violations"]
+            if stop:
+                stats = run_stats(
+                    p, g, init, make_daemon(daemon, n=g.n, seed=i, prob=0.4),
+                    max_steps=60, tail=3,
+                )
+                assert stats.legitimate_at == (None if legit_at < 0 else legit_at)
+                assert stats.last_unsafe == want["last_unsafe"]
+                assert stats.unsafe_at_or_after_legitimate == want["unsafe_after"]
+
+
+def _rescan(trace, p, g):
+    """The summary fields of ``trace``, rescanned from its configurations."""
+    legit = [p.is_legitimate(c, g) for c in trace.configs]
+    unsafe = [len(p.privileged_vertices(c, g)) > 1 for c in trace.configs]
+    legit_at = legit.index(True) if True in legit else -1
+    return {
+        "legitimate_at": legit_at,
+        "last_unsafe": max((i for i, u in enumerate(unsafe) if u), default=-1),
+        "last_illegitimate": max(
+            (i for i, ok in enumerate(legit) if not ok), default=-1
+        ),
+        "violations": sum(unsafe),
+        "unsafe_after": 0 if legit_at < 0 else sum(unsafe[legit_at + 1:]),
+    }

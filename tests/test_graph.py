@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stabsim import graph as G
 
@@ -17,7 +17,7 @@ def test_build_path5_diameter():
 
 def test_distance_query():
     g = G.build_graph(3, [(0, 1), (1, 2)])
-    assert g.distance(0, 2) == 2
+    assert g.dist[0][2] == 2
 
 
 def test_rejects_disconnected():
@@ -90,10 +90,18 @@ def test_load_missing_file():
         G.load_graph("/definitely/not/here.txt")
 
 
-@given(st.integers(2, 16), st.floats(0.05, 0.9), st.integers(0, 10_000))
+@given(
+    st.builds(
+        G.random_connected,
+        st.integers(2, 16), st.floats(0.05, 0.9), st.integers(0, 10_000),
+    )
+)
+@example(G.generate("ring:5"))
+@example(G.generate("path:4"))
+@example(G.generate("grid:2x3"))
+@example(G.generate("complete:4"))
 @settings(max_examples=60, deadline=None)
-def test_matrix_agrees_with_per_query_bfs(n, p, seed):
-    g = G.random_connected(n, p, seed)
+def test_matrix_agrees_with_per_query_bfs(g):
     for v in range(g.n):
         assert list(g.dist[v]) == G.bfs_distances(g.adj, v)
     assert g.diam == max(max(row) for row in g.dist)

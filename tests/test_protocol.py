@@ -17,7 +17,6 @@ from stabsim.protocol import (
     SsmeProtocol,
     make_protocol,
     ssme_guards,
-    ssme_privileged,
 )
 
 
@@ -26,17 +25,24 @@ SSME2 = SsmeProtocol.for_graph(PATH2)  # alpha=2, ring=8
 
 
 class TestPrivilege:
+    RING3 = generate("ring:3")
+    SSME3 = SsmeProtocol(3, 1)
+
     def test_first_identity_threshold(self):
-        assert ssme_privileged(6, 0, n=3, diam=1)
+        assert self.SSME3.thresholds[0] == 6
+        assert self.SSME3.privileged_vertices((6, 0, 0), self.RING3) == (0,)
 
     def test_last_identity_threshold(self):
         # 2n + 2*diam*(n-1) coincides with (2n-2)(diam+1)+2
-        assert ssme_privileged(10, 2, n=3, diam=1)
-        assert 10 == (2 * 3 - 2) * (1 + 1) + 2
+        assert self.SSME3.thresholds[2] == 10 == (2 * 3 - 2) * (1 + 1) + 2
+        assert self.SSME3.privileged_vertices((0, 0, 10), self.RING3) == (2,)
 
     def test_negative_register_never_privileged(self):
-        for n, diam, vid in [(3, 1, 0), (5, 2, 4), (2, 1, 1)]:
-            assert not ssme_privileged(-1, vid, n, diam)
+        for spec in ("ring:3", "ring:5", "path:2"):
+            g = generate(spec)
+            p = SsmeProtocol.for_graph(g)
+            assert min(p.thresholds) > 0
+            assert p.privileged_vertices((-1,) * g.n, g) == ()
 
 
 class TestSsmeGuards:
