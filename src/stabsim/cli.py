@@ -44,7 +44,7 @@ from .engine import (
     run,
 )
 from .protocol import make_protocol
-from .search import lower_bound_witness, sync_worst_case, ssme_unfair_step_bound, worst_case_unfair
+from .search import StateSpace, lower_bound_witness, sync_worst_case, ssme_unfair_step_bound, worst_case_unfair
 from . import verify as verifylib
 
 SUMMARY_FIELDS = [
@@ -284,7 +284,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     g = _load_graph_arg(args.graph)
     protocol = make_protocol(args.protocol, g, args.k_states)
-    if args.init.startswith("exhaustive"):
+    if args.init == "exhaustive":
         domain = protocol.state_domain()
         total = len(domain) ** g.n
         if total > args.budget:
@@ -352,15 +352,15 @@ def cmd_compare(args) -> int:
         g = _load_graph_arg(spec)
         for proto_name in ("ssme", "dijkstra"):
             protocol = make_protocol(proto_name, g)
-            domain = len(protocol.state_domain()) ** g.n
-            if domain <= args.exhaustive_budget:
-                scan = sync_worst_case(protocol, g, "exhaustive")
-            else:
-                scan = sync_worst_case(
-                    protocol, g, "sample", samples=args.samples, seed=args.seed
-                )
+            total = StateSpace(protocol.state_domain(), g.n).total
+            scan = sync_worst_case(
+                protocol, g,
+                "exhaustive" if total <= args.exhaustive_budget else "sample",
+                samples=args.samples, seed=args.seed,
+                config_budget=args.exhaustive_budget,
+            )
             sync_worst = scan.max_convergence_me
-            if domain <= args.unfair_state_budget:
+            if total <= args.unfair_state_budget:
                 unfair = worst_case_unfair(
                     protocol, g, state_budget=args.unfair_state_budget
                 ).max_steps

@@ -2,7 +2,10 @@
 
 Three searches live here.  The first two run on the protocol's numpy batch
 kernel (`batch`), which evaluates guards and actions for a whole matrix of
-configurations at once.
+configurations at once.  Both exhaustive solvers read one `StateSpace`: it
+indexes every configuration in mixed radix, rejects a space past an int32
+index or the caller's budget, and feeds the kernel in chunks of
+`CHUNK_ROWS` configurations.
 
 * `sync_worst_case` measures the worst mutual-exclusion convergence index
   over many initial configurations under the synchronous scheduler.  There
@@ -97,31 +100,67 @@ def _scan_result(conv: np.ndarray, legit: np.ndarray, config_at) -> SyncScanResu
     return result
 
 
-def _exhaustive_chunks(domain: Sequence[int], n: int, chunk_rows: int):
-    lo = domain[0]
-    D = len(domain)
-    total = D**n
-    start = 0
-    while start < total:
-        stop = min(start + chunk_rows, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        # Column-major, so that the kernel reads each vertex contiguously.
-        R = np.empty((stop - start, n), dtype=np.int32, order="F")
-        for v in range(n - 1, -1, -1):
-            R[:, v] = idx % D + lo
-            idx //= D
-        yield R
-        start = stop
+@dataclass(frozen=True)
+class StateSpace:
+    """Every configuration of ``n`` vertices over ``domain``, indexed in
+    mixed radix in ``product(domain, repeat=n)`` order: configuration c has
+    index ``sum((c[v] - domain[0]) * weight[v])``."""
+
+    domain: range
+    n: int
+
+    @classmethod
+    def of(cls, protocol, g: Graph, budget: int) -> StateSpace:
+        """The state space of ``protocol`` on ``g``, rejected before anything
+        is allocated when it does not fit an int32 index or exceeds
+        ``budget`` configurations."""
+        space = cls(protocol.state_domain(), g.n)
+        total = space.total
+        if total >= 2**31:
+            raise ValueError(
+                f"exhaustive mode indexes configurations as int32; "
+                f"{total} configurations do not fit"
+            )
+        if total > budget:
+            raise ValueError(
+                f"exhaustive mode needs {total} configurations, budget is {budget}"
+            )
+        return space
+
+    @property
+    def total(self) -> int:
+        return len(self.domain) ** self.n
+
+    @property
+    def weight(self) -> list[int]:
+        return [len(self.domain) ** (self.n - 1 - v) for v in range(self.n)]
+
+    def config_at(self, i: int) -> tuple[int, ...]:
+        D = len(self.domain)
+        return tuple(self.domain[i // w % D] for w in self.weight)
+
+    def batches(self, protocol, g: Graph):
+        """``(here, R, protocol.batch(R, g))`` for each run of `CHUNK_ROWS`
+        consecutive indices ``here``; row r of R is configuration
+        ``here.start + r``."""
+        D, lo, total = len(self.domain), self.domain[0], self.total
+        for start in range(0, total, CHUNK_ROWS):
+            here = slice(start, min(start + CHUNK_ROWS, total))
+            idx = np.arange(here.start, here.stop, dtype=np.int64)
+            # Column-major, so that the kernel reads each vertex contiguously.
+            R = np.empty((len(idx), self.n), dtype=np.int32, order="F")
+            for v in range(self.n - 1, -1, -1):
+                R[:, v] = idx % D + lo
+                idx //= D
+            yield here, R, protocol.batch(R, g)
 
 
-def _sampled_chunks(
-    domain: Sequence[int], n: int, count: int, seed: int, chunk_rows: int
-):
+def _sampled_chunks(domain: Sequence[int], n: int, count: int, seed: int):
     rng = np.random.default_rng(seed)
     lo, hi = domain[0], domain[-1]
     left = count
     while left > 0:
-        rows = min(left, chunk_rows)
+        rows = min(left, CHUNK_ROWS)
         yield np.asfortranarray(
             rng.integers(lo, hi + 1, size=(rows, n), dtype=np.int32)
         )
@@ -134,20 +173,13 @@ def _int_type(top: int) -> np.dtype:
 
 
 def _sync_scan_exhaustive(
-    protocol, g: Graph, domain: range, liveness_window: int | None,
-    chunk_rows: int,
+    protocol, g: Graph, space: StateSpace, liveness_window: int | None
 ) -> SyncScanResult:
     """`sync_worst_case` over every configuration, solved on the
     synchronous successor function."""
-    n = g.n
-    D = len(domain)
-    total = D**n
+    n, total, config_at = g.n, space.total, space.config_at
     cap = protocol.sync_step_bound(g)
     tail = liveness_window or 0
-    weight = [D ** (n - 1 - v) for v in range(n)]
-
-    def config_at(i: int) -> tuple[int, ...]:
-        return tuple(domain[i // w % D] for w in weight)
 
     # Kernel pass: the successor's index, and the flags the fields read.
     succ = np.empty(total, dtype=np.int32)
@@ -157,18 +189,16 @@ def _sync_scan_exhaustive(
     cs = None if liveness_window is None else np.empty((n, total), dtype=bool)
     # Legitimate configurations where no vertex is enabled.
     stuck = [np.empty(0, dtype=np.int64)]
-    w32 = np.asarray(weight, dtype=np.int32)
-    start = 0
-    for R in _exhaustive_chunks(domain, n, chunk_rows):
-        b = protocol.batch(R, g)
-        here = slice(start, start + len(R))
-        succ[here] = (b.nxt - domain[0]) @ w32
+    w32 = np.asarray(space.weight, dtype=np.int32)
+    for here, _, b in space.batches(protocol, g):
+        succ[here] = (b.nxt - space.domain[0]) @ w32
         legit[here] = b.legit
         unsafe[here] = rows_with(b.priv, 2)
         if cs is not None:
             cs[:, here] = (b.priv & b.enabled).T
-            stuck.append(np.flatnonzero(b.legit & ~rows_with(b.enabled, 1)) + start)
-        start += len(R)
+            stuck.append(
+                np.flatnonzero(b.legit & ~rows_with(b.enabled, 1)) + here.start
+            )
     top = np.flatnonzero(legit)
     gone = top[~legit[succ[top]]]
     if len(gone):
@@ -263,16 +293,15 @@ def sync_worst_case(
     seed: int = 0,
     liveness_window: int | None = None,
     config_budget: int = DEFAULT_CONFIG_BUDGET,
-    chunk_rows: int = CHUNK_ROWS,
 ) -> SyncScanResult:
     """Worst ME convergence index under the synchronous scheduler.
 
-    ``mode`` is ``exhaustive`` (every configuration of the state space,
+    ``mode`` is ``exhaustive`` (every configuration of the `StateSpace`,
     rejected when it exceeds ``config_budget`` or does not fit an int32
     index) or ``sample`` (``samples`` configurations drawn uniformly from
-    ``seed``, ``chunk_rows`` at a time).  Sampled maxima are lower bounds on
-    the true worst case.  A ``liveness_window`` is taken by the exhaustive
-    mode only; the sample mode raises ``ValueError`` on one.
+    ``seed``).  Sampled maxima are lower bounds on the true worst case.  A
+    ``liveness_window`` is taken by the exhaustive mode only; the sample
+    mode raises ``ValueError`` on one.
 
     Each initial configuration is one run, as `_sync_scan_scalar` records
     it.  A run is reached when it is legitimate within
@@ -306,23 +335,9 @@ def sync_worst_case(
     with a legitimate configuration and its successor where it is not.
     """
     protocol.check_graph(g)
-    domain = protocol.state_domain()
-    n = g.n
     if mode == "exhaustive":
-        total = len(domain) ** n
-        if total >= 2**31:
-            raise ValueError(
-                f"exhaustive mode indexes configurations as int32; "
-                f"{total} configurations do not fit"
-            )
-        if total > config_budget:
-            raise ValueError(
-                f"exhaustive mode needs {total} configurations, "
-                f"budget is {config_budget}"
-            )
-        return _sync_scan_exhaustive(
-            protocol, g, domain, liveness_window, chunk_rows
-        )
+        space = StateSpace.of(protocol, g, config_budget)
+        return _sync_scan_exhaustive(protocol, g, space, liveness_window)
     if mode != "sample":
         raise ValueError(f"unknown mode {mode!r}")
     if samples <= 0:
@@ -330,7 +345,7 @@ def sync_worst_case(
     if liveness_window is not None:
         raise ValueError("sample mode takes no liveness window")
     cap = protocol.sync_step_bound(g)
-    chunks = list(_sampled_chunks(domain, n, samples, seed, chunk_rows))
+    chunks = list(_sampled_chunks(protocol.state_domain(), g.n, samples, seed))
     runs = [
         ensemble_runs(
             protocol, g, chunk, lambda rows, R, b: b.enabled.T,
@@ -404,13 +419,13 @@ def worst_case_unfair(
     """Longest action sequence to the first legitimate configuration, over
     every initial configuration and every legal activation choice.
 
-    Configurations are indexed in mixed radix, in ``product(domain,
-    repeat=n)`` order.  One pass of the protocol's batch kernel over the
-    state space evaluates every guard and action once; the successors under
-    each activation subset are then built as index sums, and states are
-    peeled level by level: level 0 is the legitimate set, and level k holds
-    the states whose successors all lie in levels below k.  A state's level
-    is its longest path to legitimacy.
+    Configurations are indexed as in `StateSpace`, which rejects spaces
+    past ``state_budget`` or past an int32 index.  One pass of the
+    protocol's batch kernel over the state space evaluates every guard and
+    action once; the successors under each activation subset are then built
+    as index sums, and states are peeled level by level: level 0 is the
+    legitimate set, and level k holds the states whose successors all lie
+    in levels below k.  A state's level is its longest path to legitimacy.
 
     Raises FalsificationError on a stuck non-legitimate configuration or on
     a cycle among non-legitimate configurations (the states that never
@@ -418,52 +433,37 @@ def worst_case_unfair(
     scheduler.
     """
     protocol.check_graph(g)
-    domain = list(protocol.state_domain())
-    n = g.n
-    D = len(domain)
-    total = D**n
-    if total > state_budget:
-        raise ValueError(
-            f"state space of {total} configurations exceeds budget {state_budget}"
-        )
-    itype = np.int32 if total < 2**31 else np.int64
-    weight = [D ** (n - 1 - v) for v in range(n)]
-
-    def config_at(i: int) -> tuple[int, ...]:
-        return tuple(domain[i // w % D] for w in weight)
+    space = StateSpace.of(protocol, g, state_budget)
+    n, total, config_at = g.n, space.total, space.config_at
 
     # Kernel pass: legitimacy, enabled mask and per-vertex index delta.
     # The domain is a range, so a value's index moves by its value's change.
     done = np.empty(total, dtype=bool)
     mask_of = np.empty(total, dtype=np.int64)
-    delta_of = np.empty((total, n), dtype=itype)
+    delta_of = np.empty((total, n), dtype=np.int32)
     bits = 2 ** np.arange(n, dtype=np.int64)
-    start = 0
-    for R in _exhaustive_chunks(domain, n, CHUNK_ROWS):
-        b = protocol.batch(R, g)
-        here = slice(start, start + len(R))
+    for here, R, b in space.batches(protocol, g):
         done[here] = b.legit
         mask_of[here] = b.enabled @ bits
-        delta_of[here] = (b.nxt - R) * weight
+        delta_of[here] = (b.nxt - R) * space.weight
         stuck = np.flatnonzero(~b.legit & (mask_of[here] == 0))
         if len(stuck):
-            cfg = config_at(start + int(stuck[0]))
+            cfg = config_at(here.start + int(stuck[0]))
             raise FalsificationError(
                 f"stuck non-legitimate configuration {cfg}", artifact=cfg
             )
-        start += len(R)
 
     # Successors, grouped by enabled mask: row r of a group's matrix holds
     # the successors of its r-th state, one column per activation subset
     # in the canonical order.
-    live = np.flatnonzero(~done).astype(itype)
+    live = np.flatnonzero(~done).astype(np.int32)
     live_masks = mask_of[live]
     groups = []
     for m in np.unique(live_masks).tolist():
         states = live[live_masks == m]
         subsets = enumerate_choices([v for v in range(n) if m >> v & 1])
         choose = np.array(
-            [[v in subset for subset in subsets] for v in range(n)], dtype=itype
+            [[v in subset for subset in subsets] for v in range(n)], dtype=np.int32
         )
         groups.append((states, states[:, None] + delta_of[states] @ choose))
     del delta_of
@@ -487,7 +487,7 @@ def worst_case_unfair(
     if groups:
         # Every unfinished state keeps a successor that is unfinished:
         # follow them from the lowest one until a state repeats.
-        succ_of = np.full(total, -1, dtype=itype)
+        succ_of = np.full(total, -1, dtype=np.int32)
         for states, succ in groups:
             pick = (~done[succ]).argmax(axis=1)
             succ_of[states] = succ[np.arange(len(states)), pick]
@@ -594,8 +594,7 @@ def lower_bound_witness(g: Graph, protocol: SsmeProtocol | None = None) -> Witne
                 constructed=True,
             )
     # Construction failed; fall back to search.
-    domain_size = len(protocol.state_domain()) ** g.n
-    if domain_size <= DEFAULT_CONFIG_BUDGET:
+    if StateSpace(protocol.state_domain(), g.n).total <= DEFAULT_CONFIG_BUDGET:
         scan = sync_worst_case(protocol, g, "exhaustive")
     else:
         scan = sync_worst_case(protocol, g, "sample", samples=1_000_000, seed=7)

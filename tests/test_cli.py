@@ -4,6 +4,7 @@ import pytest
 
 from stabsim import cli, generate, make_protocol, worst_case_unfair
 from stabsim.cli import main
+from stabsim.search import SyncScanResult
 
 
 def test_run_writes_trace_and_summary(tmp_path, capsys):
@@ -273,6 +274,24 @@ def test_compare_sampled_unfair_is_a_lower_bound(tmp_path):
         assert 1 <= int(rows[name]["unfair_worst"]) <= exact
 
 
+def test_compare_passes_its_exhaustive_budget(tmp_path, monkeypatch):
+    # ssme ring:5 has 45,435,424 configurations, past the scan's default
+    # budget; the spy stands in for a scan too slow for a unit test.
+    seen = []
+
+    def spy(protocol, g, mode, **kw):
+        seen.append((mode, kw.get("config_budget")))
+        return SyncScanResult(runs=1, max_convergence_me=1)
+
+    monkeypatch.setattr(cli, "sync_worst_case", spy)
+    rc = main([
+        "compare", "--graphs", "ring:5", "--exhaustive-budget", "50000000",
+        "--unfair-state-budget", "1", "--samples", "25", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    assert seen == [("exhaustive", 50_000_000)] * 2
+
+
 def test_unknown_daemon_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--daemon", "chaotic"])
@@ -405,6 +424,15 @@ def test_sweep_exhaustive_over_budget_exits_2(tmp_path, capsys):
     ])
     assert rc == 2
     assert "needs 64 runs, budget is 63" in capsys.readouterr().err
+
+
+def test_sweep_init_must_be_exactly_exhaustive(tmp_path, capsys):
+    rc = main([
+        "sweep", "--graph", "path:2", "--protocol", "ssme", "--init",
+        "exhaustiveXYZ", "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert "unknown init source 'exhaustiveXYZ'" in capsys.readouterr().err
 
 
 def test_sweep_negative_max_steps_exits_2(tmp_path, capsys):

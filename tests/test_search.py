@@ -4,12 +4,12 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from stabsim import generate
+from stabsim import generate, search
 from stabsim.engine import FalsificationError, run, step
 from stabsim.daemon import SynchronousDaemon
 from stabsim.protocol import Batch, DijkstraProtocol, SsmeProtocol, make_protocol
 from stabsim.search import (
-    CHUNK_ROWS,
+    StateSpace,
     _sampled_chunks,
     _sync_scan_scalar,
     lower_bound_witness,
@@ -117,11 +117,12 @@ class TestSyncWorstCase:
                     )
             rows = nxt
 
-    def test_chunked_scan_merges_correctly(self):
+    def test_chunked_scan_merges_correctly(self, monkeypatch):
         g = generate("path:2")
         p = SsmeProtocol.for_graph(g)
         whole = sync_worst_case(p, g, "exhaustive")
-        chunked = sync_worst_case(p, g, "exhaustive", chunk_rows=7)
+        monkeypatch.setattr(search, "CHUNK_ROWS", 7)
+        chunked = sync_worst_case(p, g, "exhaustive")
         assert whole.max_convergence_me == chunked.max_convergence_me
         assert whole.witness_me == chunked.witness_me
         assert whole.runs == chunked.runs == 100
@@ -148,28 +149,28 @@ class TestSyncWorstCase:
         assert scalar.unsafe_after_legitimate == 0
 
     @pytest.mark.parametrize("spec", ["path:3", "complete:3"])
-    def test_window_classes_chunked(self, spec):
+    def test_window_classes_chunked(self, spec, monkeypatch):
         g = generate(spec)
         p = SsmeProtocol.for_graph(g)
         window = 2 * p.ring
         whole = sync_worst_case(p, g, "exhaustive", liveness_window=window)
-        chunked = sync_worst_case(
-            p, g, "exhaustive", liveness_window=window, chunk_rows=7
-        )
+        monkeypatch.setattr(search, "CHUNK_ROWS", 7)
+        chunked = sync_worst_case(p, g, "exhaustive", liveness_window=window)
         assert chunked == whole
         assert whole.cs_witness is not None
 
     @pytest.mark.parametrize("window", [None, "2K"])
     @pytest.mark.parametrize("chunk_rows", [7, None])
-    def test_unsafe_counts_each_run_alone(self, window, chunk_rows):
+    def test_unsafe_counts_each_run_alone(self, window, chunk_rows, monkeypatch):
         # With one shared threshold the legitimate set is not ME-safe, so
         # the count depends on where each run ends, and a run's window can
         # open after its first legitimate configuration.
         g = generate("path:2")
         p = OneThreshold.for_graph(g)
         w = None if window is None else 2 * p.ring
-        chunking = {} if chunk_rows is None else {"chunk_rows": chunk_rows}
-        batched = sync_worst_case(p, g, "exhaustive", liveness_window=w, **chunking)
+        if chunk_rows is not None:
+            monkeypatch.setattr(search, "CHUNK_ROWS", chunk_rows)
+        batched = sync_worst_case(p, g, "exhaustive", liveness_window=w)
         scalar = _exhaustive_scalar(p, g, w)
         assert batched == scalar
         if window is not None:
@@ -180,10 +181,11 @@ class TestSyncWorstCase:
     @pytest.mark.parametrize(
         "case", DIFFERENTIAL_CASES, ids=lambda c: "-".join(map(str, c))
     )
-    def test_exhaustive_equals_scalar(self, case, chunk_rows):
+    def test_exhaustive_equals_scalar(self, case, chunk_rows, monkeypatch):
         g, p, w = _differential_case(*case)
-        chunking = {} if chunk_rows is None else {"chunk_rows": chunk_rows}
-        scan = sync_worst_case(p, g, "exhaustive", liveness_window=w, **chunking)
+        if chunk_rows is not None:
+            monkeypatch.setattr(search, "CHUNK_ROWS", chunk_rows)
+        scan = sync_worst_case(p, g, "exhaustive", liveness_window=w)
         assert scan == _cached_scalar(*case)
 
     @pytest.mark.parametrize("chunk_rows", [7, None])
@@ -192,13 +194,14 @@ class TestSyncWorstCase:
         [c for c in DIFFERENTIAL_CASES if c[2] is None],
         ids=lambda c: "-".join(map(str, c[:2])),
     )
-    def test_sample_equals_scalar_on_the_same_draws(self, case, chunk_rows):
+    def test_sample_equals_scalar_on_the_same_draws(
+        self, case, chunk_rows, monkeypatch
+    ):
         g, p, _ = _differential_case(*case)
-        chunking = {} if chunk_rows is None else {"chunk_rows": chunk_rows}
-        scan = sync_worst_case(p, g, "sample", samples=300, seed=11, **chunking)
-        draws = _sampled_chunks(
-            p.state_domain(), g.n, 300, 11, chunk_rows or CHUNK_ROWS
-        )
+        if chunk_rows is not None:
+            monkeypatch.setattr(search, "CHUNK_ROWS", chunk_rows)
+        scan = sync_worst_case(p, g, "sample", samples=300, seed=11)
+        draws = _sampled_chunks(p.state_domain(), g.n, 300, 11)
         configs = (tuple(r) for R in draws for r in R.tolist())
         assert scan == _sync_scan_scalar(p, g, configs, None)
 
@@ -228,6 +231,35 @@ class TestSyncWorstCase:
         g = generate("path:6")
         with pytest.raises(ValueError, match="int32"):
             sync_worst_case(SsmeProtocol.for_graph(g), g, "exhaustive")
+
+
+STATE_SPACE_CASES = [("ssme", "path:2"), ("dijkstra", "ring:3")]
+
+
+class TestStateSpace:
+    @pytest.mark.parametrize("proto,spec", STATE_SPACE_CASES)
+    def test_index_order_is_product_order(self, proto, spec):
+        g = generate(spec)
+        p = make_protocol(proto, g)
+        space = StateSpace.of(p, g, 10_000)
+        expected = list(product(p.state_domain(), repeat=g.n))
+        assert space.total == len(expected)
+        assert [space.config_at(i) for i in range(space.total)] == expected
+
+    @pytest.mark.parametrize("proto,spec", STATE_SPACE_CASES)
+    def test_chunks_tile_the_space_in_order(self, proto, spec, monkeypatch):
+        monkeypatch.setattr(search, "CHUNK_ROWS", 7)
+        g = generate(spec)
+        p = make_protocol(proto, g)
+        space = StateSpace.of(p, g, 10_000)
+        chunks = list(space.batches(p, g))
+        assert [(h.start, h.stop) for h, _, _ in chunks] == [
+            (i, min(i + 7, space.total)) for i in range(0, space.total, 7)
+        ]
+        rows = [tuple(r) for _, R, _ in chunks for r in R.tolist()]
+        assert rows == list(product(p.state_domain(), repeat=g.n))
+        for _, R, b in chunks:
+            assert (b.nxt == p.batch(R, g).nxt).all()
 
 
 def _exhaustive_scalar(p, g, window):
@@ -416,6 +448,13 @@ class TestUnfairWorstCase:
         p = SsmeProtocol.for_graph(g)
         with pytest.raises(ValueError, match="budget"):
             worst_case_unfair(p, g, state_budget=100)
+
+    def test_int32_index_limit(self):
+        # 2000**3 configurations: rejected before anything is allocated.
+        with pytest.raises(ValueError, match="int32"):
+            worst_case_unfair(
+                DijkstraProtocol(3, 2000), generate("ring:3"), state_budget=10**12
+            )
 
     def test_dijkstra_values(self):
         # Frozen from exhaustive longest-path search, cross-checked against
