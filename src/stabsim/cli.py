@@ -110,7 +110,9 @@ def _parse_init(arg: str, protocol, g: graphlib.Graph) -> list[tuple[int, ...]]:
         parts = rest.split(":")
         if len(parts) != 2:
             raise ValueError(f"bad init spec {arg!r}, expected random:COUNT:SEED")
-        return _random_inits(protocol, g.n, int(parts[0]), int(parts[1]))
+        if (count := int(parts[0])) < 1:
+            raise ValueError(f"bad init spec {arg!r}, COUNT must be >= 1")
+        return _random_inits(protocol, g.n, count, int(parts[1]))
     elif kind == "witness":
         inits = [lower_bound_witness(g).config]
     elif kind == "zeros":
@@ -498,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="batch of executions")
     common(p_sweep)
     p_sweep.add_argument("--init", default="random:100:0")
-    p_sweep.add_argument("--seeds", type=int, default=1,
+    p_sweep.add_argument("--seeds", type=_positive_int, default=1,
                          help="number of scheduler seeds per initial configuration")
     p_sweep.add_argument("--budget", type=int, default=1_000_000)
     p_sweep.set_defaults(func=cmd_sweep)

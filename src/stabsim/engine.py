@@ -145,6 +145,8 @@ def run(
         max_steps = protocol.default_max_steps(g)
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
+    if tail < 0:
+        raise ValueError("tail must be >= 0")
     config = tuple(init)
     configs = [config]
     activated_log: list[tuple[int, ...]] = []
@@ -464,29 +466,22 @@ def ensemble_runs(
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
+    if tail < 0:
+        raise ValueError("tail must be >= 0")
     R = np.array(inits, dtype=np.int32, order="F")
     B = len(R)
-    none = np.full(B, -1, dtype=np.int32)
-    out = EnsembleRuns(
-        steps=np.zeros(B, dtype=np.int32),
-        legitimate_at=none.copy(),
-        last_unsafe=none.copy(),
-        last_illegitimate=none.copy(),
-        violations=np.zeros(B, dtype=np.int32),
-        unsafe_after=np.zeros(B, dtype=np.int32),
-        reason=np.zeros(B, dtype=np.int8),
-        final=np.empty((B, g.n), dtype=np.int32),
-    )
-    fields = (
-        "legitimate_at", "last_unsafe", "last_illegitimate", "violations",
-        "unsafe_after",
-    )
-    legit_at, last_unsafe, last_illegit, violations, unsafe_after = (
-        getattr(out, f).copy() for f in fields
-    )
+    # One row per `EnsembleRuns` field from ``legitimate_at`` to
+    # ``unsafe_after``: ``kept`` for the live runs, ``out`` for the stopped.
+    kept = np.zeros((5, B), dtype=np.int32)
+    kept[:3] = -1
+    out = kept.copy()
+    steps = np.zeros(B, dtype=np.int32)
+    reason = np.zeros(B, dtype=np.int8)
+    final = np.empty((B, g.n), dtype=np.int32)
     rows = np.arange(B)
     t = 0
     while len(rows):
+        legit_at, last_unsafe, last_illegit, violations, unsafe_after = kept
         b = proto.batch(R, g)
         unsafe = rows_with(b.priv, 2)
         last_unsafe[unsafe] = t
@@ -502,20 +497,16 @@ def ensemble_runs(
         stop = why >= 0
         if stop.any():
             done = rows[stop]
-            tracked = (legit_at, last_unsafe, last_illegit, violations, unsafe_after)
-            for f, a in zip(fields, tracked):
-                getattr(out, f)[done] = a[stop]
-            out.steps[done] = t
-            out.reason[done] = why[stop]
-            out.final[done] = R[stop]
+            out[:, done] = kept[:, stop]
+            steps[done] = t
+            reason[done] = why[stop]
+            final[done] = R[stop]
             if stop.all():
                 break
             keep = ~stop
             rows = rows[keep]
             R = np.asfortranarray(R[keep])
-            legit_at, last_unsafe, last_illegit, violations, unsafe_after = (
-                a[keep] for a in tracked
-            )
+            kept = kept[:, keep]
             b = b._make(m[keep] for m in b)
         act = select(rows, R, b).T
         empty = ~rows_with(act, 1)
@@ -531,7 +522,7 @@ def ensemble_runs(
             )
         R = np.asfortranarray(np.where(act, b.nxt, R))
         t += 1
-    return out
+    return EnsembleRuns(steps, *out, reason, final)
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,8 @@ class StateSpace:
     def batches(self, protocol, g: Graph):
         """``(here, R, protocol.batch(R, g))`` for each run of `CHUNK_ROWS`
         consecutive indices ``here``; row r of R is configuration
-        ``here.start + r``."""
+        ``here.start + r``.  One chunk is alive at a time when the caller
+        drops its ``R`` and batch before asking for the next one."""
         D, lo, total = len(self.domain), self.domain[0], self.total
         for start in range(0, total, CHUNK_ROWS):
             here = slice(start, min(start + CHUNK_ROWS, total))
@@ -152,7 +153,9 @@ class StateSpace:
             for v in range(self.n - 1, -1, -1):
                 R[:, v] = idx % D + lo
                 idx //= D
+            del idx
             yield here, R, protocol.batch(R, g)
+            del R
 
 
 def _sampled_chunks(domain: Sequence[int], n: int, count: int, seed: int):
@@ -190,7 +193,7 @@ def _sync_scan_exhaustive(
     # Legitimate configurations where no vertex is enabled.
     stuck = [np.empty(0, dtype=np.int64)]
     w32 = np.asarray(space.weight, dtype=np.int32)
-    for here, _, b in space.batches(protocol, g):
+    for here, R, b in space.batches(protocol, g):
         succ[here] = (b.nxt - space.domain[0]) @ w32
         legit[here] = b.legit
         unsafe[here] = rows_with(b.priv, 2)
@@ -199,6 +202,7 @@ def _sync_scan_exhaustive(
             stuck.append(
                 np.flatnonzero(b.legit & ~rows_with(b.enabled, 1)) + here.start
             )
+        del R, b
     top = np.flatnonzero(legit)
     gone = top[~legit[succ[top]]]
     if len(gone):
@@ -452,6 +456,7 @@ def worst_case_unfair(
             raise FalsificationError(
                 f"stuck non-legitimate configuration {cfg}", artifact=cfg
             )
+        del R, b
 
     # Successors, grouped by enabled mask: row r of a group's matrix holds
     # the successors of its r-th state, one column per activation subset

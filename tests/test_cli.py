@@ -4,6 +4,7 @@ import pytest
 
 from stabsim import cli, generate, make_protocol, worst_case_unfair
 from stabsim.cli import main
+from stabsim.engine import FalsificationError
 from stabsim.search import SyncScanResult
 
 
@@ -216,6 +217,23 @@ def test_verify_bounds_path2(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_verify_bounds_sampled_solves_small_unconstrained_space(capsys):
+    rc = main(["verify", "bounds", "--graph", "path:2", "--samples", "500"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "PASS worst synchronous convergence equals ceil(diam/2): 500 runs" in out
+    assert "PASS unconstrained-scheduler worst case within the cubic bound: " \
+        "100 states, worst 6 <= 28" in out
+
+
+def test_verify_bounds_sampled_skips_large_unconstrained_space(capsys):
+    rc = main(["verify", "bounds", "--graph", "ring:6", "--samples", "2000"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "PASS worst synchronous convergence equals ceil(diam/2): 2000 runs" in out
+    assert "skipped: state space 19770609664 exceeds budget 4096" in out
+
+
 def test_verify_ensemble_small(capsys):
     rc = main(["verify", "ensemble", "--graph", "path:3", "--samples", "20"])
     assert rc == 0
@@ -241,6 +259,18 @@ def test_witness_command(tmp_path, capsys):
     assert "target 2" in text
     vals = [int(x) for x in (out / "witness.cfg").read_text().split()]
     assert len(vals) == 8
+
+
+def test_falsification_exits_1_with_its_artifact(tmp_path, monkeypatch, capsys):
+    def falsified(g):
+        raise FalsificationError("planted failure", artifact=(1, 2, 3, 4))
+
+    monkeypatch.setattr(cli, "lower_bound_witness", falsified)
+    rc = main(["witness", "--graph", "ring:4", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "FALSIFIED: planted failure" in err
+    assert "artifact: (1, 2, 3, 4)" in err
 
 
 def test_compare_small(tmp_path, capsys):
@@ -305,13 +335,14 @@ def test_unknown_daemon_exits_2():
         ["verify", "indist", "--samples", "-1"],
         ["verify", "lemmas", "--samples", "-1"],
         ["compare", "--samples", "0"],
+        ["sweep", "--seeds", "0"],
     ],
 )
 def test_samples_must_be_positive(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "--samples: must be >= 1" in capsys.readouterr().err
+    assert f"{argv[-2]}: must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("prob", ["0", "1.5"])
@@ -435,10 +466,24 @@ def test_sweep_init_must_be_exactly_exhaustive(tmp_path, capsys):
     assert "unknown init source 'exhaustiveXYZ'" in capsys.readouterr().err
 
 
-def test_sweep_negative_max_steps_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("sweep", "--max-steps", "-1", "max_steps must be >= 0"),
+        ("run", "--tail", "-1", "tail must be >= 0"),
+        ("sweep", "--tail", "-1", "tail must be >= 0"),
+        ("run", "--init", "random:0:1", "COUNT must be >= 1"),
+        ("sweep", "--init", "random:0:1", "COUNT must be >= 1"),
+        ("sweep", "--init", "random:-1:0", "COUNT must be >= 1"),
+    ],
+    ids=[
+        "sweep-max-steps", "run-tail", "sweep-tail", "run-count-0",
+        "sweep-count-0", "sweep-count-negative",
+    ],
+)
+def test_bad_run_input_exits_2(tmp_path, capsys, command, flag, value, message):
     rc = main([
-        "sweep", "--graph", "path:2", "--max-steps", "-1",
-        "--out", str(tmp_path / "o"),
+        command, "--graph", "path:2", flag, value, "--out", str(tmp_path / "o"),
     ])
     assert rc == 2
-    assert "max_steps must be >= 0" in capsys.readouterr().err
+    assert message in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import functools
+import weakref
 from itertools import combinations, product
 
 import numpy as np
@@ -260,6 +261,42 @@ class TestStateSpace:
         assert rows == list(product(p.state_domain(), repeat=g.n))
         for _, R, b in chunks:
             assert (b.nxt == p.batch(R, g).nxt).all()
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda p, g: sync_worst_case(p, g, "exhaustive"),
+            lambda p, g: sync_worst_case(p, g, "exhaustive", liveness_window=4),
+            worst_case_unfair,
+        ],
+        ids=["sync", "sync-window", "unfair"],
+    )
+    def test_kernel_pass_holds_one_chunk(self, solve, monkeypatch):
+        monkeypatch.setattr(search, "CHUNK_ROWS", 16)
+        g = generate("path:2")
+        p = _OneChunkAlive(SsmeProtocol.for_graph(g))
+        solve(p, g)
+        assert p.calls == 7
+
+
+class _OneChunkAlive:
+    """A protocol whose batch kernel checks, on each call, that the ``R``
+    and ``nxt`` of every earlier call have been freed."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+        self.refs = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def batch(self, R, g):
+        assert all(ref() is None for ref in self.refs), f"call {self.calls}"
+        b = self.inner.batch(R, g)
+        self.calls += 1
+        self.refs += [weakref.ref(R), weakref.ref(b.nxt)]
+        return b
 
 
 def _exhaustive_scalar(p, g, window):

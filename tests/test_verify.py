@@ -405,6 +405,14 @@ def test_ensemble_runs_stop_reasons_in_run_precedence():
     assert res.legitimate_at.tolist() == [2]
 
 
+def test_ensemble_runs_on_no_rows():
+    reasons, res = _countdown(np.zeros((0, 2), dtype=np.int32))
+    assert reasons == []
+    for field in dataclasses.fields(EnsembleRuns):
+        assert len(getattr(res, field.name)) == 0, field.name
+    assert res.final.shape == (0, 2)
+
+
 @pytest.mark.parametrize(
     "select, message",
     [
