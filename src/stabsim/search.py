@@ -22,12 +22,15 @@ index or the caller's budget, and feeds the kernel in chunks of
 * `worst_case_unfair` computes the longest action sequence from any
   configuration to the first legitimate one over the full nondeterministic
   transition relation (every non-empty activation subset).  Guards and
-  actions are evaluated once per configuration, successors are built as
-  mixed-radix index sums, and the longest paths come from peeling the
-  state graph level by level back from the legitimate set.  Legitimate
-  configurations are absorbing targets; a cycle among non-legitimate
-  configurations or a stuck non-legitimate configuration is surfaced as a
-  falsification artifact, never ignored.
+  actions are evaluated once per configuration, successors are built once
+  as mixed-radix index sums, and the longest paths come from peeling the
+  state graph level by level back from the legitimate set.  Each
+  unfinished state watches one successor, before which every successor is
+  finished, so a level costs one lookup per unfinished state plus a
+  rescan of the states whose watched successor has just finished.
+  Legitimate configurations are absorbing targets; a cycle among
+  non-legitimate configurations or a stuck non-legitimate configuration is
+  surfaced as a falsification artifact, never ignored.
 
 * `lower_bound_witness` builds an initial configuration whose convergence
   index is exactly ceil(diam/2): it replays a synchronous execution to find
@@ -412,6 +415,8 @@ class UnfairSearchResult:
     max_steps: int
     witness: tuple[int, ...]
     states: int
+    # Successor entries built: 2^|enabled| - 1 per non-legitimate state.
+    edges: int
 
 
 def worst_case_unfair(
@@ -427,14 +432,25 @@ def worst_case_unfair(
     past ``state_budget`` or past an int32 index.  One pass of the
     protocol's batch kernel over the state space evaluates every guard and
     action once; the successors under each activation subset are then built
-    as index sums, and states are peeled level by level: level 0 is the
-    legitimate set, and level k holds the states whose successors all lie
-    in levels below k.  A state's level is its longest path to legitimacy.
+    as index sums (``edges`` counts them), and states are peeled level by
+    level: level 0 is the legitimate set, and level k holds the states
+    whose successors all lie in levels below k.  A state's level is its
+    longest path to legitimacy.
+
+    Each unfinished state watches one successor: every successor before
+    it, in the canonical subset order, is finished.  A level reads the
+    watched successor of each unfinished state and rescans only the states
+    whose watched successor has finished; a rescanned state finishes when
+    all its successors have, and otherwise watches its first unfinished
+    one.  A level therefore costs its unfinished states plus the rescans,
+    and the successor matrices are never copied.
 
     Raises FalsificationError on a stuck non-legitimate configuration or on
     a cycle among non-legitimate configurations (the states that never
     peel); either would contradict convergence under the unconstrained
-    scheduler.
+    scheduler.  The cycle is found by following each unfinished state's
+    watched successor, its first unfinished one, from the lowest
+    unfinished state.
     """
     protocol.check_graph(g)
     space = StateSpace.of(protocol, g, state_budget)
@@ -471,31 +487,44 @@ def worst_case_unfair(
             [[v in subset for subset in subsets] for v in range(n)], dtype=np.int32
         )
         groups.append((states, states[:, None] + delta_of[states] @ choose))
-    del delta_of
+    del delta_of, mask_of, live, live_masks
+    edges = sum(succ.size for _, succ in groups)
+    # Each group also keeps its live rows and the successor each row
+    # watches, its first column to start with.
+    groups = [
+        (states, succ, np.arange(len(states)), succ[:, 0].copy())
+        for states, succ in groups
+    ]
 
-    # Peel: a state whose successors are all finished finishes at this
-    # level, and its row is dropped.
+    # Peel: only a row whose watched successor has finished is rescanned.
+    # It finishes at this level when all its successors have, and
+    # otherwise watches its first unfinished one.
     dist = np.zeros(total, dtype=np.int32)
     level = 0
     while groups:
-        finished = [done[succ].all(axis=1) for _, succ in groups]
+        finished = []
+        for _, succ, rows, watch in groups:
+            f = done[watch]
+            moved = rows[f]
+            watch[f] = succ[moved, done[succ[moved]].argmin(axis=1)]
+            f[f] = done[watch[f]]
+            finished.append(f)
         if not any(f.any() for f in finished):
             break
         level += 1
         for i, f in enumerate(finished):
-            states, succ = groups[i]
-            dist[states[f]] = level
-            done[states[f]] = True
-            groups[i] = (states[~f], succ[~f])
-        groups = [grp for grp in groups if len(grp[0])]
+            states, succ, rows, watch = groups[i]
+            dist[states[rows[f]]] = level
+            done[states[rows[f]]] = True
+            groups[i] = (states, succ, rows[~f], watch[~f])
+        groups = [grp for grp in groups if len(grp[2])]
 
     if groups:
-        # Every unfinished state keeps a successor that is unfinished:
+        # Every unfinished state watches its first unfinished successor:
         # follow them from the lowest one until a state repeats.
         succ_of = np.full(total, -1, dtype=np.int32)
-        for states, succ in groups:
-            pick = (~done[succ]).argmax(axis=1)
-            succ_of[states] = succ[np.arange(len(states)), pick]
+        for states, _, rows, watch in groups:
+            succ_of[states[rows]] = watch
         seen: dict[int, int] = {}
         path: list[int] = []
         cur = int(np.flatnonzero(~done)[0])
@@ -511,7 +540,8 @@ def worst_case_unfair(
         )
     best = int(dist.argmax())
     return UnfairSearchResult(
-        max_steps=int(dist[best]), witness=config_at(best), states=total
+        max_steps=int(dist[best]), witness=config_at(best), states=total,
+        edges=edges,
     )
 
 

@@ -61,7 +61,7 @@ from .search import (
 CLOCK_ALPHA, CLOCK_RING = 5, 12
 GUARD_N, GUARD_DIAM, GUARD_MAX_DEGREE = 3, 1, 3
 CLOSURE_EXHAUSTIVE_CAP = 20_000
-UNFAIR_STATE_BUDGET = 4096
+UNFAIR_STATE_BUDGET = 2**21
 
 
 @dataclass

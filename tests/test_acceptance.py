@@ -186,19 +186,27 @@ def test_6_local_indistinguishability():
 
 
 def test_7_token_ring_speculation_gap():
-    """Token ring, K = n+1, exhaustive over all (n+1)^n starts.
+    """Token ring, K = n+1, exhaustive over all (n+1)^n starts for n in
+    {3,...,7}.
 
     Synchronous: every start stabilizes, and the worst case is exactly
-    2n-3 for n in {3,...,7} (within ``sync_step_bound`` = 2n), witnessed by a
-    start whose replay first reaches legitimacy at 2n-3 (replayed for n <= 5;
-    pinned to its known value at n = 6, 7).  Unconstrained:
-    the exhaustive worst case is never below the synchronous one (the
-    synchronous choice is one of the unconstrained ones), equal at n=3
-    (3 = 3) and strictly above it from n=4 on (13 > 5, 24 > 7).
+    2n-3 (within ``sync_step_bound`` = 2n), witnessed by a start whose
+    replay first reaches legitimacy at 2n-3 (replayed for n <= 5; pinned to
+    its known value at n = 6, 7).  Unconstrained: the exact worst case and
+    its first witness are pinned at every n.  It is never below the
+    synchronous one (the synchronous choice is one of the unconstrained
+    ones), equal at n=3 (3 = 3) and strictly above it from n=4 on (13 > 5,
+    24 > 7, 38 > 9, 55 > 11).
     """
-    unfair_expected = {3: 3, 4: 13, 5: 24}
+    unfair_expected = {
+        3: (3, (0, 1, 0)),
+        4: (13, (0, 2, 1, 0)),
+        5: (24, (0, 3, 2, 1, 0)),
+        6: (38, (0, 4, 3, 2, 1, 0)),
+        7: (55, (0, 5, 4, 3, 2, 1, 0)),
+    }
     failures = []
-    measured = {}
+    sync_of = {}
     for n in (3, 4, 5):
         g = generate(f"ring:{n}")
         p = DijkstraProtocol.for_graph(g)
@@ -233,27 +241,7 @@ def test_7_token_ring_speculation_gap():
                 f"n={n}: witness {scan.witness_legit} first legitimate at "
                 f"{first_legit}, not {target}"
             )
-        unfair = worst_case_unfair(p, g, state_budget=10_000)
-        measured[n] = (sync_worst, unfair.max_steps)
-        if unfair.states != starts:
-            failures.append(f"n={n}: unconstrained search saw {unfair.states} states")
-        if unfair.max_steps < sync_worst:
-            failures.append(
-                f"n={n}: unconstrained worst case {unfair.max_steps} below "
-                f"synchronous worst case {sync_worst}"
-            )
-        if unfair.max_steps != unfair_expected[n]:
-            failures.append(
-                f"n={n}: unconstrained worst case {unfair.max_steps} != "
-                f"{unfair_expected[n]}"
-            )
-        if n >= 4 and not unfair.max_steps > sync_worst:
-            failures.append(
-                f"n={n}: unconstrained worst case {unfair.max_steps} does not "
-                f"exceed synchronous worst case {sync_worst}"
-            )
-    # Synchronous only at n = 6, 7: the unconstrained search there is too
-    # slow for this suite.
+        sync_of[n] = sync_worst
     sync_witness = {6: (0, 1, 0, 1, 1, 1), 7: (0, 1, 0, 1, 1, 1, 1)}
     for n, witness in sync_witness.items():
         g = generate(f"ring:{n}")
@@ -266,6 +254,31 @@ def test_7_token_ring_speculation_gap():
         if got != want:
             failures.append(
                 f"n={n}: (runs, unreached, sync worst, witness) {got} != {want}"
+            )
+        sync_of[n] = scan.max_convergence_legit
+    measured = {}
+    for n, (worst, witness) in unfair_expected.items():
+        g = generate(f"ring:{n}")
+        p = DijkstraProtocol.for_graph(g)
+        sync_worst, starts = sync_of[n], (n + 1) ** n
+        unfair = worst_case_unfair(p, g, state_budget=starts)
+        measured[n] = (sync_worst, unfair.max_steps)
+        if unfair.states != starts:
+            failures.append(f"n={n}: unconstrained search saw {unfair.states} states")
+        if unfair.max_steps < sync_worst:
+            failures.append(
+                f"n={n}: unconstrained worst case {unfair.max_steps} below "
+                f"synchronous worst case {sync_worst}"
+            )
+        if (unfair.max_steps, unfair.witness) != (worst, witness):
+            failures.append(
+                f"n={n}: unconstrained worst case {unfair.max_steps} (witness "
+                f"{unfair.witness}) != {worst} ({witness})"
+            )
+        if n >= 4 and not unfair.max_steps > sync_worst:
+            failures.append(
+                f"n={n}: unconstrained worst case {unfair.max_steps} does not "
+                f"exceed synchronous worst case {sync_worst}"
             )
     # Hand-checkable anchors.  n=3 from (0,1,2): one step to a single token.
     g3 = generate("ring:3")
@@ -296,7 +309,7 @@ def test_7_token_ring_speculation_gap():
     detail = "; ".join(failures) or ", ".join(
         f"n={n}: sync {s} = 2n-3, unconstrained {u}"
         for n, (s, u) in measured.items()
-    ) + ", n=6, 7: sync 2n-3"
+    )
     _report(7, "token-ring speculation gap", ok, detail)
     assert ok, failures
 

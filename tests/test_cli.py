@@ -226,12 +226,20 @@ def test_verify_bounds_sampled_solves_small_unconstrained_space(capsys):
         "100 states, worst 6 <= 28" in out
 
 
+def test_verify_bounds_solves_ring4_unconstrained_space(capsys):
+    rc = main(["verify", "bounds", "--graph", "ring:4", "--samples", "500"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "PASS unconstrained-scheduler worst case within the cubic bound: " \
+        "531441 states, worst 23 <= 336" in out
+
+
 def test_verify_bounds_sampled_skips_large_unconstrained_space(capsys):
     rc = main(["verify", "bounds", "--graph", "ring:6", "--samples", "2000"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "PASS worst synchronous convergence equals ceil(diam/2): 2000 runs" in out
-    assert "skipped: state space 19770609664 exceeds budget 4096" in out
+    assert "skipped: state space 19770609664 exceeds budget 2097152" in out
 
 
 def test_verify_ensemble_small(capsys):

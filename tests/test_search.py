@@ -7,7 +7,7 @@ import pytest
 
 from stabsim import generate, search
 from stabsim.engine import FalsificationError, run, step
-from stabsim.daemon import SynchronousDaemon
+from stabsim.daemon import SynchronousDaemon, enumerate_choices
 from stabsim.protocol import Batch, DijkstraProtocol, SsmeProtocol, make_protocol
 from stabsim.search import (
     StateSpace,
@@ -451,6 +451,34 @@ class Leaky(SyncToggler):
         return super().batch(R, g)._replace(legit=(R == 0).all(axis=1))
 
 
+class Climber(Toggler):
+    """Vertex 0 climbs 0 -> 1 -> 2, and a configuration is legitimate once
+    it holds 2 there; while vertex 0 holds 0, every other vertex steps
+    x -> x + 1 mod 3.  Configurations with vertex 0 at 1 finish in one
+    step, so each state with vertex 0 at 0 sees its first successor (move
+    vertex 0 alone) finish and keeps cycling through the other columns."""
+
+    def state_domain(self):
+        return range(3)
+
+    def batch(self, R, g):
+        enabled = np.ones(R.shape, dtype=bool)
+        enabled[:, 0] = R[:, 0] < 2
+        enabled[:, 1:] = R[:, :1] == 0
+        nxt = np.where(enabled, R + 1, R)
+        nxt[:, 1:] %= 3
+        return Batch(nxt, enabled, np.zeros_like(enabled), R[:, 0] == 2, enabled)
+
+    def enabled_rule(self, v, config, g):
+        return "C" if (config[0] < 2 if v == 0 else config[0] == 0) else None
+
+    def apply(self, v, rule, config, g):
+        return config[0] + 1 if v == 0 else (config[v] + 1) % 3
+
+    def is_legitimate(self, config, g):
+        return config[0] == 2
+
+
 class TestUnfairWorstCase:
     @pytest.mark.parametrize(
         "proto,spec",
@@ -469,6 +497,19 @@ class TestUnfairWorstCase:
         p = make_protocol(proto, g)
         res = worst_case_unfair(p, g, state_budget=10_000)
         assert (res.max_steps, res.witness, res.states) == _oracle_unfair(p, g)
+
+    @pytest.mark.parametrize("proto,spec", [("ssme", "path:2"), ("dijkstra", "ring:3")])
+    def test_edges_count_every_activation_choice(self, proto, spec):
+        g = generate(spec)
+        p = make_protocol(proto, g)
+        want = 0
+        for s in product(p.state_domain(), repeat=g.n):
+            if not p.is_legitimate(s, g):
+                enabled = [
+                    v for v in range(g.n) if p.enabled_rule(v, s, g) is not None
+                ]
+                want += len(enumerate_choices(enabled))
+        assert worst_case_unfair(p, g, state_budget=10_000).edges == want
 
     def test_path2_exact_and_bounded(self):
         g = generate("path:2")
@@ -515,6 +556,18 @@ class TestUnfairWorstCase:
             assert not any(p.is_legitimate(c, g) for c in cycle)
             for a, b in zip(cycle, cycle[1:]):
                 assert _is_move(p, g, a, b)
+
+    def test_cycle_past_finished_successors(self):
+        # The walk starts at (0, 0, 0), whose first successor (1, 0, 0)
+        # finishes at level 1; the cycle follows each state's first
+        # unfinished successor in the canonical subset order.
+        p, g = Climber(), generate("path:3")
+        with pytest.raises(FalsificationError, match="3 actions") as exc:
+            worst_case_unfair(p, g, state_budget=100)
+        cycle = exc.value.artifact
+        assert cycle == [(0, 0, 0), (0, 1, 0), (0, 2, 0), (0, 0, 0)]
+        for a, b in zip(cycle, cycle[1:]):
+            assert _is_move(p, g, a, b)
 
     def test_branch_cap_rejection(self):
         class Frozen(Toggler):
