@@ -24,7 +24,6 @@ from .engine import (
     local_state,
     restrict_trace,
     run,
-    run_stats,
     step,
 )
 from .graph import Graph, build_graph, generate, load_graph, save_graph
@@ -57,7 +56,6 @@ __all__ = [
     "IslandReport",
     "Trace",
     "run",
-    "run_stats",
     "step",
     "is_unison_legitimate",
     "islands",

@@ -38,13 +38,15 @@ from .engine import (
     Trace,
     convergence_index_au,
     convergence_index_me,
-    count_safety_violations,
     ensemble_runs,
     format_trace,
     run,
 )
 from .protocol import make_protocol
-from .search import StateSpace, lower_bound_witness, sync_worst_case, ssme_unfair_step_bound, worst_case_unfair
+from .search import (
+    DEFAULT_CONFIG_BUDGET, DEFAULT_STATE_BUDGET, StateSpace, lower_bound_witness,
+    ssme_unfair_step_bound, sync_worst_case, worst_case_unfair,
+)
 from . import verify as verifylib
 
 SUMMARY_FIELDS = [
@@ -71,15 +73,15 @@ def _load_graph_arg(spec: str) -> graphlib.Graph:
     if spec.startswith("file:"):
         return graphlib.load_graph(spec[5:])
     p = Path(spec)
-    if p.exists() and p.is_file():
+    if p.is_file():
         return graphlib.load_graph(p)
     return graphlib.generate(spec)
 
 
 def _read_init_file(path: str | Path, n: int) -> tuple[int, ...]:
     p = Path(path)
-    if not p.exists():
-        raise ValueError(f"initial configuration file not found: {p}")
+    if not p.is_file():
+        raise ValueError(f"initial configuration file not found or not a file: {p}")
     vals = []
     for ln in p.read_text().splitlines():
         ln = ln.strip()
@@ -150,8 +152,8 @@ def _with_config_file(argv: list[str], args: argparse.Namespace) -> list[str]:
     later, win.
     """
     p = Path(args.config)
-    if not p.exists():
-        raise ValueError(f"config file not found: {p}")
+    if not p.is_file():
+        raise ValueError(f"config file not found or not a file: {p}")
     tokens = []
     for ln in p.read_text().splitlines():
         ln = ln.strip()
@@ -214,7 +216,7 @@ def _one_run(args, g, protocol, init, seed: int) -> tuple[dict, Trace]:
         args, init, seed,
         convergence_index_me(trace),
         convergence_index_au(trace),
-        count_safety_violations(trace),
+        trace.violations,
         trace.steps,
         trace.reason,
     )
@@ -288,7 +290,7 @@ def cmd_sweep(args) -> int:
     protocol = make_protocol(args.protocol, g, args.k_states)
     if args.init == "exhaustive":
         domain = protocol.state_domain()
-        total = len(domain) ** g.n
+        total = StateSpace(domain, g.n).total
         if total > args.budget:
             raise ValueError(
                 f"exhaustive sweep needs {total} runs, budget is {args.budget}"
@@ -414,33 +416,24 @@ def _sampled_unfair_worst(protocol, g, *, samples: int, seed: int) -> int:
     """Max steps-to-legitimacy over adversarial policy samples (lower bound).
 
     Each ensemble policy runs ``samples // 25`` initial configurations under
-    each of five policy seeds, all as rows of one batched ensemble.
+    each of five policy seeds, all as rows of one batched ensemble.  The
+    policies take consecutive slices of one `_random_inits` draw from
+    ``seed``.
     """
-    rng = random.Random(seed)
-    domain = protocol.state_domain()
     budget = (
         ssme_unfair_step_bound(g.n, g.diam)
         if protocol.name == "ssme"
         else protocol.default_max_steps(g)
     )
-    count = max(1, samples // 25)
     seeds = range(5)
+    policies = len(verifylib.ENSEMBLE_POLICIES)
+    count = policies * len(seeds) * max(1, samples // 25)
+    inits = np.array(_random_inits(protocol, g.n, count, seed), dtype=np.int32)
     worst = 0
-    for i, (_, name, prob) in enumerate(verifylib.ENSEMBLE_POLICIES):
-        inits = np.array(
-            [
-                [rng.choice(domain) for _ in range(g.n)]
-                for _ in range(len(seeds) * count)
-            ],
-            dtype=np.int32,
-        )
-        rngs = [np.random.default_rng([abs(seed), i, s]) for s in seeds]
-        select = verifylib.batched_selector(
-            name, protocol, g, verifylib.Streams(rngs, count), len(inits), prob=prob
-        )
-        res = ensemble_runs(
-            protocol, g, inits, select, max_steps=budget, tail=0
-        )
+    for _, res in verifylib.policy_ensembles(
+        protocol, g, np.split(inits, policies),
+        seed=seed, seeds=seeds, max_steps=budget, tail=0,
+    ):
         worst = max(worst, int(res.legitimate_at.max()))
     return worst
 
@@ -521,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--graphs", default="ring:4")
     p_cmp.add_argument("--samples", type=_positive_int, default=500)
     p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--exhaustive-budget", type=int, default=1_000_000)
-    p_cmp.add_argument("--unfair-state-budget", type=int, default=5000)
+    p_cmp.add_argument("--exhaustive-budget", type=int, default=DEFAULT_CONFIG_BUDGET)
+    p_cmp.add_argument("--unfair-state-budget", type=int, default=DEFAULT_STATE_BUDGET)
     p_cmp.add_argument("--out", default="out")
     p_cmp.set_defaults(func=cmd_compare)
 

@@ -11,8 +11,8 @@ critical-section events (privileged vertex activated).
 protocol's batch kernel, each row stopping where `run` would; it is the
 one batched run loop, and every batched caller steps its runs on it.
 Both loops keep a run's summary indices while they step, by one rule:
-`run` on its `Trace`, `ensemble_runs` per row.  The convergence indices,
-the violation count and `run_stats` read them off the trace.
+`run` on its `Trace`, `ensemble_runs` per row.  The convergence indices
+read them off the trace.
 
 Besides plain runs, this module carries the analysis ops over
 configurations and traces: legitimacy, mutual-exclusion safety,
@@ -203,6 +203,17 @@ def run(
     )
 
 
+def run_stats(
+    protocol, g: Graph, init: Sequence[int], policy, *, max_steps: int, tail: int = 0
+) -> Trace:
+    """`run` stopped ``tail`` steps after legitimacy: the test oracle that
+    the rows of `ensemble_runs` are held equal to."""
+    return run(
+        protocol, g, init, policy,
+        max_steps=max_steps, stop_at_legitimate=True, tail=tail,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Trace measurements
 # ---------------------------------------------------------------------------
@@ -225,10 +236,6 @@ def convergence_index_au(trace: Trace) -> int | None:
     """
     last = trace.last_illegitimate
     return None if last == trace.steps else last + 1
-
-
-def count_safety_violations(trace: Trace) -> int:
-    return trace.violations
 
 
 def liveness_report(trace: Trace, window: int) -> dict[int, int]:
@@ -348,57 +355,6 @@ def local_state(config: Sequence[int], g: Graph, v: int, k: int) -> dict[int, in
 def restrict_trace(trace: Trace, v: int) -> tuple[int, ...]:
     """The per-step state sequence of a single vertex across the trace."""
     return tuple(c[v] for c in trace.configs)
-
-
-# ---------------------------------------------------------------------------
-# Run summaries
-# ---------------------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class RunStats:
-    steps: int
-    legitimate_at: int | None
-    last_unsafe: int
-    unsafe_at_or_after_legitimate: int
-    reason: str
-    final: Config
-
-    @property
-    def convergence_me(self) -> int | None:
-        if self.legitimate_at is None:
-            return None
-        return self.last_unsafe + 1
-
-
-def run_stats(
-    protocol,
-    g: Graph,
-    init: Sequence[int],
-    policy,
-    *,
-    max_steps: int,
-    tail: int = 0,
-) -> RunStats:
-    """`run` with stop-at-legitimacy, summarised to its indices.
-
-    A test oracle: the scheduler ensemble, `sweep` and the sampled
-    synchronous scan run on `ensemble_runs`, and the tests hold its rows
-    equal to this.  ``unsafe_at_or_after_legitimate`` is the trace's
-    ``unsafe_after``, which never counts the first legitimate configuration.
-    """
-    trace = run(
-        protocol, g, init, policy,
-        max_steps=max_steps, stop_at_legitimate=True, tail=tail,
-    )
-    return RunStats(
-        steps=trace.steps,
-        legitimate_at=None if trace.legitimate_at < 0 else trace.legitimate_at,
-        last_unsafe=trace.last_unsafe,
-        unsafe_at_or_after_legitimate=trace.unsafe_after,
-        reason=trace.reason,
-        final=trace.configs[-1],
-    )
 
 
 # ---------------------------------------------------------------------------

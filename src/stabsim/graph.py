@@ -230,8 +230,8 @@ def format_graph(g: Graph) -> str:
 
 def load_graph(file_path: str | Path) -> Graph:
     p = Path(file_path)
-    if not p.exists():
-        raise ValueError(f"graph file not found: {p}")
+    if not p.is_file():
+        raise ValueError(f"graph file not found or not a file: {p}")
     return parse_graph(p.read_text())
 
 

@@ -16,8 +16,8 @@ index or the caller's budget, and feeds the kernel in chunks of
   configuration's fields are gathered from its successor's.  Only the
   exhaustive mode takes a liveness window.  The sample mode has no state
   graph; it steps its runs as the rows of `engine.ensemble_runs`.
-  `_sync_scan_scalar` states the same scan through `run` traces and is
-  kept only as the reference the tests compare against.
+  `_sync_scan_scalar` states the same scan through `run` traces: it is the
+  reference the tests compare against, and it validates the witness below.
 
 * `worst_case_unfair` computes the longest action sequence from any
   configuration to the first legitimate one over the full nondeterministic
@@ -60,7 +60,10 @@ from .engine import (
 from .graph import Graph
 from .protocol import SsmeProtocol, rows_with
 
+# Default budgets of the exhaustive synchronous scan and the unconstrained
+# solver, in configurations.
 DEFAULT_CONFIG_BUDGET = 10_000_000
+DEFAULT_STATE_BUDGET = 2**21
 # Configurations per kernel call.
 CHUNK_ROWS = 1 << 18
 
@@ -373,7 +376,8 @@ def _sync_scan_scalar(
     liveness_window: int | None,
 ) -> SyncScanResult:
     """`sync_worst_case` over ``configs``, one `run` trace each: the
-    reference the batched scan is tested against."""
+    reference the batched scan is tested against, and the check of
+    `lower_bound_witness`'s planted configuration."""
     policy = SynchronousDaemon()
     cap = protocol.sync_step_bound(g)
     tail = liveness_window or 0
@@ -423,7 +427,7 @@ def worst_case_unfair(
     protocol,
     g: Graph,
     *,
-    state_budget: int = 250_000,
+    state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> UnfairSearchResult:
     """Longest action sequence to the first legitimate configuration, over
     every initial configuration and every legal activation choice.
@@ -458,10 +462,12 @@ def worst_case_unfair(
 
     # Kernel pass: legitimacy, enabled mask and per-vertex index delta.
     # The domain is a range, so a value's index moves by its value's change.
+    # An enabled mask fits in n bits.
+    mtype = _int_type(2**n - 1)
     done = np.empty(total, dtype=bool)
-    mask_of = np.empty(total, dtype=np.int64)
+    mask_of = np.empty(total, dtype=mtype)
     delta_of = np.empty((total, n), dtype=np.int32)
-    bits = 2 ** np.arange(n, dtype=np.int64)
+    bits = 2 ** np.arange(n, dtype=mtype)
     for here, R, b in space.batches(protocol, g):
         done[here] = b.legit
         mask_of[here] = b.enabled @ bits
@@ -562,15 +568,6 @@ class WitnessResult:
         return self.convergence == self.target
 
 
-def _measure_sync_convergence(protocol, g: Graph, init: Sequence[int]) -> int | None:
-    cap = protocol.sync_step_bound(g)
-    trace = run(
-        protocol, g, init, SynchronousDaemon(),
-        max_steps=cap, stop_at_legitimate=True, tail=0,
-    )
-    return convergence_index_me(trace)
-
-
 def lower_bound_witness(g: Graph, protocol: SsmeProtocol | None = None) -> WitnessResult:
     """Initial configuration forcing the worst synchronous convergence index.
 
@@ -622,7 +619,7 @@ def lower_bound_witness(g: Graph, protocol: SsmeProtocol | None = None) -> Witne
             planted[x] = val
         for x, val in ball_v.items():
             planted[x] = val
-        conv = _measure_sync_convergence(protocol, g, planted)
+        conv = _sync_scan_scalar(protocol, g, [planted], None).max_convergence_me
         if conv == target:
             return WitnessResult(
                 config=tuple(planted), convergence=conv, target=target,

@@ -14,9 +14,9 @@ a narrow arc of the ring.
 
 Every scheduler policy is stated once in batched form, by
 `batched_selector`, for `engine.ensemble_runs`.  Only the source of its
-random numbers differs between callers: `Streams`, numpy streams for the
-ensemble and `compare`'s sampled bounds, or `Replay`, the scalar daemons'
-own `random.Random` draws, for `sweep`.
+random numbers differs between callers: `Streams`, numpy streams for
+`policy_ensembles` (the ensemble and `compare`'s sampled bounds), or
+`Replay`, the scalar daemons' own `random.Random` draws, for `sweep`.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ from .protocol import (
     ssme_guards,
 )
 from .search import (
+    DEFAULT_STATE_BUDGET,
+    StateSpace,
     lower_bound_witness,
     ssme_unfair_step_bound,
     sync_worst_case,
@@ -55,13 +57,11 @@ from .search import (
 
 
 # The suites' fixed instances: the algebra suite's clock (stem, ring); the
-# guard check's n, diam and largest neighbourhood; the largest state space
-# the exhaustive closure check walks; and the largest one whose
-# unconstrained worst case the bounds suite solves.
+# guard check's n, diam and largest neighbourhood; and the largest state
+# space the exhaustive closure check walks.
 CLOCK_ALPHA, CLOCK_RING = 5, 12
 GUARD_N, GUARD_DIAM, GUARD_MAX_DEGREE = 3, 1, 3
 CLOSURE_EXHAUSTIVE_CAP = 20_000
-UNFAIR_STATE_BUDGET = 2**21
 
 
 @dataclass
@@ -250,7 +250,7 @@ def closure_checks(
 
     checked = 0
     if exhaustive:
-        total = params.size ** g.n
+        total = StateSpace(proto.state_domain(), g.n).total
         if total > CLOSURE_EXHAUSTIVE_CAP:
             raise ValueError(
                 f"exhaustive closure over {total} configurations exceeds cap "
@@ -398,6 +398,8 @@ def transient_checks(
 def indistinguishability_checks(
     g: Graph, *, pairs: int = 1000, seed: int = 0
 ) -> list[CheckResult]:
+    if g.diam < 1:
+        raise ValueError("indistinguishability check needs a graph of diameter >= 1")
     proto = SsmeProtocol.for_graph(g)
     params = proto.params
     rng = random.Random(seed)
@@ -582,6 +584,28 @@ def batched_selector(name: str, proto, g: Graph, draws, size: int, *, prob: floa
     return select
 
 
+def policy_ensembles(
+    proto, g: Graph, batches, *, seed: int, seeds, max_steps: int, tail: int
+):
+    """``(label, EnsembleRuns)`` for each policy of `ENSEMBLE_POLICIES`, its
+    runs the rows of the matching matrix of ``batches``.
+
+    Row r of a batch runs under policy seed ``seeds[r // per]``, where
+    ``per = len(batch) // len(seeds)``, and each (``seed``, policy, policy
+    seed) draws from its own numpy stream.
+    """
+    for i, ((label, name, prob), batch) in enumerate(
+        zip(ENSEMBLE_POLICIES, batches, strict=True)
+    ):
+        # Like random.Random, a negative seed seeds as its absolute value.
+        rngs = [np.random.default_rng([abs(seed), i, abs(s)]) for s in seeds]
+        draws = Streams(rngs, len(batch) // len(seeds))
+        select = batched_selector(name, proto, g, draws, len(batch), prob=prob)
+        yield label, ensemble_runs(
+            proto, g, batch, select, max_steps=max_steps, tail=tail
+        )
+
+
 def scheduler_ensemble_check(
     g: Graph,
     *,
@@ -595,8 +619,7 @@ def scheduler_ensemble_check(
     ME-safe from its first legitimate configuration on.
 
     The runs of one policy, every policy seed x every initial configuration,
-    are stepped as the rows of one matrix.  Each (check seed, policy,
-    policy seed) draws from its own numpy stream.
+    are stepped as the rows of one matrix by `policy_ensembles`.
     """
     proto = SsmeProtocol.for_graph(g)
     params = proto.params
@@ -611,12 +634,10 @@ def scheduler_ensemble_check(
         np.array(initials, dtype=np.int32).reshape(inits, g.n), (len(seeds), 1)
     )
     bad: list = []
-    for i, (label, name, prob) in enumerate(ENSEMBLE_POLICIES):
-        # Like random.Random, a negative seed seeds as its absolute value.
-        rngs = [np.random.default_rng([abs(seed), i, abs(s)]) for s in seeds]
-        draws = Streams(rngs, inits)
-        select = batched_selector(name, proto, g, draws, len(batch), prob=prob)
-        res = ensemble_runs(proto, g, batch, select, max_steps=bound + tail, tail=tail)
+    for label, res in policy_ensembles(
+        proto, g, [batch] * len(ENSEMBLE_POLICIES),
+        seed=seed, seeds=seeds, max_steps=bound + tail, tail=tail,
+    ):
         late = (res.legitimate_at < 0) | (res.legitimate_at > bound)
         unsafe = ~late & (res.unsafe_after > 0)
         for r in np.flatnonzero(late | unsafe).tolist():
@@ -670,10 +691,10 @@ def bounds_checks(
             f"{scan.runs} runs",
         )
     )
-    total = proto.params.size ** g.n
-    if total <= UNFAIR_STATE_BUDGET:
+    total = StateSpace(proto.state_domain(), g.n).total
+    if total <= DEFAULT_STATE_BUDGET:
         bound = ssme_unfair_step_bound(g.n, g.diam)
-        res = worst_case_unfair(proto, g, state_budget=UNFAIR_STATE_BUDGET)
+        res = worst_case_unfair(proto, g)
         bad = []
         if res.max_steps > bound:
             bad.append(f"longest recovery {res.max_steps} exceeds bound {bound}")
@@ -689,7 +710,7 @@ def bounds_checks(
             CheckResult(
                 "unconstrained-scheduler worst case within the cubic bound",
                 True,
-                f"skipped: state space {total} exceeds budget {UNFAIR_STATE_BUDGET}",
+                f"skipped: state space {total} exceeds budget {DEFAULT_STATE_BUDGET}",
             )
         )
     return out

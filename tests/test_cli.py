@@ -78,6 +78,40 @@ def test_run_missing_graph_file_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+GRAPH_NOT_A_FILE = "graph file not found or not a file"
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("run", "--graph", "file:{d}", GRAPH_NOT_A_FILE),
+        ("run", "--graph", "file:", GRAPH_NOT_A_FILE),
+        ("run", "--init", "file:{d}", "initial configuration file not found or not a file"),
+        ("run", "--config", "{d}", "config file not found or not a file"),
+        ("witness", "--graph", "file:{d}", GRAPH_NOT_A_FILE),
+        ("witness", "--graph", "file:", GRAPH_NOT_A_FILE),
+    ],
+    ids=[
+        "run-graph-dir", "run-graph-empty-path", "run-init-dir", "run-config-dir",
+        "witness-graph-dir", "witness-graph-empty-path",
+    ],
+)
+def test_directory_as_input_file_exits_2(
+    tmp_path, monkeypatch, capsys, command, flag, value, message
+):
+    # An empty path reads as the working directory.
+    monkeypatch.chdir(tmp_path)
+    rc = main([command, flag, value.format(d=tmp_path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_verify_indist_needs_diameter_1(capsys):
+    rc = main(["verify", "indist", "--graph", "path:1"])
+    assert rc == 2
+    assert "needs a graph of diameter >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -310,6 +344,24 @@ def test_compare_sampled_unfair_is_a_lower_bound(tmp_path):
         p = make_protocol(name, g)
         exact = worst_case_unfair(p, g, state_budget=10_000).max_steps
         assert 1 <= int(rows[name]["unfair_worst"]) <= exact
+
+
+@pytest.mark.parametrize(
+    "spec, name, samples, seed, want",
+    [
+        ("ring:4", "ssme", 500, 0, 21),
+        ("ring:4", "dijkstra", 500, 0, 12),
+        ("ring:6", "dijkstra", 500, 0, 25),
+        ("ring:5", "ssme", 250, 3, 32),
+        ("path:4", "ssme", 250, -2, 24),
+    ],
+)
+def test_sampled_unfair_worst_is_pinned(spec, name, samples, seed, want):
+    # Pins the draw order: the initial configurations from one
+    # random.Random(seed), then one numpy stream per (policy, policy seed).
+    g = generate(spec)
+    p = make_protocol(name, g)
+    assert cli._sampled_unfair_worst(p, g, samples=samples, seed=seed) == want
 
 
 def test_compare_passes_its_exhaustive_budget(tmp_path, monkeypatch):

@@ -17,7 +17,6 @@ from stabsim.engine import (
     REASON_TERMINAL,
     convergence_index_au,
     convergence_index_me,
-    count_safety_violations,
     enabled_rules,
     format_trace,
     is_unison_legitimate,
@@ -333,12 +332,12 @@ class TestRunStatsAgreesWithRun:
             trace = run(p, g, init, policy_a, max_steps=budget,
                         stop_at_legitimate=True, tail=4)
             stats = run_stats(p, g, init, policy_b, max_steps=budget, tail=4)
-            assert stats.final == trace.configs[-1]
+            assert stats.configs[-1] == trace.configs[-1]
             assert stats.steps == trace.steps
-            assert stats.convergence_me == convergence_index_me(trace)
+            assert convergence_index_me(stats) == convergence_index_me(trace)
             legit_idx = next(
                 (k for k, c in enumerate(trace.configs)
-                 if p.is_legitimate(c, g)), None,
+                 if p.is_legitimate(c, g)), -1,
             )
             assert stats.legitimate_at == legit_idx
 
@@ -380,15 +379,15 @@ class TestRunStatsAgreesWithRun:
             assert convergence_index_au(trace) == (
                 None if last == trace.steps else last + 1
             )
-            assert count_safety_violations(trace) == want["violations"]
+            assert trace.violations == want["violations"]
             if stop:
                 stats = run_stats(
                     p, g, init, make_daemon(daemon, n=g.n, seed=i, prob=0.4),
                     max_steps=60, tail=3,
                 )
-                assert stats.legitimate_at == (None if legit_at < 0 else legit_at)
+                assert stats.legitimate_at == legit_at
                 assert stats.last_unsafe == want["last_unsafe"]
-                assert stats.unsafe_at_or_after_legitimate == want["unsafe_after"]
+                assert stats.unsafe_after == want["unsafe_after"]
 
 
 def _rescan(trace, p, g):

@@ -7,7 +7,14 @@ import pytest
 
 from stabsim import generate, verify
 from stabsim.daemon import CentralAdversarial, CentralRoundRobin, StepContext
-from stabsim.engine import STOP_REASONS, EnsembleRuns, ensemble_runs, run_stats, step
+from stabsim.engine import (
+    STOP_REASONS,
+    EnsembleRuns,
+    convergence_index_me,
+    ensemble_runs,
+    run_stats,
+    step,
+)
 from stabsim.protocol import Batch, DijkstraProtocol, SsmeProtocol
 from stabsim.search import ssme_unfair_step_bound
 from stabsim.verify import (
@@ -184,9 +191,9 @@ def test_batched_round_robin_equals_run_stats(spec, proto):
         )
         assert res.steps[r] == stats.steps
         assert res.legitimate_at[r] == stats.legitimate_at
-        assert res.last_unsafe[r] + 1 == stats.convergence_me
-        assert res.unsafe_after[r] == stats.unsafe_at_or_after_legitimate
-        assert tuple(int(x) for x in res.final[r]) == stats.final
+        assert res.last_unsafe[r] + 1 == convergence_index_me(stats)
+        assert res.unsafe_after[r] == stats.unsafe_after
+        assert tuple(int(x) for x in res.final[r]) == stats.configs[-1]
 
 
 @pytest.mark.parametrize(
@@ -349,7 +356,7 @@ def test_ensemble_reports_unsafe_legitimate_runs(monkeypatch):
         for init in _initials(p, g, 30, 4)
         if run_stats(
             p, g, init, CentralRoundRobin(g.n, 0), max_steps=bound + TAIL, tail=TAIL
-        ).unsafe_at_or_after_legitimate
+        ).unsafe_after
     )
     assert f"first: ('central-rr', 0, {first}, 'unsafe after legitimacy')" in (
         res.details
