@@ -23,7 +23,6 @@ import argparse
 import csv
 import hashlib
 import json
-import random
 import sys
 from itertools import islice, product
 from pathlib import Path
@@ -96,14 +95,6 @@ def _write_init_file(config, path: str | Path) -> None:
     Path(path).write_text("".join(f"{v}\n" for v in config))
 
 
-def _random_inits(protocol, n: int, count: int, seed: int) -> list[tuple[int, ...]]:
-    rng = random.Random(seed)
-    domain = protocol.state_domain()
-    return [
-        tuple(rng.choice(domain) for _ in range(n)) for _ in range(count)
-    ]
-
-
 def _parse_init(arg: str, protocol, g: graphlib.Graph) -> list[tuple[int, ...]]:
     kind, _, rest = arg.partition(":")
     if kind == "file":
@@ -114,7 +105,7 @@ def _parse_init(arg: str, protocol, g: graphlib.Graph) -> list[tuple[int, ...]]:
             raise ValueError(f"bad init spec {arg!r}, expected random:COUNT:SEED")
         if (count := int(parts[0])) < 1:
             raise ValueError(f"bad init spec {arg!r}, COUNT must be >= 1")
-        return _random_inits(protocol, g.n, count, int(parts[1]))
+        return verifylib.random_inits(protocol, g.n, count, int(parts[1]))
     elif kind == "witness":
         inits = [lower_bound_witness(g).config]
     elif kind == "zeros":
@@ -167,8 +158,18 @@ def _with_config_file(argv: list[str], args: argparse.Namespace) -> list[str]:
     return argv[:at] + tokens + argv[at:]
 
 
+def _out_dir(arg: str | Path) -> Path:
+    """The ``--out`` directory, created if missing, before any work."""
+    out_dir = Path(arg)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ValueError(f"--out {arg} is not a directory") from None
+    return out_dir
+
+
 def _append_summary(out_dir: Path, rows: list[dict], fmt: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(out_dir)
     if fmt == "json-lines":
         target = out_dir / "summary.jsonl"
         with target.open("a") as fh:
@@ -270,9 +271,8 @@ def cmd_run(args) -> int:
     g = _load_graph_arg(args.graph)
     protocol = make_protocol(args.protocol, g, args.k_states)
     inits = _parse_init(args.init, protocol, g)
+    out_dir = _out_dir(args.out)
     row, trace = _one_run(args, g, protocol, inits[0], args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / f"trace-{row['init_hash']}-{args.seed}.txt"
     trace_path.write_text(format_trace(trace, meta=row))
     summary = _append_summary(out_dir, [row], args.format)
@@ -298,12 +298,13 @@ def cmd_sweep(args) -> int:
         inits = product(domain, repeat=g.n)
     else:
         inits = _parse_init(args.init, protocol, g)
+    out_dir = _out_dir(args.out)
     runs = ((init, args.seed + s) for init in inits for s in range(args.seeds))
     rows = []
     while chunk := list(islice(runs, SWEEP_CHUNK_RUNS)):
         rows += _sweep_rows(args, g, protocol, chunk)
     rows.sort(key=lambda r: (r["init_hash"], r["seed"]))
-    summary = _append_summary(Path(args.out), rows, args.format)
+    summary = _append_summary(out_dir, rows, args.format)
     print(f"summary {summary}")
     print(f"runs {len(rows)}")
     return 0
@@ -350,12 +351,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    out_dir = _out_dir(args.out)
     rows = []
     for spec in args.graphs.split(","):
         spec = spec.strip()
         g = _load_graph_arg(spec)
         for proto_name in ("ssme", "dijkstra"):
-            protocol = make_protocol(proto_name, g)
+            try:
+                protocol = make_protocol(proto_name, g)
+            except ValueError as exc:
+                # The token ring runs on rings only.
+                print(f"{spec} {proto_name}: skipped: {exc}")
+                continue
             total = StateSpace(protocol.state_domain(), g.n).total
             scan = sync_worst_case(
                 protocol, g,
@@ -379,18 +386,19 @@ def cmd_compare(args) -> int:
                     1, -(-g.diam // 2)
                 )
             ratio = unfair / sync_worst if sync_worst > 0 else float("inf")
-            rows.append(
-                {
-                    "graph": spec,
-                    "protocol": proto_name,
-                    "sync_worst": sync_worst,
-                    "unfair_worst": unfair,
-                    "ratio": f"{ratio:.3f}",
-                    "predicted_ratio": f"{predicted:.3f}",
-                }
+            row = {
+                "graph": spec,
+                "protocol": proto_name,
+                "sync_worst": sync_worst,
+                "unfair_worst": unfair,
+                "ratio": f"{ratio:.3f}",
+                "predicted_ratio": f"{predicted:.3f}",
+            }
+            rows.append(row)
+            print(
+                f"{spec} {proto_name}: sync={sync_worst} unfair={unfair} "
+                f"ratio={row['ratio']} predicted={row['predicted_ratio']}"
             )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / "compare.csv"
     with target.open("w", newline="") as fh:
         writer = csv.DictWriter(
@@ -402,12 +410,6 @@ def cmd_compare(args) -> int:
         )
         writer.writeheader()
         writer.writerows(rows)
-    for row in rows:
-        print(
-            f"{row['graph']} {row['protocol']}: sync={row['sync_worst']} "
-            f"unfair={row['unfair_worst']} ratio={row['ratio']} "
-            f"predicted={row['predicted_ratio']}"
-        )
     print(f"table {target}")
     return 0
 
@@ -417,7 +419,7 @@ def _sampled_unfair_worst(protocol, g, *, samples: int, seed: int) -> int:
 
     Each ensemble policy runs ``samples // 25`` initial configurations under
     each of five policy seeds, all as rows of one batched ensemble.  The
-    policies take consecutive slices of one `_random_inits` draw from
+    policies take consecutive slices of one `verify.random_inits` draw from
     ``seed``.
     """
     budget = (
@@ -428,10 +430,10 @@ def _sampled_unfair_worst(protocol, g, *, samples: int, seed: int) -> int:
     seeds = range(5)
     policies = len(verifylib.ENSEMBLE_POLICIES)
     count = policies * len(seeds) * max(1, samples // 25)
-    inits = np.array(_random_inits(protocol, g.n, count, seed), dtype=np.int32)
+    inits = verifylib.random_inits(protocol, g.n, count, seed)
     worst = 0
     for _, res in verifylib.policy_ensembles(
-        protocol, g, np.split(inits, policies),
+        protocol, g, np.split(np.array(inits, dtype=np.int32), policies),
         seed=seed, seeds=seeds, max_steps=budget, tail=0,
     ):
         worst = max(worst, int(res.legitimate_at.max()))
@@ -440,9 +442,8 @@ def _sampled_unfair_worst(protocol, g, *, samples: int, seed: int) -> int:
 
 def cmd_witness(args) -> int:
     g = _load_graph_arg(args.graph)
+    out_dir = _out_dir(args.out)
     result = lower_bound_witness(g)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / "witness.cfg"
     _write_init_file(result.config, target)
     print(f"witness {target}")

@@ -153,20 +153,13 @@ def random_connected(n: int, p: float, seed: int) -> Graph:
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
-    comp = [-1] * n
+    seen = [False] * n
     reps = []
     for v in range(n):
-        if comp[v] >= 0:
-            continue
-        reps.append(v)
-        stack = [v]
-        comp[v] = v
-        while stack:
-            x = stack.pop()
-            for u in adj[x]:
-                if comp[u] < 0:
-                    comp[u] = v
-                    stack.append(u)
+        if not seen[v]:
+            reps.append(v)
+            for u, d in enumerate(_frontier_distances(adj, v)):
+                seen[u] = seen[u] or d >= 0
     for a, b in zip(reps, reps[1:]):
         edges.add((a, b) if a < b else (b, a))
     return build_graph(n, edges)

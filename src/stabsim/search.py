@@ -32,12 +32,14 @@ index or the caller's budget, and feeds the kernel in chunks of
   non-legitimate configurations or a stuck non-legitimate configuration is
   surfaced as a falsification artifact, never ignored.
 
-* `lower_bound_witness` builds an initial configuration whose convergence
-  index is exactly ceil(diam/2): it replays a synchronous execution to find
-  moments where two far-apart vertices are privileged and splices their
-  radius-(ceil(diam/2)-1) balls into one configuration.  Because a vertex's
-  first k synchronous steps depend only on its radius-k ball, both planted
-  vertices become privileged simultaneously.
+* `lower_bound_witness` writes down, in closed form, an initial
+  configuration whose convergence index is exactly ceil(diam/2).  From the
+  all-zero configuration the clocks tick in lockstep, so a vertex w is
+  privileged at step thresholds[w].  For two vertices w at distance diam,
+  every vertex of w's radius-t ball, t = ceil(diam/2) - 1, is set to
+  thresholds[w] - t, and every other vertex to 0.  A vertex's first t
+  synchronous steps depend only on its radius-t ball, so both become
+  privileged together at step t.
 """
 
 from __future__ import annotations
@@ -571,12 +573,12 @@ class WitnessResult:
 def lower_bound_witness(g: Graph, protocol: SsmeProtocol | None = None) -> WitnessResult:
     """Initial configuration forcing the worst synchronous convergence index.
 
-    Two vertices at distance diam are made privileged at step
-    t = ceil(diam/2) - 1 by planting, in an otherwise-zero configuration,
-    the radius-t balls copied from moments of a synchronous reference run in
-    which each vertex is privileged t steps later.  The balls cannot
-    overlap, and radius-t agreement pins each vertex's first t steps, so the
-    result is validated by simulation to converge exactly at ceil(diam/2).
+    Two vertices u, v at distance diam are made privileged together at
+    step t = ceil(diam/2) - 1.  On the lockstep run from all zeros, w is
+    privileged at step thresholds[w], so t steps earlier its radius-t ball
+    held thresholds[w] - t.  Those values are planted on the balls of u and
+    v, 0 everywhere else.  The result is validated by simulation to
+    converge exactly at ceil(diam/2); a search takes over if it does not.
     """
     if protocol is None:
         protocol = SsmeProtocol.for_graph(g)
@@ -586,45 +588,20 @@ def lower_bound_witness(g: Graph, protocol: SsmeProtocol | None = None) -> Witne
         raise ValueError("witness construction needs a graph of diameter >= 1")
     target = math.ceil(diam / 2)
     t = target - 1
-    u, v = next(
-        (a, b)
-        for a in range(g.n)
-        for b in range(g.n)
-        if g.dist[a][b] == diam
-    )
-    # Reference run: from the all-zero legitimate configuration the clocks
-    # tick in lockstep, so every vertex is privileged when the common value
-    # crosses its threshold.
-    reference = run(
-        protocol, g, (0,) * g.n, SynchronousDaemon(),
-        max_steps=2 * protocol.ring + protocol.alpha,
-    )
-
-    def ball_at_privilege(w: int) -> dict[int, int] | None:
-        for i in range(t, len(reference.configs)):
-            if w in protocol.privileged_vertices(reference.configs[i], g):
-                src = reference.configs[i - t]
-                return {
-                    x: src[x] for x in range(g.n) if g.dist[w][x] <= t
-                }
-        return None
-
-    ball_u = ball_at_privilege(u)
-    ball_v = ball_at_privilege(v)
-    if ball_u is not None and ball_v is not None and not (
-        set(ball_u) & set(ball_v)
-    ):
-        planted = [0] * g.n
-        for x, val in ball_u.items():
-            planted[x] = val
-        for x, val in ball_v.items():
-            planted[x] = val
-        conv = _sync_scan_scalar(protocol, g, [planted], None).max_convergence_me
-        if conv == target:
-            return WitnessResult(
-                config=tuple(planted), convergence=conv, target=target,
-                constructed=True,
-            )
+    u = next(a for a in range(g.n) if diam in g.dist[a])
+    v = g.dist[u].index(diam)
+    # The two balls are disjoint because 2t < diam.
+    planted = [0] * g.n
+    for w in (u, v):
+        for x in range(g.n):
+            if g.dist[w][x] <= t:
+                planted[x] = protocol.thresholds[w] - t
+    conv = _sync_scan_scalar(protocol, g, [planted], None).max_convergence_me
+    if conv == target:
+        return WitnessResult(
+            config=tuple(planted), convergence=conv, target=target,
+            constructed=True,
+        )
     # Construction failed; fall back to search.
     if StateSpace(protocol.state_domain(), g.n).total <= DEFAULT_CONFIG_BUDGET:
         scan = sync_worst_case(protocol, g, "exhaustive")

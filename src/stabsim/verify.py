@@ -81,6 +81,18 @@ def _result(name: str, failures: list, extra: str = "") -> CheckResult:
     return CheckResult(name, True, extra)
 
 
+def random_config(protocol, n: int, rng: random.Random) -> tuple[int, ...]:
+    """``n`` registers drawn uniformly from the protocol's state domain."""
+    domain = protocol.state_domain()
+    return tuple(rng.choice(domain) for _ in range(n))
+
+
+def random_inits(protocol, n: int, count: int, seed: int) -> list[tuple[int, ...]]:
+    """``count`` `random_config` draws from one ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    return [random_config(protocol, n, rng) for _ in range(count)]
+
+
 # ---------------------------------------------------------------------------
 # Clock algebra
 # ---------------------------------------------------------------------------
@@ -290,12 +302,11 @@ def closure_checks(
 def sample_initial_config(proto: SsmeProtocol, rng: random.Random) -> tuple[int, ...]:
     """Uniform configuration; half the time 1-2 registers are planted near
     their privilege threshold so early-privilege hypotheses actually fire."""
-    params = proto.params
-    cfg = [rng.randrange(-params.alpha, params.ring) for _ in range(proto.n)]
+    cfg = list(random_config(proto, proto.n, rng))
     if rng.random() < 0.5:
         for v in rng.sample(range(proto.n), k=rng.randint(1, min(2, proto.n))):
             offset = rng.randrange(max(1, proto.diam))
-            cfg[v] = (proto.thresholds[v] - offset) % params.ring
+            cfg[v] = (proto.thresholds[v] - offset) % proto.ring
     return tuple(cfg)
 
 
@@ -407,7 +418,7 @@ def indistinguishability_checks(
     for _ in range(pairs):
         v = rng.randrange(g.n)
         k = rng.randint(1, g.diam)
-        a = [rng.randrange(-params.alpha, params.ring) for _ in range(g.n)]
+        a = list(random_config(proto, g.n, rng))
         b = list(a)
         for u in range(g.n):
             if g.dist[v][u] > k:
@@ -622,13 +633,8 @@ def scheduler_ensemble_check(
     are stepped as the rows of one matrix by `policy_ensembles`.
     """
     proto = SsmeProtocol.for_graph(g)
-    params = proto.params
     bound = ssme_unfair_step_bound(g.n, g.diam)
-    rng = random.Random(seed)
-    initials = [
-        tuple(rng.randrange(-params.alpha, params.ring) for _ in range(g.n))
-        for _ in range(inits)
-    ]
+    initials = random_inits(proto, g.n, inits, seed)
     # Row r runs initial configuration r % inits under seeds[r // inits].
     batch = np.tile(
         np.array(initials, dtype=np.int32).reshape(inits, g.n), (len(seeds), 1)

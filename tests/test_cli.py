@@ -329,6 +329,42 @@ def test_compare_small(tmp_path, capsys):
         assert float(row["unfair_worst"]) >= float(row["sync_worst"])
 
 
+def test_compare_skips_the_token_ring_off_rings(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main([
+        "compare", "--graphs", "ring:3,path:3", "--samples", "50",
+        "--out", str(out),
+    ])
+    assert rc == 0
+    with (out / "compare.csv").open() as fh:
+        rows = [(r["graph"], r["protocol"]) for r in csv.DictReader(fh)]
+    assert rows == [("ring:3", "ssme"), ("ring:3", "dijkstra"), ("path:3", "ssme")]
+    assert (
+        "path:3 dijkstra: skipped: token ring protocol requires a ring graph"
+        in capsys.readouterr().out
+    )
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--init", "zeros"],
+        ["sweep", "--init", "random:2:0"],
+        ["compare", "--graphs", "ring:3"],
+        ["witness"],
+    ],
+    ids=["run", "sweep", "compare", "witness"],
+)
+def test_out_naming_a_file_exits_2(tmp_path, capsys, argv, below):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    rc = main([*argv, "--out", str(afile / below)])
+    assert rc == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert afile.read_text() == "kept\n"
+
+
 def test_compare_sampled_unfair_is_a_lower_bound(tmp_path):
     # A state budget of 1 forces the sampled ensemble for both protocols.
     out = tmp_path / "o"

@@ -60,6 +60,26 @@ def test_random_connected_deterministic():
     assert a.diam == b.diam
 
 
+@pytest.mark.parametrize(
+    "spec,edges",
+    [
+        (
+            "random:12:0.1:3",
+            ((0, 1), (0, 6), (0, 7), (1, 4), (2, 3), (2, 7), (3, 11), (4, 5),
+             (5, 8), (8, 9), (10, 11)),
+        ),
+        (
+            "random:10:0.05:0",
+            ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7), (6, 8),
+             (7, 9)),
+        ),
+    ],
+)
+def test_random_connected_chains_components_pinned(spec, edges):
+    # Both samples are disconnected, so these edges include the chaining.
+    assert G.generate(spec).edges == edges
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_ring_path_diameters(n):
     assert G.ring(n).diam == n // 2

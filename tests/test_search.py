@@ -661,3 +661,18 @@ class TestWitness:
     def test_rejects_single_vertex(self):
         with pytest.raises(ValueError):
             lower_bound_witness(generate("path:1"))
+
+    @pytest.mark.parametrize(
+        "spec,config",
+        [
+            ("ring:8", (15, 15, 0, 47, 47, 47, 0, 15)),
+            ("path:7", (12, 12, 12, 0, 84, 84, 84)),
+            ("grid:3x3", (17, 17, 0, 17, 0, 81, 0, 81, 81)),
+            ("complete:4", (8, 10, 0, 0)),
+            ("random:8:0.3:1", (15, 15, 27, 27, 15, 0, 27, 0)),
+        ],
+    )
+    def test_config_is_pinned(self, spec, config):
+        res = lower_bound_witness(generate(spec))
+        assert res.config == config
+        assert res.constructed
