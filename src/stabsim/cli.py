@@ -57,15 +57,23 @@ SUMMARY_FIELDS = [
 SWEEP_CHUNK_RUNS = 2048
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(least: int):
+    """argparse type: an integer of at least ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _load_graph_arg(spec: str) -> graphlib.Graph:
@@ -496,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--init", default="random:100:0")
     p_sweep.add_argument("--seeds", type=_positive_int, default=1,
                          help="number of scheduler seeds per initial configuration")
-    p_sweep.add_argument("--budget", type=int, default=1_000_000)
+    p_sweep.add_argument("--budget", type=_nonnegative_int, default=1_000_000)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="property suites")
@@ -515,8 +523,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--graphs", default="ring:4")
     p_cmp.add_argument("--samples", type=_positive_int, default=500)
     p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--exhaustive-budget", type=int, default=DEFAULT_CONFIG_BUDGET)
-    p_cmp.add_argument("--unfair-state-budget", type=int, default=DEFAULT_STATE_BUDGET)
+    p_cmp.add_argument("--exhaustive-budget", type=_nonnegative_int,
+                       default=DEFAULT_CONFIG_BUDGET)
+    p_cmp.add_argument("--unfair-state-budget", type=_nonnegative_int,
+                       default=DEFAULT_STATE_BUDGET)
     p_cmp.add_argument("--out", default="out")
     p_cmp.set_defaults(func=cmd_compare)
 

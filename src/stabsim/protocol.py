@@ -17,16 +17,29 @@ Each protocol states its rules twice: per vertex (`enabled_rule`, `apply`,
 and tests use, and as one numpy kernel, `batch`, that evaluates a whole
 matrix of configurations at once for the searches and the ensembles.
 Differential tests hold the two equal.  The clock protocol's per-vertex
-rule is read straight off its guard definitions, `ssme_guards`.
+rule is read straight off its guard definitions, `ssme_guards`; its kernel
+reads the guards' per-value and per-pair predicates from small lookup
+tables that each protocol builds once from the clock module's own
+predicates (`is_stab`, `is_init`, `increment`, `locally_comparable`,
+`leq_local`), so no clock formula is restated in numpy.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .clock import ClockParams, increment, ssme_params
+from .clock import (
+    ClockParams,
+    increment,
+    is_init,
+    is_stab,
+    leq_local,
+    locally_comparable,
+    ssme_params,
+)
 from .graph import Graph
 
 # Rule labels of the clock protocol.
@@ -35,6 +48,13 @@ RULE_CONVERGE = "CA"
 RULE_RESET = "RA"
 # The order of `ssme_guards`.
 SSME_RULES = (RULE_NORMAL, RULE_CONVERGE, RULE_RESET)
+
+# Bits of the clock kernel's per-vertex accumulator.  The first three are
+# the conjunctions over the neighbours of the all-correct, NA and CA guards;
+# the last two say whether the vertex's own value is >= 0 and > 0.  Every
+# entry ANDed in for a neighbour has the last two set, so they carry.
+_ALLC, _NA, _CA, _STAB, _POS = 1, 2, 4, 8, 16
+_CARRIED = _STAB | _POS
 
 # Rule labels of the token ring.
 RULE_BUMP = "INC"
@@ -177,32 +197,83 @@ class SsmeProtocol:
     def is_legitimate(self, config: Sequence[int], g: Graph) -> bool:
         return is_unison_legitimate(config, g, self.params)
 
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, ...]:
+        """The kernel's lookup tables, read off the clock's predicates, and
+        the thresholds as a column.
+
+        ``own``, ``nbr`` and ``inc`` are indexed by ``c + alpha`` for a
+        value c: the accumulator bits that c allows as a vertex's own value
+        and as a neighbour's, and `increment`.  ``pair`` is indexed by
+        ``a + size - 1`` for a difference ``a = r_v - r_u`` of two values:
+        the bits that a neighbour's value ``r_u`` allows at ``r_v``.
+        """
+        params, ring, size = self.params, self.ring, self.params.size
+        own, nbr, inc = [], [], []
+        for c in self.state_domain():
+            stab, init = is_stab(c, params), is_init(c, params)
+            correct = _ALLC | _NA if stab else 0
+            # All correct and NA need r_v >= 0, CA needs r_v < 0.
+            own.append((correct | _STAB | (0 if init else _POS)) if stab else _CA)
+            # All correct and NA need r_u >= 0, CA needs r_u <= 0.
+            nbr.append(correct | (_CA if init else 0) | _CARRIED)
+            inc.append(increment(c, params))
+        pair = []
+        for a in range(1 - size, size):
+            comparable = locally_comparable(a, 0, ring)
+            pair.append(
+                (_ALLC if comparable else 0)
+                | (_NA if comparable and leq_local(a, 0, ring) else 0)
+                | (_CA if a <= 0 else 0)
+                | _CARRIED
+            )
+        return (
+            np.array(own, dtype=np.uint8),
+            np.array(nbr, dtype=np.uint8),
+            np.array(pair, dtype=np.uint8),
+            np.array(inc, dtype=np.int32),
+            np.array(self.thresholds, dtype=np.int32)[:, None],
+        )
+
     def batch(self, R: np.ndarray, g: Graph) -> Batch:
-        """`Batch` of the rows of ``R``, one column per vertex."""
-        ring = self.ring
-        stab = R >= 0
-        tick = np.empty_like(stab)  # NA or CA enabled
-        reset = np.empty_like(stab)  # RA enabled
-        legit = np.ones(len(R), dtype=bool)
+        """`Batch` of the int32 rows of ``R``, one column per vertex.
+
+        The guards of `ssme_guards`, with their per-value and per-pair
+        predicates read from `_tables`.  Each vertex keeps a uint8
+        accumulator whose bits are the conjunctions of its all-correct, NA
+        and CA guards over its neighbours; each (vertex, neighbour) pair
+        ANDs in the pair table's entry for the difference of their values
+        and the neighbour's value-table entry.  A value outside
+        `state_domain` raises `IndexError`.
+        """
+        if R.dtype != np.int32:
+            raise TypeError(f"batch takes an int32 matrix, got {R.dtype}")
+        own, nbr, pair, inc, thresholds = self._tables
+        # Vertex-major: a column-major ``R`` gives each vertex one
+        # contiguous row.  A value below the stem gives a negative
+        # ``Rt + alpha``, which reads as an index past the tables' end.
+        Rt = R.T
+        idx = (Rt + self.alpha).view(np.uint32).astype(np.intp)
+        acc, nb = own.take(idx), nbr.take(idx)
+        # ``hi_v - idx[u]`` is the pair index of ``r_v - r_u``; keeping it
+        # nonnegative spares `take` its slower negative-index path.
+        offset = self.params.size - 1
         for v in range(g.n):
-            rv, sv = R[:, v], stab[:, v]
-            # Vacuously true for a vertex without neighbours.
-            allc = namin = np.True_
-            conv = ~sv
+            acc_v, hi_v = acc[v], idx[v] + offset
+            if not g.adj[v]:
+                acc_v |= _ALLC | _NA  # vacuously true without neighbours
             for u in g.adj[v]:
-                ru = R[:, u]
-                d = (rv - ru) % ring
-                allc &= sv & stab[:, u] & ((d <= 1) | (d >= ring - 1))
-                namin &= ((ru - rv) % ring) <= 1
-                conv &= (ru <= 0) & (rv <= ru)
-            tick[:, v] = (allc & namin) | conv
-            reset[:, v] = ~allc & (rv > 0)
-            legit &= allc & sv
-        # `increment`: up the stem, then around the ring.
-        ticked = np.where(R == ring - 1, 0, R + 1)
-        nxt = np.where(reset, -self.alpha, np.where(tick, ticked, R))
-        priv = R == np.asarray(self.thresholds, dtype=R.dtype)
-        return Batch(nxt, tick | reset, priv, legit, reset)
+                acc_v &= pair.take(hi_v - idx[u])
+                acc_v &= nb[u]
+        ticked = inc.take(idx)
+        del idx, nb  # freed before the outputs are built
+        tick = (acc & (_NA | _CA)) != 0
+        # RA: not all correct, and r_v > 0.
+        reset = (acc & (_ALLC | _POS)) == _POS
+        # Every vertex all correct with r_v >= 0.
+        legit = ((acc & (_ALLC | _STAB)) == _ALLC | _STAB).all(axis=0)
+        nxt = np.where(reset, -self.alpha, np.where(tick, ticked, Rt))
+        return Batch(nxt.T, (tick | reset).T, (Rt == thresholds).T, legit, reset.T)
 
     def sync_step_bound(self, g: Graph) -> int:
         # Synchronous runs settle into unison within 2n + diam steps.

@@ -66,8 +66,11 @@ from .protocol import SsmeProtocol, rows_with
 # solver, in configurations.
 DEFAULT_CONFIG_BUDGET = 10_000_000
 DEFAULT_STATE_BUDGET = 2**21
-# Configurations per kernel call.
-CHUNK_ROWS = 1 << 18
+# Configurations per kernel call.  The clock kernel holds a few int64 index
+# matrices per chunk; at 2^16 rows they stay small beside the solvers' arrays
+# of one entry per configuration, where 2^18 rows raised the exhaustive
+# scans' peak RSS and slowed them.
+CHUNK_ROWS = 1 << 16
 
 
 def ssme_unfair_step_bound(n: int, diam: int) -> int:

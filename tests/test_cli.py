@@ -441,6 +441,42 @@ def test_samples_must_be_positive(argv, capsys):
     assert f"{argv[-2]}: must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--unfair-state-budget", "-5"],
+        ["compare", "--exhaustive-budget", "-1"],
+        ["sweep", "--budget", "-1"],
+    ],
+)
+def test_budgets_must_be_nonnegative(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"{argv[-2]}: must be >= 0" in capsys.readouterr().err
+
+
+def test_compare_zero_budgets_always_sample(tmp_path, monkeypatch):
+    seen = []
+
+    def scan(protocol, g, mode, **kw):
+        seen.append(("sync", mode))
+        return SyncScanResult(runs=1, max_convergence_me=1)
+
+    def unfair(protocol, g, **kw):
+        seen.append(("unfair", "sample"))
+        return 1
+
+    monkeypatch.setattr(cli, "sync_worst_case", scan)
+    monkeypatch.setattr(cli, "_sampled_unfair_worst", unfair)
+    rc = main([
+        "compare", "--graphs", "ring:3", "--exhaustive-budget", "0",
+        "--unfair-state-budget", "0", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    assert seen == [("sync", "sample"), ("unfair", "sample")] * 2
+
+
 @pytest.mark.parametrize("prob", ["0", "1.5"])
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_dist_rand_probability_out_of_range_exits_2(tmp_path, capsys, command, prob):

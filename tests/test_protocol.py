@@ -13,6 +13,7 @@ from stabsim.protocol import (
     RULE_COPY,
     RULE_NORMAL,
     RULE_RESET,
+    SSME_RULES,
     DijkstraProtocol,
     SsmeProtocol,
     make_protocol,
@@ -225,3 +226,65 @@ def test_guards_rule_and_kernel_agree_on_random_graphs(n, prob, seed, data):
     b = p.batch(np.array(configs, dtype=np.int32), g)
     for i, cfg in enumerate(configs):
         _assert_batch_row(p, g, cfg, b, i)
+
+
+def _boundary_rows(p, n, rng):
+    """Rows that put every boundary value of ``p``'s domain at every vertex,
+    rows drawn from the boundary values and their neighbours, rows in
+    unison around them, rows on the stem and uniform rows."""
+    lo, top, ring = -p.alpha, p.ring - 1, p.ring
+    edges = sorted({lo, -1, 0, 1, ring - 2, top, *p.thresholds})
+    near = sorted({e + d for e in edges for d in (-1, 0, 1)} & set(p.state_domain()))
+
+    def uniform(rows, high=top):
+        return rng.integers(lo, high + 1, size=(rows, n), dtype=np.int32)
+
+    one_each = uniform(len(edges) * n)
+    for i, (e, v) in enumerate(product(edges, range(n))):
+        one_each[i, v] = e
+    unison = np.array(
+        [(e + rng.integers(0, 2, size=n)) % ring for e in edges if e >= 0] * 4,
+        dtype=np.int32,
+    )
+    return np.concatenate([
+        one_each,
+        rng.choice(near, size=(200, n)).astype(np.int32),
+        unison,
+        uniform(100, high=1),
+        uniform(100),
+    ])
+
+
+@pytest.mark.parametrize("spec", ["ring:8", "grid:3x3", "complete:5", "path:6"])
+def test_batch_matches_scalar_rules_at_the_boundaries(spec):
+    g = generate(spec)
+    p = SsmeProtocol.for_graph(g)
+    R = _boundary_rows(p, g.n, np.random.default_rng(sum(map(ord, spec))))
+    b = p.batch(R, g)
+    rules = {p.enabled_rule(v, tuple(row.tolist()), g) for row in R for v in range(g.n)}
+    assert rules == {None, *SSME_RULES}
+    assert b.legit.any() and not b.legit.all()
+    for i, row in enumerate(R):
+        _assert_batch_row(p, g, tuple(row.tolist()), b, i)
+    for row_major, col_major in zip(b, p.batch(np.asfortranarray(R), g)):
+        assert np.array_equal(row_major, col_major)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("spec", ["path:1", "ring:4"])
+def test_batch_rejects_values_outside_the_domain(spec, order):
+    g = generate(spec)
+    p = SsmeProtocol.for_graph(g)
+    domain = p.state_domain()
+    i32 = np.iinfo(np.int32)
+    for bad in (domain[0] - 1, domain[-1] + 1, i32.min, i32.max):
+        R = np.zeros((3, g.n), dtype=np.int32, order=order)
+        R[1, -1] = bad
+        with pytest.raises(IndexError):
+            p.batch(R, g)
+
+
+def test_batch_takes_int32_only():
+    g = generate("ring:4")
+    with pytest.raises(TypeError, match="int32"):
+        SsmeProtocol.for_graph(g).batch(np.zeros((3, 4), dtype=np.int64), g)
