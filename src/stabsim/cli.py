@@ -10,8 +10,9 @@ reproduced from the log alone.
 and writes the summary indices the trace kept.  `sweep` steps all its
 executions as the rows of the protocol's batch kernel
 (`engine.ensemble_runs`) under `verify.batched_selector`, each row
-replaying the draws of its own seeded daemon (`verify.Replay`), and writes
-the same summary rows `run` would.
+reading the draws of its own seeded daemon from the words of that
+daemon's generator (`verify.Replay`, one generator per distinct seed), and
+writes the same summary rows `run` would.
 
 Exit codes: 0 success, 1 a checked property was falsified, 2 bad usage or
 bad input.
@@ -244,7 +245,7 @@ def _sweep_rows(args, g, protocol, runs: list[tuple[tuple, int]]) -> list[dict]:
         max_steps = protocol.default_max_steps(g)
     inits = np.array([init for init, _ in runs], dtype=np.int32)
     seeds = [seed for _, seed in runs]
-    draws = verifylib.Replay(args.daemon, g.n, seeds, prob=args.prob)
+    draws = verifylib.Replay(seeds)
     select = verifylib.batched_selector(
         args.daemon, protocol, g, draws, len(runs), prob=args.prob
     )

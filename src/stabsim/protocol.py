@@ -353,7 +353,13 @@ class DijkstraProtocol:
         return len(self.privileged_vertices(config, g)) == 1
 
     def batch(self, R: np.ndarray, g: Graph) -> Batch:
-        """`Batch` of the rows of ``R``, one column per vertex."""
+        """`Batch` of the int32 rows of ``R``, one column per vertex.  A
+        value outside `state_domain` raises `IndexError`."""
+        if R.dtype != np.int32:
+            raise TypeError(f"batch takes an int32 matrix, got {R.dtype}")
+        # A negative value reads as 2**31 or more.
+        if (R.view(np.uint32) >= self.k).any():
+            raise IndexError(f"token ring values must lie in range({self.k})")
         prev = np.roll(R, 1, axis=1)
         enabled = R != prev
         enabled[:, 0] = ~enabled[:, 0]

@@ -567,6 +567,32 @@ def test_batched_sweep_equals_scalar_runs(
             assert summary.read_bytes() == expected.read_bytes(), (argv, fmt)
 
 
+@pytest.mark.parametrize(
+    "daemon", [["central-adv"], ["dist-rand", "--prob", "0.05"]],
+    ids=["central-adv", "dist-rand-0.05"],
+)
+@pytest.mark.parametrize(
+    "runs",
+    [
+        # 40 seeds from -20 to 19: s and -s read one generator.
+        ["--init", "random:3:1", "--seeds", "40", "--seed", "-20"],
+        # 2**70, past int64.
+        ["--init", "random:8:2", "--seeds", "3", "--seed", str(2**70)],
+    ],
+    ids=["seeds-from-minus-20", "seed-2**70"],
+)
+def test_batched_sweep_replays_many_seeds(tmp_path, monkeypatch, daemon, runs):
+    monkeypatch.setattr(cli, "SWEEP_CHUNK_RUNS", 7)
+    argv = [
+        "sweep", "--graph", "ring:8", "--protocol", "ssme", "--daemon", *daemon,
+        *runs,
+    ]
+    batched = tmp_path / "b"
+    assert main([*argv, "--out", str(batched)]) == 0
+    expected = _scalar_sweep(argv, tmp_path / "s")
+    assert (batched / "summary.csv").read_bytes() == expected.read_bytes()
+
+
 def test_sweep_exhaustive_streams_every_configuration(tmp_path):
     out = tmp_path / "o"
     rc = main([

@@ -288,3 +288,29 @@ def test_batch_takes_int32_only():
     g = generate("ring:4")
     with pytest.raises(TypeError, match="int32"):
         SsmeProtocol.for_graph(g).batch(np.zeros((3, 4), dtype=np.int64), g)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("spec, k", [("ring:3", None), ("ring:4", 6)])
+def test_token_ring_batch_rejects_values_outside_the_domain(spec, k, order):
+    g = generate(spec)
+    p = DijkstraProtocol.for_graph(g, k)
+    i32 = np.iinfo(np.int32)
+    for bad in (-1, p.k, i32.min, i32.max):
+        R = np.zeros((3, g.n), dtype=np.int32, order=order)
+        R[1, -1] = bad
+        with pytest.raises(IndexError, match=rf"range\({p.k}\)"):
+            p.batch(R, g)
+    # Both ends: this row once gave nxt [7, 7, -2] with no error.
+    if g.n == 3:
+        with pytest.raises(IndexError):
+            p.batch(np.array([[7, -2, 0]], dtype=np.int32), g)
+    # The largest value is in the domain.
+    top = np.full((2, g.n), p.k - 1, dtype=np.int32, order=order)
+    assert p.batch(top, g).enabled[:, 0].all()
+
+
+def test_token_ring_batch_takes_int32_only():
+    g = generate("ring:4")
+    with pytest.raises(TypeError, match="int32"):
+        DijkstraProtocol.for_graph(g).batch(np.zeros((3, 4), dtype=np.int64), g)

@@ -19,7 +19,9 @@ from stabsim.protocol import Batch, DijkstraProtocol, SsmeProtocol
 from stabsim.search import ssme_unfair_step_bound
 from stabsim.verify import (
     ENSEMBLE_POLICIES,
+    Replay,
     Streams,
+    _adversarial_best,
     batched_selector,
     bounds_checks,
     clock_checks,
@@ -261,6 +263,105 @@ def _adversarial_argmax(p, g, cfg):
     enabled = {v for v, rule in enumerate(rules) if rule is not None}
     daemon.select(enabled, StepContext(p, g, cfg, rules))
     return daemon.rng.seen
+
+
+def test_adversarial_best_is_the_scalar_argmax():
+    # Rows with one enabled vertex and rows with every vertex enabled, on
+    # both protocols, in both layouts.
+    for p, g, rows in _lookahead_rows():
+        b = p.batch(rows, g)
+        k = b.enabled.sum(axis=1)
+        assert (k == 1).any() and (k == g.n).any() and (k < g.n).sum() > 20
+        for R in (rows, np.asfortranarray(rows)):
+            best = _adversarial_best(p, g, R, p.batch(R, g))
+            assert best.shape == (g.n, len(rows))
+            for i, row in enumerate(rows.tolist()):
+                expected = _adversarial_argmax(p, g, tuple(row))
+                assert np.flatnonzero(best[:, i]).tolist() == expected, row
+
+
+def _lookahead_rows():
+    rng = np.random.default_rng(17)
+    g = generate("ring:8")
+    p = SsmeProtocol.for_graph(g)
+    domain = p.state_domain()
+    uniform = rng.integers(domain[0], domain[-1] + 1, (100, g.n))
+    # Unison rows with a few registers one tick off: every vertex enabled,
+    # or one vertex behind its neighbours, and everything between.
+    unison = rng.integers(0, p.ring, (200, 1)) + rng.integers(-1, 2, (200, g.n))
+    unison *= rng.random((200, 1)) < 0.9
+    gradient = np.array([[0, 1, 2, 3, 4, 3, 2, 1]]) + rng.integers(0, 30, (20, 1))
+    ssme = np.vstack([uniform, unison % p.ring, gradient % p.ring])
+    yield p, g, ssme.astype(np.int32)
+    g = generate("ring:5")
+    p = DijkstraProtocol.for_graph(g)
+    yield p, g, rng.integers(0, p.k, (300, g.n), dtype=np.int32)
+
+
+# Seeds of the `Replay` differential test: 3 and -3 seed one generator, 2**70
+# is past int64, and the last seed is shared by 20 rows.
+REPLAY_SEEDS = [0, 1, -3, 3, 2**70] + [11] * 20
+
+
+def test_replay_reads_the_scalar_daemons_draws():
+    """Every `Replay.pick` and `Replay.coins` equals the calls the scalar
+    daemons make on their own `random.Random`, over 360 calls."""
+    rng = np.random.default_rng(5)
+    replay = Replay(REPLAY_SEEDS)
+    scalar = [random.Random(s) for s in REPLAY_SEEDS]
+    rows = np.arange(len(REPLAY_SEEDS))
+    n = 16
+    for call in range(360):
+        if call == 240:
+            # Finished rows leave; their streams' words may be dropped.
+            rows = rows[[0, 2, 5, 6, 9, 17, 24]]
+        if call % 2 == 0:
+            # Sizes 1-17: each power of two and the value after it.
+            sizes = (call // 2 + rows) % 17 + 1
+            expected = [scalar[r].choice(range(k)) for r, k in zip(rows, sizes)]
+            assert replay.pick(rows, sizes).tolist() == expected, call
+        else:
+            p = (0.05, 0.3, 1.0)[call // 2 % 3]
+            # Row r enables r % 16 + 1 vertices, so rows sharing a seed
+            # read at different rates.
+            enabled = np.zeros((n, len(rows)), dtype=bool)
+            for i, r in enumerate(rows):
+                enabled[rng.choice(n, r % 16 + 1, replace=False), i] = True
+            act = replay.coins(rows, enabled, p)
+            assert (act <= enabled).all() and act.any(axis=0).all()
+            for i, r in enumerate(rows):
+                pool = np.flatnonzero(enabled[:, i]).tolist()
+                expected = _scalar_coins(scalar[r], pool, p)
+                assert np.flatnonzero(act[:, i]).tolist() == expected, (call, r)
+    assert replay.stream[2] == replay.stream[3]
+    shared = replay.cursor[5:]
+    assert shared.max() - shared.min() > 2000
+    # The shared stream dropped the words below its slowest live row, which
+    # its finished rows had not all read.
+    base = replay.base[replay.stream[5]]
+    assert shared.min() < base <= replay.cursor[rows[2:]].min()
+
+
+def _scalar_coins(rng, pool, p):
+    """`RandomDistributed.select` over ``pool`` with ``rng``."""
+    flips = [False]
+    while not any(flips):
+        flips = [rng.random() < p for _ in pool]
+    return [v for v, f in zip(pool, flips) if f]
+
+
+def test_replay_coins_compare_the_exact_doubles():
+    # With p equal to a row's next ``random()`` that coin is a tail, and
+    # with the next double up a head.
+    for s in REPLAY_SEEDS[:5]:
+        x = random.Random(s).random()
+        for p in (x, float(np.nextafter(x, 2))):
+            replay = Replay([s, s])
+            enabled = np.array([[True, True], [False, True]])
+            act = replay.coins(np.arange(2), enabled, p)
+            for i, pool in enumerate(([0], [0, 1])):
+                expected = _scalar_coins(random.Random(s), pool, p)
+                assert np.flatnonzero(act[:, i]).tolist() == expected, (s, p)
 
 
 @pytest.mark.parametrize("pname", ["central-rand", "dist-rand:0.3", "dist-rand:0.7"])
