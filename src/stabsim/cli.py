@@ -427,9 +427,11 @@ def _sampled_unfair_worst(protocol, g, *, samples: int, seed: int) -> int:
     """Max steps-to-legitimacy over adversarial policy samples (lower bound).
 
     Each ensemble policy runs ``samples // 25`` initial configurations under
-    each of five policy seeds, all as rows of one batched ensemble.  The
-    policies take consecutive slices of one `verify.random_inits` draw from
-    ``seed``.
+    each of five policy seeds.  The policies take consecutive blocks of one
+    `verify.random_inits` draw from ``seed``, and `verify.policy_ensembles`
+    steps the blocks as one matrix.  A run that reaches no legitimate
+    configuration within the step budget raises `FalsificationError` with
+    its initial configuration.
     """
     budget = (
         ssme_unfair_step_bound(g.n, g.diam)
@@ -437,14 +439,24 @@ def _sampled_unfair_worst(protocol, g, *, samples: int, seed: int) -> int:
         else protocol.default_max_steps(g)
     )
     seeds = range(5)
-    policies = len(verifylib.ENSEMBLE_POLICIES)
-    count = policies * len(seeds) * max(1, samples // 25)
-    inits = verifylib.random_inits(protocol, g.n, count, seed)
+    per = max(1, samples // 25)
+    block = len(seeds) * per
+    inits = verifylib.random_inits(
+        protocol, g.n, len(verifylib.ENSEMBLE_POLICIES) * block, seed
+    )
     worst = 0
-    for _, res in verifylib.policy_ensembles(
-        protocol, g, np.split(np.array(inits, dtype=np.int32), policies),
+    for i, (label, res) in enumerate(verifylib.policy_ensembles(
+        protocol, g, np.array(inits, dtype=np.int32),
         seed=seed, seeds=seeds, max_steps=budget, tail=0,
-    ):
+    )):
+        missed = np.flatnonzero(res.legitimate_at < 0)
+        if len(missed):
+            r = int(missed[0])
+            raise FalsificationError(
+                f"{label} run under policy seed {seeds[r // per]} reached no "
+                f"legitimate configuration within {budget} steps",
+                artifact=inits[i * block + r],
+            )
         worst = max(worst, int(res.legitimate_at.max()))
     return worst
 

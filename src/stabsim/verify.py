@@ -19,13 +19,15 @@ random numbers differs between callers: `Streams`, numpy streams for
 `Replay`, for `sweep`, which reads the words of the scalar daemons' own
 `random.Random` generators into numpy buffers and replays their ``choice``
 and ``random()`` calls on all rows at once, draw for draw.
+`policy_ensembles` steps the five ensemble policies as consecutive row
+blocks of one matrix, so each step makes one kernel call for all of them.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -33,6 +35,7 @@ import numpy as np
 from . import clock
 from .daemon import SynchronousDaemon, enumerate_choices, make_daemon
 from .engine import (
+    EnsembleRuns,
     ensemble_runs,
     islands,
     local_state,
@@ -513,16 +516,16 @@ class Streams:
 
     def __init__(self, rngs: list, per_stream: int):
         self.rngs = rngs
-        self.per_stream = per_stream
+        # Stream s's first row id; the last entry ends the last stream.
+        self.starts = np.arange(len(rngs) + 1) * per_stream
 
     def _draw(self, rows: np.ndarray, width: int) -> np.ndarray:
         """``width`` uniforms per row id (ascending), one row each."""
         out = np.empty((len(rows), width))
-        stream = rows // self.per_stream
-        cuts = np.searchsorted(stream, np.arange(1, len(self.rngs)))
-        for rng, part in zip(self.rngs, np.split(out, cuts)):
-            if len(part):
-                rng.random(out=part)
+        cuts = np.searchsorted(rows, self.starts).tolist()
+        for rng, a, z in zip(self.rngs, cuts, cuts[1:]):
+            if a < z:
+                rng.random(out=out[a:z])
         return out
 
     def pick(self, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -703,25 +706,47 @@ def batched_selector(name: str, proto, g: Graph, draws, size: int, *, prob: floa
 
 
 def policy_ensembles(
-    proto, g: Graph, batches, *, seed: int, seeds, max_steps: int, tail: int
+    proto, g: Graph, inits, *, seed: int, seeds, max_steps: int, tail: int
 ):
-    """``(label, EnsembleRuns)`` for each policy of `ENSEMBLE_POLICIES`, its
-    runs the rows of the matching matrix of ``batches``.
+    """``(label, EnsembleRuns)`` for each policy of `ENSEMBLE_POLICIES`.
 
-    Row r of a batch runs under policy seed ``seeds[r // per]``, where
-    ``per = len(batch) // len(seeds)``, and each (``seed``, policy, policy
-    seed) draws from its own numpy stream.
+    The rows of ``inits`` fall into one block per policy, in order, and all
+    blocks step as the rows of one `ensemble_runs` matrix: one kernel call a
+    step serves every policy, and each policy's selector sees only the live
+    rows of its own block, under row ids local to the block.  Local row r
+    of a block runs under policy seed ``seeds[r // per]``, where ``per =
+    block // len(seeds)``, and each (``seed``, policy, policy seed) draws
+    from its own numpy stream.  A policy's runs are those `ensemble_runs`
+    gives on its block alone.
     """
-    for i, ((label, name, prob), batch) in enumerate(
-        zip(ENSEMBLE_POLICIES, batches, strict=True)
-    ):
+    size, extra = divmod(len(inits), len(ENSEMBLE_POLICIES))
+    if extra:
+        raise ValueError(
+            f"{len(inits)} rows do not split into {len(ENSEMBLE_POLICIES)} "
+            "equal policy blocks"
+        )
+    starts = (np.arange(len(ENSEMBLE_POLICIES) + 1) * size).tolist()
+    selects = []
+    for i, (_, name, prob) in enumerate(ENSEMBLE_POLICIES):
         # Like random.Random, a negative seed seeds as its absolute value.
         rngs = [np.random.default_rng([abs(seed), i, abs(s)]) for s in seeds]
-        draws = Streams(rngs, len(batch) // len(seeds))
-        select = batched_selector(name, proto, g, draws, len(batch), prob=prob)
-        yield label, ensemble_runs(
-            proto, g, batch, select, max_steps=max_steps, tail=tail
+        draws = Streams(rngs, size // len(seeds))
+        selects.append(batched_selector(name, proto, g, draws, size, prob=prob))
+
+    def select(rows, R, b):
+        cuts = np.searchsorted(rows, starts).tolist()
+        return np.concatenate(
+            [
+                pick(rows[a:z] - start, R[a:z], b._make(m[a:z] for m in b))
+                for pick, start, a, z in zip(selects, starts, cuts, cuts[1:])
+                if a < z
+            ],
+            axis=1,
         )
+
+    res = ensemble_runs(proto, g, inits, select, max_steps=max_steps, tail=tail)
+    for (label, _, _), a, z in zip(ENSEMBLE_POLICIES, starts, starts[1:]):
+        yield label, EnsembleRuns(*(getattr(res, f.name)[a:z] for f in fields(res)))
 
 
 def scheduler_ensemble_check(
@@ -736,20 +761,22 @@ def scheduler_ensemble_check(
     legitimate configuration within the proven step bound and stay
     ME-safe from its first legitimate configuration on.
 
-    The runs of one policy, every policy seed x every initial configuration,
-    are stepped as the rows of one matrix by `policy_ensembles`.
+    Each policy runs every policy seed x every initial configuration, as
+    one block of rows; `policy_ensembles` steps the five blocks as one
+    matrix.
     """
     proto = SsmeProtocol.for_graph(g)
     bound = ssme_unfair_step_bound(g.n, g.diam)
     initials = random_inits(proto, g.n, inits, seed)
-    # Row r runs initial configuration r % inits under seeds[r // inits].
+    # Row r of each policy's block runs initial configuration r % inits
+    # under seeds[r // inits].
     batch = np.tile(
-        np.array(initials, dtype=np.int32).reshape(inits, g.n), (len(seeds), 1)
+        np.array(initials, dtype=np.int32).reshape(inits, g.n),
+        (len(ENSEMBLE_POLICIES) * len(seeds), 1),
     )
     bad: list = []
     for label, res in policy_ensembles(
-        proto, g, [batch] * len(ENSEMBLE_POLICIES),
-        seed=seed, seeds=seeds, max_steps=bound + tail, tail=tail,
+        proto, g, batch, seed=seed, seeds=seeds, max_steps=bound + tail, tail=tail
     ):
         late = (res.legitimate_at < 0) | (res.legitimate_at > bound)
         unsafe = ~late & (res.unsafe_after > 0)

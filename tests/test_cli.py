@@ -4,8 +4,10 @@ import pytest
 
 from stabsim import cli, generate, make_protocol, worst_case_unfair
 from stabsim.cli import main
-from stabsim.engine import FalsificationError
+from stabsim.daemon import CentralRoundRobin
+from stabsim.engine import FalsificationError, run_stats
 from stabsim.search import SyncScanResult
+from stabsim.verify import random_inits
 
 
 def test_run_writes_trace_and_summary(tmp_path, capsys):
@@ -398,6 +400,33 @@ def test_sampled_unfair_worst_is_pinned(spec, name, samples, seed, want):
     g = generate(spec)
     p = make_protocol(name, g)
     assert cli._sampled_unfair_worst(p, g, samples=samples, seed=seed) == want
+
+
+def test_compare_falsifies_a_sampled_run_that_misses_the_bound(
+    tmp_path, monkeypatch, capsys
+):
+    # Under a 3-step bound some sampled ssme runs reach no legitimate
+    # configuration; compare must report them, not count them as -1 steps.
+    monkeypatch.setattr(cli, "ssme_unfair_step_bound", lambda n, diam: 3)
+    rc = main([
+        "compare", "--graphs", "ring:4", "--exhaustive-budget", "0",
+        "--unfair-state-budget", "1", "--samples", "50", "--out", str(tmp_path),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert (
+        "FALSIFIED: central-rr run under policy seed 0 reached no legitimate "
+        "configuration within 3 steps"
+    ) in err
+    g = generate("ring:4")
+    p = make_protocol("ssme", g)
+    first = next(
+        init
+        for init in random_inits(p, g.n, 2, 0)
+        if run_stats(p, g, init, CentralRoundRobin(g.n, 0), max_steps=3, tail=0)
+        .legitimate_at < 0
+    )
+    assert f"artifact: {first}" in err
 
 
 def test_compare_passes_its_exhaustive_budget(tmp_path, monkeypatch):

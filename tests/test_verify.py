@@ -425,6 +425,104 @@ def test_ensemble_draws_are_pinned(proto, label):
     assert digest.hexdigest() == ENSEMBLE_DIGESTS[p.name][label]
 
 
+# `policy_ensembles` cases: (graph, protocol, token-ring K, tail, index of a
+# policy whose block starts legitimate), each on 8 initial configurations
+# (seed 13) x policy seeds 0-2 per policy, with the SHA-256 of every
+# `EnsembleRuns` field of every policy, in order, as the per-policy loop
+# gave it before the policies were fused.
+FUSED_CASES = [
+    pytest.param(
+        "path:3", "ssme", None, TAIL, None,
+        "edb2ec647e9754179bef2c52b2c2fe42c60add8364a87d27af39234b4592500b",
+        id="ssme-path:3",
+    ),
+    pytest.param(
+        "ring:4", "ssme", None, TAIL, None,
+        "265cbc0d2f36f4c015cc3c7ab34fa0bed3bfa8444dbb083dd98c6e2dc807dcd1",
+        id="ssme-ring:4",
+    ),
+    pytest.param(
+        "ring:4", "dijkstra", 6, TAIL, None,
+        "c57c29631bf9079994ae6f8c4ab77ba86328cb11d279c8cb04907a58774af1cf",
+        id="dijkstra-ring:4-k6",
+    ),
+    pytest.param(
+        "ring:1", "ssme", None, TAIL, None,
+        "d75cfc6c2ae944096572951d103fb5360b8bc9ea28ff54bcc34e44709ad82f01",
+        id="ssme-ring:1",
+    ),
+    pytest.param(
+        "path:3", "ssme", None, 0, 2,
+        "c4091e67279ed5a55dde5789cc3bd7c12edf44aba240a509e10c0d8560e94849",
+        id="ssme-path:3-legitimate-block",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, name, k, tail, legit, want", FUSED_CASES)
+def test_fused_policy_blocks_equal_their_own_runs(spec, name, k, tail, legit, want):
+    g = generate(spec)
+    if name == "ssme":
+        p = SsmeProtocol.for_graph(g)
+    else:
+        p = DijkstraProtocol.for_graph(g, k)
+    seed, seeds = 21, (0, 1, 2)
+    block = 8 * len(seeds)
+    inits = np.array(
+        verify.random_inits(p, g.n, len(ENSEMBLE_POLICIES) * block, 13),
+        dtype=np.int32,
+    )
+    if legit is not None:
+        # All-zero registers are legitimate, so with no tail this block's
+        # runs all stop at step 0 and the fused loop steps without it.
+        inits[legit * block : (legit + 1) * block] = 0
+    max_steps = _bound(p, g) + tail
+    fused = list(verify.policy_ensembles(
+        p, g, inits, seed=seed, seeds=seeds, max_steps=max_steps, tail=tail
+    ))
+    assert [label for label, _ in fused] == list(POLICY)
+    digest = hashlib.sha256()
+    for i, (label, res) in enumerate(fused):
+        name_i, prob = POLICY[label]
+        rngs = [np.random.default_rng([seed, i, s]) for s in seeds]
+        select = batched_selector(name_i, p, g, Streams(rngs, 8), block, prob=prob)
+        alone = ensemble_runs(
+            p, g, inits[i * block : (i + 1) * block], select,
+            max_steps=max_steps, tail=tail,
+        )
+        for field in dataclasses.fields(EnsembleRuns):
+            got = getattr(res, field.name)
+            np.testing.assert_array_equal(got, getattr(alone, field.name))
+            digest.update(got.tobytes())
+        if i == legit:
+            assert not res.steps.any()
+    if legit is not None:
+        assert max(res.steps.max() for _, res in fused) > 0
+    assert digest.hexdigest() == want
+
+
+def test_policy_ensembles_needs_equal_policy_blocks():
+    g = generate("path:2")
+    p = SsmeProtocol.for_graph(g)
+    with pytest.raises(ValueError, match="7 rows do not split into 5"):
+        list(verify.policy_ensembles(
+            p, g, np.zeros((7, 2), dtype=np.int32),
+            seed=0, seeds=(0,), max_steps=3, tail=0,
+        ))
+
+
+def test_streams_draw_over_a_subset_of_streams():
+    # Rows 2-3 read stream 1 and rows 6-7 stream 3 of four, two rows each.
+    seeds = range(4)
+    streams = Streams([np.random.default_rng(s) for s in seeds], 2)
+    untouched = [streams.rngs[s].bit_generator.state for s in (0, 2)]
+    got = streams._draw(np.array([2, 3, 6, 7]), 3)
+    for s, rows in ((1, got[:2]), (3, got[2:])):
+        want = np.random.default_rng(s).random(6).reshape(2, 3)
+        np.testing.assert_array_equal(rows, want)
+    assert [streams.rngs[s].bit_generator.state for s in (0, 2)] == untouched
+
+
 def test_ensemble_reports_runs_past_the_bound(monkeypatch):
     # With a one-step bound and a 200-step tail every run still reaches
     # legitimacy, so only the per-row bound check can fail it.
