@@ -22,8 +22,9 @@ index or the caller's budget, and feeds the kernel in chunks of
 * `worst_case_unfair` computes the longest action sequence from any
   configuration to the first legitimate one over the full nondeterministic
   transition relation (every non-empty activation subset).  Guards and
-  actions are evaluated once per configuration, successors are built once
-  as mixed-radix index sums, and the longest paths come from peeling the
+  actions are evaluated once per configuration, each activation subset's
+  successors are built once as an earlier subset's plus one vertex's
+  mixed-radix index delta, and the longest paths come from peeling the
   state graph level by level back from the legitimate set.  Each
   unfinished state watches one successor, before which every successor is
   finished, so a level costs one lookup per unfinished state plus a
@@ -153,17 +154,23 @@ class StateSpace:
     def batches(self, protocol, g: Graph):
         """``(here, R, protocol.batch(R, g))`` for each run of `CHUNK_ROWS`
         consecutive indices ``here``; row r of R is configuration
-        ``here.start + r``.  One chunk is alive at a time when the caller
-        drops its ``R`` and batch before asking for the next one."""
+        ``here.start + r``.  R's digits are peeled off an int32 index, last
+        vertex first, as ``q = idx // D`` and ``idx - q * D``.  One chunk is
+        alive at a time when the caller drops its ``R`` and batch before
+        asking for the next one."""
         D, lo, total = len(self.domain), self.domain[0], self.total
         for start in range(0, total, CHUNK_ROWS):
             here = slice(start, min(start + CHUNK_ROWS, total))
-            idx = np.arange(here.start, here.stop, dtype=np.int64)
+            # `of` keeps every index below 2^31, so the digits are int32
+            # arithmetic; the last quotient is vertex 0's digit.
+            idx = np.arange(here.start, here.stop, dtype=np.int32)
             # Column-major, so that the kernel reads each vertex contiguously.
             R = np.empty((len(idx), self.n), dtype=np.int32, order="F")
-            for v in range(self.n - 1, -1, -1):
-                R[:, v] = idx % D + lo
-                idx //= D
+            for v in range(self.n - 1, 0, -1):
+                q = idx // D
+                R[:, v] = idx - q * D + lo
+                idx = q
+            R[:, 0] = idx + lo
             del idx
             yield here, R, protocol.batch(R, g)
             del R
@@ -204,8 +211,12 @@ def _sync_scan_exhaustive(
     # Legitimate configurations where no vertex is enabled.
     stuck = [np.empty(0, dtype=np.int64)]
     w32 = np.asarray(space.weight, dtype=np.int32)
+    lo = space.domain[0]
     for here, R, b in space.batches(protocol, g):
-        succ[here] = (b.nxt - space.domain[0]) @ w32
+        to = succ[here]
+        np.multiply(b.nxt[:, 0] - lo, w32[0], out=to)
+        for v in range(1, n):
+            to += (b.nxt[:, v] - lo) * w32[v]
         legit[here] = b.legit
         unsafe[here] = rows_with(b.priv, 2)
         if cs is not None:
@@ -287,9 +298,12 @@ def _sync_scan_exhaustive(
             low[i] = low[s]
             z = conv[i] == 0
             i, s = i[z], s[z]
-            here_sums = cs[:, i] + sums[:, s] - cs[:, ahead[i]]
-            sums[:, i] = here_sums
-            low[i] = here_sums.min(axis=0)
+            a = ahead[i]
+            for v in range(n):
+                h = cs[v][i] + sums[v][s] - cs[v][a]
+                sums[v][i] = h
+                m = h if v == 0 else np.minimum(m, h, out=m)
+            low[i] = m
 
     result = _scan_result(conv, level, config_at)
     if cs is not None and result.unreached < total:
@@ -316,7 +330,7 @@ def sync_worst_case(
     index) or ``sample`` (``samples`` configurations drawn uniformly from
     ``seed``).  Sampled maxima are lower bounds on the true worst case.  A
     ``liveness_window`` is taken by the exhaustive mode only; the sample
-    mode raises ``ValueError`` on one.
+    mode raises ``ValueError`` on one, and either mode on a negative one.
 
     Each initial configuration is one run, as `_sync_scan_scalar` records
     it.  A run is reached when it is legitimate within
@@ -345,11 +359,17 @@ def sync_worst_case(
     and 0 otherwise.  Only a run that is ME-safe from its start opens its
     window at step 0; its per-vertex counts slide along its successor's as
     ``S(i) = cs(i) + S(succ i) - cs(succ^window i)``.  Every other run
-    shares its successor's window.  The scan relies on the legitimate set
+    shares its successor's window.  The critical-section bits and window
+    counts are held as one contiguous row per vertex: a level slides them
+    one vertex row at a time, and the fewest entries are a running minimum
+    over the rows.  The kernel pass sums each successor's index one vertex
+    column at a time.  The scan relies on the legitimate set
     being closed under the synchronous step, and raises FalsificationError
     with a legitimate configuration and its successor where it is not.
     """
     protocol.check_graph(g)
+    if liveness_window is not None and liveness_window < 0:
+        raise ValueError(f"liveness window must be >= 0, got {liveness_window}")
     if mode == "exhaustive":
         space = StateSpace.of(protocol, g, config_budget)
         return _sync_scan_exhaustive(protocol, g, space, liveness_window)
@@ -428,6 +448,22 @@ class UnfairSearchResult:
     edges: int
 
 
+def _subset_successors(states: np.ndarray, deltas: list[np.ndarray]) -> np.ndarray:
+    """The successor indices of ``states`` under every non-empty subset of
+    k vertices, where ``deltas[i]`` is the index delta of moving the i-th
+    vertex alone: one column per subset, in the binary-counting order of
+    `enumerate_choices`: column j - 1 moves the vertices of j's set bits.
+    Those are the bits of ``j & (j - 1)`` (none when it is 0) plus j's
+    lowest set bit, so each column is an earlier column, or ``states``
+    itself, plus one vertex's deltas."""
+    succ = np.empty((len(states), 2 ** len(deltas) - 1), dtype=np.int32)
+    for j in range(1, succ.shape[1] + 1):
+        rest = j & (j - 1)
+        base = states if rest == 0 else succ[:, rest - 1]
+        np.add(base, deltas[(j & -j).bit_length() - 1], out=succ[:, j - 1])
+    return succ
+
+
 def worst_case_unfair(
     protocol,
     g: Graph,
@@ -440,8 +476,11 @@ def worst_case_unfair(
     Configurations are indexed as in `StateSpace`, which rejects spaces
     past ``state_budget`` or past an int32 index.  One pass of the
     protocol's batch kernel over the state space evaluates every guard and
-    action once; the successors under each activation subset are then built
-    as index sums (``edges`` counts them), and states are peeled level by
+    action once, and stores each vertex's index delta.  States are grouped
+    by enabled mask, and `_subset_successors` builds a group's successors
+    one activation subset at a time, in the binary-counting order of
+    `enumerate_choices`, each from a smaller subset's plus one vertex's
+    deltas; ``edges`` counts them.  States are then peeled level by
     level: level 0 is the legitimate set, and level k holds the states
     whose successors all lie in levels below k.  A state's level is its
     longest path to legitimacy.
@@ -471,12 +510,16 @@ def worst_case_unfair(
     mtype = _int_type(2**n - 1)
     done = np.empty(total, dtype=bool)
     mask_of = np.empty(total, dtype=mtype)
-    delta_of = np.empty((total, n), dtype=np.int32)
+    # One row per vertex, so that a group gathers each vertex's deltas
+    # contiguously.
+    delta_of = np.empty((n, total), dtype=np.int32)
     bits = 2 ** np.arange(n, dtype=mtype)
+    w32 = np.asarray(space.weight, dtype=np.int32)
     for here, R, b in space.batches(protocol, g):
         done[here] = b.legit
         mask_of[here] = b.enabled @ bits
-        delta_of[here] = (b.nxt - R) * space.weight
+        for v in range(n):
+            np.multiply(b.nxt[:, v] - R[:, v], w32[v], out=delta_of[v, here])
         stuck = np.flatnonzero(~b.legit & (mask_of[here] == 0))
         if len(stuck):
             cfg = config_at(here.start + int(stuck[0]))
@@ -493,11 +536,11 @@ def worst_case_unfair(
     groups = []
     for m in np.unique(live_masks).tolist():
         states = live[live_masks == m]
-        subsets = enumerate_choices([v for v in range(n) if m >> v & 1])
-        choose = np.array(
-            [[v in subset for subset in subsets] for v in range(n)], dtype=np.int32
-        )
-        groups.append((states, states[:, None] + delta_of[states] @ choose))
+        verts = [v for v in range(n) if m >> v & 1]
+        # The columns' subsets; rejects an enabled set past the branching cap.
+        enumerate_choices(verts)
+        deltas = [delta_of[v][states] for v in verts]
+        groups.append((states, _subset_successors(states, deltas)))
     del delta_of, mask_of, live, live_masks
     edges = sum(succ.size for _, succ in groups)
     # Each group also keeps its live rows and the successor each row

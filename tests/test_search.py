@@ -27,7 +27,8 @@ def test_unfair_step_bound_values():
 
 # (protocol, graph, window) triples on which the exhaustive scan must equal
 # the scalar reference field by field; the windowless ones also hold the
-# sample mode to it.
+# sample mode to it.  Window "2K" is twice the clock's ring, "2k" twice the
+# token ring's state count.
 DIFFERENTIAL_CASES = (
     [
         ("ssme", spec, window)
@@ -35,6 +36,7 @@ DIFFERENTIAL_CASES = (
         for window in (None, "2K")
     ]
     + [("dijkstra", f"ring:{n}", None) for n in (3, 4, 5)]
+    + [("dijkstra", f"ring:{n}", "2k") for n in (4, 5)]
     + [
         ("frozen", "path:2", None),
         ("frozen", "path:2", "2K"),
@@ -67,6 +69,18 @@ class TestSyncWorstCase:
         p = SsmeProtocol.for_graph(g)
         with pytest.raises(ValueError):
             sync_worst_case(p, g, "sample", samples=0)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+    def test_negative_window_is_rejected(self, mode, monkeypatch):
+        # Rejected before the state space is sized, let alone allocated.
+        def no_space(*args):
+            raise AssertionError("StateSpace.of reached")
+
+        monkeypatch.setattr(StateSpace, "of", no_space)
+        g = generate("path:2")
+        p = SsmeProtocol.for_graph(g)
+        with pytest.raises(ValueError, match="window must be >= 0"):
+            sync_worst_case(p, g, mode, samples=10, liveness_window=-1)
 
     def test_sample_mode_takes_no_window(self):
         g = generate("path:2")
@@ -314,7 +328,9 @@ def _differential_case(name, spec, window):
         "toggler": lambda g: SyncToggler(),
     }[name]
     p = make(g)
-    return g, p, None if window is None else 2 * p.ring
+    if window is None:
+        return g, p, None
+    return g, p, 2 * (p.ring if window == "2K" else p.k)
 
 
 @functools.cache
@@ -510,6 +526,38 @@ class TestUnfairWorstCase:
                 ]
                 want += len(enumerate_choices(enabled))
         assert worst_case_unfair(p, g, state_budget=10_000).edges == want
+
+    @pytest.mark.parametrize("proto,spec", [("dijkstra", "ring:4"), ("ssme", "path:3")])
+    def test_subset_successors_follow_enumerate_choices(self, proto, spec):
+        # On every mask of three enabled vertices, column j of the successor
+        # matrix is what `step` reaches under the j-th `enumerate_choices`
+        # subset; the deltas come from `step` too, not from the kernel.
+        g = generate(spec)
+        p = make_protocol(proto, g)
+        space = StateSpace(p.state_domain(), g.n)
+        index = {space.config_at(i): i for i in range(space.total)}
+        groups = {}
+        for cfg, i in index.items():
+            enabled = [v for v in range(g.n) if p.enabled_rule(v, cfg, g) is not None]
+            if len(enabled) == 3:
+                groups.setdefault(tuple(enabled), []).append(i)
+        assert groups
+        for enabled, rows in groups.items():
+            configs = [space.config_at(i) for i in rows]
+            deltas = [
+                np.array(
+                    [index[step(p, g, c, [v])] - i for c, i in zip(configs, rows)],
+                    dtype=np.int32,
+                )
+                for v in enabled
+            ]
+            succ = search._subset_successors(np.array(rows, dtype=np.int32), deltas)
+            subsets = enumerate_choices(enabled)
+            assert succ.shape == (len(rows), len(subsets))
+            for c, row in zip(configs, succ.tolist()):
+                assert [space.config_at(j) for j in row] == [
+                    step(p, g, c, sorted(subset)) for subset in subsets
+                ]
 
     def test_path2_exact_and_bounded(self):
         g = generate("path:2")
