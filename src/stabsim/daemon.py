@@ -146,21 +146,21 @@ DaemonPolicy = (
 )
 
 
-def enumerate_choices(
-    enabled: Iterable[int], cap: int = DEFAULT_BRANCH_CAP
-) -> list[frozenset[int]]:
+def enumerate_choices(enabled: Iterable[int]) -> list[frozenset[int]]:
     """All non-empty subsets of the enabled set, in a canonical order.
 
     Order: by subset size is NOT used; subsets follow binary counting over
     the sorted vertex list, so {a} before {b} before {a,b}.  Rejects enabled
-    sets larger than the branching cap.
+    sets larger than `DEFAULT_BRANCH_CAP`.
     """
     ordered = sorted(set(enabled))
     if not ordered:
         raise ValueError("enabled set is empty")
     k = len(ordered)
-    if k > cap:
-        raise ValueError(f"enabled set of size {k} exceeds branching cap {cap}")
+    if k > DEFAULT_BRANCH_CAP:
+        raise ValueError(
+            f"enabled set of size {k} exceeds branching cap {DEFAULT_BRANCH_CAP}"
+        )
     out = []
     for mask in range(1, 1 << k):
         out.append(frozenset(ordered[i] for i in range(k) if mask >> i & 1))

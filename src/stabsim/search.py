@@ -40,7 +40,8 @@ index or the caller's budget, and feeds the kernel in chunks of
   every vertex of w's radius-t ball, t = ceil(diam/2) - 1, is set to
   thresholds[w] - t, and every other vertex to 0.  A vertex's first t
   synchronous steps depend only on its radius-t ball, so both become
-  privileged together at step t.
+  privileged together at step t.  A planted configuration that misses
+  ceil(diam/2) falsifies the construction.
 """
 
 from __future__ import annotations
@@ -609,26 +610,20 @@ class WitnessResult:
     config: tuple[int, ...]
     convergence: int
     target: int
-    constructed: bool  # False when the splice failed and search took over
-
-    @property
-    def achieved(self) -> bool:
-        return self.convergence == self.target
 
 
-def lower_bound_witness(g: Graph, protocol: SsmeProtocol | None = None) -> WitnessResult:
+def lower_bound_witness(g: Graph) -> WitnessResult:
     """Initial configuration forcing the worst synchronous convergence index.
 
     Two vertices u, v at distance diam are made privileged together at
     step t = ceil(diam/2) - 1.  On the lockstep run from all zeros, w is
     privileged at step thresholds[w], so t steps earlier its radius-t ball
     held thresholds[w] - t.  Those values are planted on the balls of u and
-    v, 0 everywhere else.  The result is validated by simulation to
-    converge exactly at ceil(diam/2); a search takes over if it does not.
+    v, 0 everywhere else.  One `_sync_scan_scalar` run validates that it
+    converges exactly at ceil(diam/2); a miss raises FalsificationError
+    with the planted configuration as its artifact.
     """
-    if protocol is None:
-        protocol = SsmeProtocol.for_graph(g)
-    protocol.check_graph(g)
+    protocol = SsmeProtocol.for_graph(g)
     diam = g.diam
     if diam < 1:
         raise ValueError("witness construction needs a graph of diameter >= 1")
@@ -642,20 +637,12 @@ def lower_bound_witness(g: Graph, protocol: SsmeProtocol | None = None) -> Witne
         for x in range(g.n):
             if g.dist[w][x] <= t:
                 planted[x] = protocol.thresholds[w] - t
-    conv = _sync_scan_scalar(protocol, g, [planted], None).max_convergence_me
-    if conv == target:
-        return WitnessResult(
-            config=tuple(planted), convergence=conv, target=target,
-            constructed=True,
+    config = tuple(planted)
+    conv = _sync_scan_scalar(protocol, g, [config], None).max_convergence_me
+    if conv != target:
+        raise FalsificationError(
+            f"planted witness has ME convergence index {conv} (-1: unreached), "
+            f"not ceil(diam/2) = {target}",
+            artifact=config,
         )
-    # Construction failed; fall back to search.
-    if StateSpace(protocol.state_domain(), g.n).total <= DEFAULT_CONFIG_BUDGET:
-        scan = sync_worst_case(protocol, g, "exhaustive")
-    else:
-        scan = sync_worst_case(protocol, g, "sample", samples=1_000_000, seed=7)
-    return WitnessResult(
-        config=scan.witness_me,
-        convergence=scan.max_convergence_me,
-        target=target,
-        constructed=False,
-    )
+    return WitnessResult(config=config, convergence=conv, target=target)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, fields
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
@@ -197,14 +197,11 @@ def guard_checks() -> list[CheckResult]:
     bad = []
     for nn in range(2, 9):
         for dd in range(1, nn):
-            p = clock.ssme_params(nn, dd)
-            thresholds = [2 * nn + 2 * dd * i for i in range(nn)]
-            for i, j in combinations_with_replacement(range(nn), 2):
-                if i == j:
-                    continue
-                if clock.ring_distance(thresholds[i], thresholds[j], p.ring) <= dd:
+            p = SsmeProtocol(nn, dd)
+            for i, j in combinations(range(nn), 2):
+                if clock.ring_distance(p.thresholds[i], p.thresholds[j], p.ring) <= dd:
                     bad.append(f"n={nn} diam={dd} ids=({i},{j})")
-            for th in thresholds:
+            for th in p.thresholds:
                 if not 0 < th <= p.ring - 1:
                     bad.append(f"n={nn} diam={dd} threshold {th} outside ring")
     out.append(
@@ -811,10 +808,10 @@ def bounds_checks(
         scan = sync_worst_case(proto, g, "exhaustive")
         observed = scan.max_convergence_me
     else:
-        # A sampled maximum is only a lower bound; fold in the constructed
-        # witness so the worst case is actually reached.
+        # A sampled maximum is only a lower bound; the closed-form witness
+        # reaches the target or raises FalsificationError.
         scan = sync_worst_case(proto, g, "sample", samples=samples, seed=seed)
-        wit = lower_bound_witness(g, proto)
+        wit = lower_bound_witness(g)
         observed = max(scan.max_convergence_me, wit.convergence)
     bad = []
     if scan.unreached:

@@ -85,7 +85,7 @@ def test_enumerate_choices_rejects_empty_and_oversize():
     with pytest.raises(ValueError):
         enumerate_choices(set())
     with pytest.raises(ValueError, match="cap"):
-        enumerate_choices(set(range(20)), cap=16)
+        enumerate_choices(set(range(20)))
 
 
 def test_make_daemon_names():

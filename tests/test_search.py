@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stabsim import generate, search
+from stabsim.clock import ClockParams
 from stabsim.engine import FalsificationError, run, step
 from stabsim.daemon import SynchronousDaemon, enumerate_choices
 from stabsim.protocol import Batch, DijkstraProtocol, SsmeProtocol, make_protocol
@@ -43,6 +44,7 @@ DIFFERENTIAL_CASES = (
         ("hasty", "path:3", None),
         ("hasty", "path:3", "2K"),
         ("toggler", "path:2", None),
+        ("small-clock", "complete:4", "2K"),
     ]
 )
 
@@ -326,6 +328,7 @@ def _differential_case(name, spec, window):
         "frozen": Frozen.for_graph,
         "hasty": Hasty.for_graph,
         "toggler": lambda g: SyncToggler(),
+        "small-clock": SmallClock.for_graph,
     }[name]
     p = make(g)
     if window is None:
@@ -369,6 +372,18 @@ class Frozen(OneThreshold):
             enabled=b.enabled & ~frozen,
             hits=b.hits & ~frozen,
         )
+
+
+class SmallClock(SsmeProtocol):
+    """Clock protocol on cherry(1, 5) with thresholds 0..n-1: 6^4 = 1,296
+    configurations on complete:4, where some runs outside the legitimate
+    set are ME-safe from their start and so slide their liveness window."""
+
+    def __init__(self, n, diam):
+        super().__init__(n, diam)
+        self.params = ClockParams(1, 5)
+        self.alpha, self.ring = self.params.alpha, self.params.ring
+        self.thresholds = tuple(range(n))
 
 
 class Hasty(SsmeProtocol):
@@ -684,7 +699,6 @@ class TestWitness:
         res = lower_bound_witness(generate("path:2"))
         assert res.config == (4, 6)
         assert res.convergence == res.target == 1
-        assert res.constructed
 
     def test_ring4(self):
         res = lower_bound_witness(generate("ring:4"))
@@ -698,7 +712,6 @@ class TestWitness:
         g = generate("ring:8")
         res = lower_bound_witness(g)
         assert res.convergence == res.target == 2
-        assert res.constructed
         # two radius-1 balls planted one tick before the thresholds
         p = SsmeProtocol.for_graph(g)
         planted = [v for v in range(8) if res.config[v] != 0]
@@ -709,6 +722,17 @@ class TestWitness:
     def test_rejects_single_vertex(self):
         with pytest.raises(ValueError):
             lower_bound_witness(generate("path:1"))
+
+    def test_missed_target_falsifies_the_construction(self, monkeypatch):
+        # Validation sees the planted run unreached: the construction is
+        # falsified with the planted configuration, never searched around.
+        def unreached(protocol, g, configs, window):
+            return search.SyncScanResult(runs=1, unreached=1)
+
+        monkeypatch.setattr(search, "_sync_scan_scalar", unreached)
+        with pytest.raises(FalsificationError, match="index -1 ") as exc:
+            lower_bound_witness(generate("path:2"))
+        assert exc.value.artifact == (4, 6)
 
     @pytest.mark.parametrize(
         "spec,config",
@@ -723,4 +747,3 @@ class TestWitness:
     def test_config_is_pinned(self, spec, config):
         res = lower_bound_witness(generate(spec))
         assert res.config == config
-        assert res.constructed

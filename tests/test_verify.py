@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stabsim import generate, verify
+from stabsim.cli import main
 from stabsim.daemon import CentralAdversarial, CentralRoundRobin, StepContext
 from stabsim.engine import (
     STOP_REASONS,
@@ -45,6 +46,23 @@ def test_clock_suite():
 
 def test_guard_suite():
     _assert_all_pass(guard_checks())
+
+
+def test_guard_suite_reads_the_protocols_thresholds(monkeypatch, capsys):
+    # Thresholds only diam apart are not pairwise > diam apart.
+    class Crowded(SsmeProtocol):
+        def __init__(self, n, diam):
+            super().__init__(n, diam)
+            self.thresholds = tuple(2 * n + diam * v for v in range(n))
+
+    monkeypatch.setattr(verify, "SsmeProtocol", Crowded)
+    failed = [res for res in guard_checks() if not res.ok]
+    assert [res.name for res in failed] == [
+        "privilege thresholds sit in the ring, pairwise > diam apart"
+    ]
+    assert main(["verify", "guards"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL privilege thresholds sit in the ring" in out
 
 
 def test_closure_suite_exhaustive_path2():
