@@ -45,7 +45,7 @@ from .engine import (
 from .protocol import make_protocol
 from .search import (
     DEFAULT_CONFIG_BUDGET, DEFAULT_STATE_BUDGET, StateSpace, lower_bound_witness,
-    ssme_unfair_step_bound, sync_worst_case, worst_case_unfair,
+    ssme_unfair_step_bound, sync_worst_bound, worst_case_unfair,
 )
 from . import verify as verifylib
 
@@ -82,9 +82,6 @@ _nonnegative_int = _int_at_least(0)
 def _load_graph_arg(spec: str) -> graphlib.Graph:
     if spec.startswith("file:"):
         return graphlib.load_graph(spec[5:])
-    p = Path(spec)
-    if p.is_file():
-        return graphlib.load_graph(p)
     return graphlib.generate(spec)
 
 
@@ -333,14 +330,10 @@ def cmd_verify(args) -> int:
         results = verifylib.transient_checks(g, samples=args.samples, seed=args.seed)
     elif suite == "closure":
         g = _load_graph_arg(args.graph)
-        results = verifylib.closure_checks(
-            g, samples=args.samples, seed=args.seed, exhaustive=args.exhaustive
-        )
+        results = verifylib.closure_checks(g, samples=args.samples, seed=args.seed)
     elif suite == "bounds":
         g = _load_graph_arg(args.graph)
-        results = verifylib.bounds_checks(
-            g, exhaustive=args.exhaustive, samples=args.samples, seed=args.seed
-        )
+        results = verifylib.bounds_checks(g, samples=args.samples, seed=args.seed)
     elif suite == "ensemble":
         g = _load_graph_arg(args.graph)
         results = [
@@ -374,14 +367,11 @@ def cmd_compare(args) -> int:
                 # The token ring runs on rings only.
                 print(f"{spec} {proto_name}: skipped: {exc}")
                 continue
-            total = StateSpace(protocol.state_domain(), g.n).total
-            scan = sync_worst_case(
-                protocol, g,
-                "exhaustive" if total <= args.exhaustive_budget else "sample",
-                samples=args.samples, seed=args.seed,
+            sync_worst = sync_worst_bound(
+                protocol, g, samples=args.samples, seed=args.seed,
                 config_budget=args.exhaustive_budget,
-            )
-            sync_worst = scan.max_convergence_me
+            ).max_convergence_me
+            total = StateSpace(protocol.state_domain(), g.n).total
             if total <= args.unfair_state_budget:
                 unfair = worst_case_unfair(
                     protocol, g, state_budget=args.unfair_state_budget
@@ -484,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--graph", default="ring:4", help="generator spec or file path")
+        p.add_argument("--graph", default="ring:4", help="generator spec or file:PATH")
         p.add_argument("--protocol", default="ssme", choices=["ssme", "dijkstra"])
         p.add_argument("--daemon", default="sync",
                        choices=["sync", "central-rr", "central-rand",
@@ -524,10 +514,11 @@ def build_parser() -> argparse.ArgumentParser:
                                    "ensemble", "indist"])
     p_verify.add_argument("--graph", default="ring:4")
     p_verify.add_argument("--samples", type=_positive_int, default=1000,
-                          help="sampled configurations; initial configurations "
-                               "for ensemble, constructed pairs for indist")
+                          help="sampled configurations, for closure and bounds "
+                               "only past the exhaustive budget; initial "
+                               "configurations for ensemble, constructed pairs "
+                               "for indist")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--exhaustive", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
     p_cmp = sub.add_parser("compare", help="scheduler-dependent stabilization times")

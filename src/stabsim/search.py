@@ -18,6 +18,8 @@ index or the caller's budget, and feeds the kernel in chunks of
   graph; it steps its runs as the rows of `engine.ensemble_runs`.
   `_sync_scan_scalar` states the same scan through `run` traces: it is the
   reference the tests compare against, and it validates the witness below.
+  `sync_worst_bound` is the one place that picks the mode from the size of
+  the state space.
 
 * `worst_case_unfair` computes the longest action sequence from any
   configuration to the first legitimate one over the full nondeterministic
@@ -395,6 +397,25 @@ def sync_worst_case(
     return _scan_result(
         np.where(legit >= 0, conv, -1), legit, lambda i: tuple(inits[i].tolist())
     )
+
+
+def sync_worst_bound(
+    protocol, g: Graph, *, samples: int, seed: int,
+    config_budget: int = DEFAULT_CONFIG_BUDGET,
+) -> SyncScanResult:
+    """`sync_worst_case`, exact when the `StateSpace` fits ``config_budget``
+    and sampled otherwise.  A sampled maximum is only a lower bound, so on
+    the clock protocol the closed-form `lower_bound_witness`, which reaches
+    ceil(diam/2) or raises FalsificationError, is folded into the maximum
+    and its witness."""
+    if StateSpace(protocol.state_domain(), g.n).total <= config_budget:
+        return sync_worst_case(protocol, g, "exhaustive", config_budget=config_budget)
+    scan = sync_worst_case(protocol, g, "sample", samples=samples, seed=seed)
+    if isinstance(protocol, SsmeProtocol):
+        wit = lower_bound_witness(g)
+        if wit.convergence > scan.max_convergence_me:
+            scan.max_convergence_me, scan.witness_me = wit.convergence, wit.config
+    return scan
 
 
 def _sync_scan_scalar(

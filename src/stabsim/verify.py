@@ -53,21 +53,19 @@ from .protocol import (
     ssme_guards,
 )
 from .search import (
+    DEFAULT_CONFIG_BUDGET,
     DEFAULT_STATE_BUDGET,
     StateSpace,
-    lower_bound_witness,
     ssme_unfair_step_bound,
-    sync_worst_case,
+    sync_worst_bound,
     worst_case_unfair,
 )
 
 
-# The suites' fixed instances: the algebra suite's clock (stem, ring); the
-# guard check's n, diam and largest neighbourhood; and the largest state
-# space the exhaustive closure check walks.
+# The suites' fixed instances: the algebra suite's clock (stem, ring) and
+# the guard check's n, diam and largest neighbourhood.
 CLOCK_ALPHA, CLOCK_RING = 5, 12
 GUARD_N, GUARD_DIAM, GUARD_MAX_DEGREE = 3, 1, 3
-CLOSURE_EXHAUSTIVE_CAP = 20_000
 
 
 @dataclass
@@ -242,7 +240,6 @@ def closure_checks(
     *,
     samples: int = 2000,
     seed: int = 1,
-    exhaustive: bool = False,
 ) -> list[CheckResult]:
     proto = SsmeProtocol.for_graph(g)
     params = proto.params
@@ -264,13 +261,7 @@ def closure_checks(
                 return
 
     checked = 0
-    if exhaustive:
-        total = StateSpace(proto.state_domain(), g.n).total
-        if total > CLOSURE_EXHAUSTIVE_CAP:
-            raise ValueError(
-                f"exhaustive closure over {total} configurations exceeds cap "
-                f"{CLOSURE_EXHAUSTIVE_CAP}"
-            )
+    if StateSpace(proto.state_domain(), g.n).total <= DEFAULT_CONFIG_BUDGET:
         for cfg in product(params.values(), repeat=g.n):
             if is_unison_legitimate(cfg, g, params):
                 check_config(cfg)
@@ -795,30 +786,18 @@ def scheduler_ensemble_check(
 
 
 def bounds_checks(
-    g: Graph,
-    *,
-    exhaustive: bool = False,
-    samples: int = 100_000,
-    seed: int = 0,
+    g: Graph, *, samples: int = 100_000, seed: int = 0
 ) -> list[CheckResult]:
     proto = SsmeProtocol.for_graph(g)
     out = []
     target = -(-g.diam // 2)
-    if exhaustive:
-        scan = sync_worst_case(proto, g, "exhaustive")
-        observed = scan.max_convergence_me
-    else:
-        # A sampled maximum is only a lower bound; the closed-form witness
-        # reaches the target or raises FalsificationError.
-        scan = sync_worst_case(proto, g, "sample", samples=samples, seed=seed)
-        wit = lower_bound_witness(g)
-        observed = max(scan.max_convergence_me, wit.convergence)
+    scan = sync_worst_bound(proto, g, samples=samples, seed=seed)
     bad = []
     if scan.unreached:
         bad.append(f"{scan.unreached} runs missed legitimacy in 2n+diam steps")
-    if observed != target:
+    if scan.max_convergence_me != target:
         bad.append(
-            f"worst synchronous convergence {observed}, "
+            f"worst synchronous convergence {scan.max_convergence_me}, "
             f"expected {target} (witness {scan.witness_me})"
         )
     out.append(

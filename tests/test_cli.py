@@ -1,8 +1,10 @@
 import csv
+import shlex
+from pathlib import Path
 
 import pytest
 
-from stabsim import cli, generate, make_protocol, worst_case_unfair
+from stabsim import cli, generate, make_protocol, search, worst_case_unfair
 from stabsim.cli import main
 from stabsim.daemon import CentralRoundRobin
 from stabsim.engine import FalsificationError, run_stats
@@ -108,22 +110,28 @@ def test_directory_as_input_file_exits_2(
     assert message in capsys.readouterr().err
 
 
+def test_graph_file_needs_the_file_prefix(tmp_path, monkeypatch, capsys):
+    # A file named like a generator spec does not replace the generator.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ring:4").write_text("2 1\n0 1\n")
+    assert main(["witness", "--graph", "ring:4", "--out", "o"]) == 0
+    assert "config 8 0 16 0" in capsys.readouterr().out
+    assert main(["witness", "--graph", "file:ring:4", "--out", "o"]) == 0
+    assert "config 4 6" in capsys.readouterr().out
+
+
 def test_verify_indist_needs_diameter_1(capsys):
     rc = main(["verify", "indist", "--graph", "path:1"])
     assert rc == 2
     assert "needs a graph of diameter >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "bounds", "--graph", "path:6", "--exhaustive"],
-        ["compare", "--graphs", "path:6", "--exhaustive-budget", str(10**12)],
-    ],
-)
-def test_exhaustive_scan_past_int32_exits_2(tmp_path, capsys, argv):
+def test_exhaustive_scan_past_int32_exits_2(tmp_path, capsys):
     # 74**6 clock configurations do not fit the scan's int32 index.
-    rc = main(argv + ([] if argv[0] == "verify" else ["--out", str(tmp_path)]))
+    rc = main([
+        "compare", "--graphs", "path:6", "--exhaustive-budget", str(10**12),
+        "--out", str(tmp_path),
+    ])
     assert rc == 2
     assert "int32" in capsys.readouterr().err
 
@@ -233,7 +241,13 @@ def test_verify_clock_passes(capsys):
 
 
 def test_verify_closure_exhaustive_path2(capsys):
-    assert main(["verify", "closure", "--graph", "path:2", "--exhaustive"]) == 0
+    assert main(["verify", "closure", "--graph", "path:2"]) == 0
+
+
+def test_verify_closure_ring4_is_exhaustive(capsys):
+    assert main(["verify", "closure", "--graph", "ring:4"]) == 0
+    out = capsys.readouterr().out
+    assert out.count(": 437 configurations") == 2
 
 
 def test_verify_lemmas_sampled(capsys):
@@ -247,7 +261,7 @@ def test_verify_lemmas_sampled(capsys):
 
 
 def test_verify_bounds_path2(capsys):
-    rc = main(["verify", "bounds", "--graph", "path:2", "--exhaustive"])
+    rc = main(["verify", "bounds", "--graph", "path:2"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
@@ -257,7 +271,7 @@ def test_verify_bounds_sampled_solves_small_unconstrained_space(capsys):
     rc = main(["verify", "bounds", "--graph", "path:2", "--samples", "500"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "PASS worst synchronous convergence equals ceil(diam/2): 500 runs" in out
+    assert "PASS worst synchronous convergence equals ceil(diam/2): 100 runs" in out
     assert "PASS unconstrained-scheduler worst case within the cubic bound: " \
         "100 states, worst 6 <= 28" in out
 
@@ -266,6 +280,7 @@ def test_verify_bounds_solves_ring4_unconstrained_space(capsys):
     rc = main(["verify", "bounds", "--graph", "ring:4", "--samples", "500"])
     assert rc == 0
     out = capsys.readouterr().out
+    assert "PASS worst synchronous convergence equals ceil(diam/2): 531441 runs" in out
     assert "PASS unconstrained-scheduler worst case within the cubic bound: " \
         "531441 states, worst 23 <= 336" in out
 
@@ -344,6 +359,19 @@ def test_compare_skips_the_token_ring_off_rings(tmp_path, capsys):
     assert (
         "path:3 dijkstra: skipped: token ring protocol requires a ring graph"
         in capsys.readouterr().out
+    )
+
+
+def test_compare_folds_the_witness_into_a_sampled_sync_worst(tmp_path):
+    # ssme ring:6 has 19,770,609,664 configurations, past the scan's
+    # budget; its 25 sampled runs alone read 0, the witness gives 2.
+    out = tmp_path / "o"
+    rc = main(["compare", "--graphs", "ring:6", "--samples", "25", "--out", str(out)])
+    assert rc == 0
+    with (out / "compare.csv").open() as fh:
+        ssme = next(r for r in csv.DictReader(fh) if r["protocol"] == "ssme")
+    assert (ssme["sync_worst"], ssme["unfair_worst"], ssme["ratio"]) == (
+        "2", "45", "22.500"
     )
 
 
@@ -438,7 +466,7 @@ def test_compare_passes_its_exhaustive_budget(tmp_path, monkeypatch):
         seen.append((mode, kw.get("config_budget")))
         return SyncScanResult(runs=1, max_convergence_me=1)
 
-    monkeypatch.setattr(cli, "sync_worst_case", spy)
+    monkeypatch.setattr(search, "sync_worst_case", spy)
     rc = main([
         "compare", "--graphs", "ring:5", "--exhaustive-budget", "50000000",
         "--unfair-state-budget", "1", "--samples", "25", "--out", str(tmp_path),
@@ -496,7 +524,7 @@ def test_compare_zero_budgets_always_sample(tmp_path, monkeypatch):
         seen.append(("unfair", "sample"))
         return 1
 
-    monkeypatch.setattr(cli, "sync_worst_case", scan)
+    monkeypatch.setattr(search, "sync_worst_case", scan)
     monkeypatch.setattr(cli, "_sampled_unfair_worst", unfair)
     rc = main([
         "compare", "--graphs", "ring:3", "--exhaustive-budget", "0",
@@ -674,3 +702,25 @@ def test_bad_run_input_exits_2(tmp_path, capsys, command, flag, value, message):
     ])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    """The arguments of every ``stabsim`` command in README's ``## CLI``
+    block, ``\\`` continuations joined and ``#`` comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words:
+            assert words[0] == "stabsim", line
+            commands.append(words[1:])
+    return commands
+
+
+def test_readme_cli_commands_parse():
+    commands = _readme_cli_commands()
+    assert len(commands) >= 8
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -66,7 +66,28 @@ def test_guard_suite_reads_the_protocols_thresholds(monkeypatch, capsys):
 
 
 def test_closure_suite_exhaustive_path2():
-    _assert_all_pass(closure_checks(generate("path:2"), exhaustive=True))
+    _assert_all_pass(closure_checks(generate("path:2")))
+
+
+def test_closure_suite_walks_every_legitimate_configuration(monkeypatch):
+    # ring:4's 531,441 configurations fit the budget, so every one of its
+    # 437 legitimate configurations is checked; thresholds one tick apart
+    # let two vertices be privileged in 16 of them.
+    class Adjacent(SsmeProtocol):
+        def __init__(self, n, diam):
+            super().__init__(n, diam)
+            self.thresholds = (8, 9, 10, 11)
+
+    monkeypatch.setattr(verify, "SsmeProtocol", Adjacent)
+    closed, safe = closure_checks(generate("ring:4"))
+    assert str(closed) == (
+        "PASS legitimate configurations are closed under every activation "
+        "choice: 437 configurations"
+    )
+    assert str(safe) == (
+        "FAIL legitimate configurations have at most one privileged vertex: "
+        "16 counterexamples, first: (8, 9, 8, 7)"
+    )
 
 
 def test_closure_suite_sampled_ring5():
@@ -85,7 +106,7 @@ def test_indistinguishability_suite_small():
 
 
 def test_bounds_suite_path2_exhaustive():
-    _assert_all_pass(bounds_checks(generate("path:2"), exhaustive=True))
+    _assert_all_pass(bounds_checks(generate("path:2")))
 
 
 def test_scheduler_ensemble_small():
