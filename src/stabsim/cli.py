@@ -9,9 +9,9 @@ reproduced from the log alone.
 `run` records its one execution with `engine.run`, the literal reference,
 and writes the summary indices the trace kept.  `sweep` steps all its
 executions as the rows of the protocol's batch kernel
-(`engine.ensemble_runs`) under `verify.batched_selector`, each row
-reading the draws of its own seeded daemon from the words of that
-daemon's generator (`verify.Replay`, one generator per distinct seed), and
+(`engine.ensemble_runs`) under the daemon's own ``batched`` selection,
+each row reading the draws of its own seeded daemon from the words of that
+daemon's generator (`daemon.Replay`, one generator per distinct seed), and
 writes the same summary rows `run` would.
 
 Exit codes: 0 success, 1 a checked property was falsified, 2 bad usage or
@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import graph as graphlib
-from .daemon import make_daemon
+from .daemon import DAEMON_NAMES, Replay, make_daemon
 from .engine import (
     STOP_REASONS,
     FalsificationError,
@@ -54,7 +54,7 @@ SUMMARY_FIELDS = [
     "conv_me", "conv_au", "violations", "steps", "reason",
 ]
 # Runs per batched sweep call.  A chunk is the rows of one
-# `engine.ensemble_runs` call and of one `verify.Replay`, which builds one
+# `engine.ensemble_runs` call and of one `daemon.Replay`, which builds one
 # generator per distinct seed; the live matrix, its kernel temporaries and
 # the replay buffers span at most this many runs.
 SWEEP_CHUNK_RUNS = 2048
@@ -244,10 +244,8 @@ def _sweep_rows(args, g, protocol, runs: list[tuple[tuple, int]]) -> list[dict]:
         max_steps = protocol.default_max_steps(g)
     inits = np.array([init for init, _ in runs], dtype=np.int32)
     seeds = [seed for _, seed in runs]
-    draws = verifylib.Replay(seeds)
-    select = verifylib.batched_selector(
-        args.daemon, protocol, g, draws, len(runs), prob=args.prob
-    )
+    policy = make_daemon(args.daemon, n=g.n, prob=args.prob)
+    select = policy.batched(protocol, g, Replay(seeds), len(runs))
     res = ensemble_runs(
         protocol, g, inits, select,
         max_steps=max_steps,
@@ -279,6 +277,11 @@ def cmd_run(args) -> int:
     g = _load_graph_arg(args.graph)
     protocol = make_protocol(args.protocol, g, args.k_states)
     inits = _parse_init(args.init, protocol, g)
+    if len(inits) > 1:
+        raise ValueError(
+            f"run takes one initial configuration, --init {args.init} gives "
+            f"{len(inits)}; use sweep for several"
+        )
     out_dir = _out_dir(args.out)
     row, trace = _one_run(args, g, protocol, inits[0], args.seed)
     trace_path = out_dir / f"trace-{row['init_hash']}-{args.seed}.txt"
@@ -476,9 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--graph", default="ring:4", help="generator spec or file:PATH")
         p.add_argument("--protocol", default="ssme", choices=["ssme", "dijkstra"])
-        p.add_argument("--daemon", default="sync",
-                       choices=["sync", "central-rr", "central-rand",
-                                "central-adv", "dist-rand"])
+        p.add_argument("--daemon", default="sync", choices=DAEMON_NAMES)
         p.add_argument("--prob", type=float, default=0.5,
                        help="activation probability for dist-rand")
         p.add_argument("--seed", type=int, default=0)

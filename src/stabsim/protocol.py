@@ -385,6 +385,8 @@ def make_protocol(name: str, g: Graph, k_states: int | None = None) -> Protocol:
     """Protocol factory keyed by CLI name."""
     key = name.strip().lower()
     if key == "ssme":
+        if k_states is not None:
+            raise ValueError("k_states sets the token ring's states; ssme takes none")
         proto: Protocol = SsmeProtocol.for_graph(g)
     elif key == "dijkstra":
         proto = DijkstraProtocol.for_graph(g, k_states)

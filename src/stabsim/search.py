@@ -405,16 +405,21 @@ def sync_worst_bound(
 ) -> SyncScanResult:
     """`sync_worst_case`, exact when the `StateSpace` fits ``config_budget``
     and sampled otherwise.  A sampled maximum is only a lower bound, so on
-    the clock protocol the closed-form `lower_bound_witness`, which reaches
-    ceil(diam/2) or raises FalsificationError, is folded into the maximum
-    and its witness."""
-    if StateSpace(protocol.state_domain(), g.n).total <= config_budget:
+    a clock protocol the closed-form `lower_bound_witness`, planted on the
+    paper's thresholds (it reaches ceil(diam/2) there or raises
+    FalsificationError), is folded into the maximum and its witness when it
+    lies in the protocol's domain, at the index one run measures on the
+    protocol itself."""
+    domain = protocol.state_domain()
+    if StateSpace(domain, g.n).total <= config_budget:
         return sync_worst_case(protocol, g, "exhaustive", config_budget=config_budget)
     scan = sync_worst_case(protocol, g, "sample", samples=samples, seed=seed)
     if isinstance(protocol, SsmeProtocol):
-        wit = lower_bound_witness(g)
-        if wit.convergence > scan.max_convergence_me:
-            scan.max_convergence_me, scan.witness_me = wit.convergence, wit.config
+        wit = lower_bound_witness(g).config
+        if all(x in domain for x in wit):
+            conv = _sync_scan_scalar(protocol, g, [wit], None).max_convergence_me
+            if conv > scan.max_convergence_me:
+                scan.max_convergence_me, scan.witness_me = conv, wit
     return scan
 
 

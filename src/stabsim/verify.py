@@ -12,20 +12,16 @@ contain zero lose depth every synchronous step; and diam steps after any
 illegitimate start, every register is confined to the initial segment plus
 a narrow arc of the ring.
 
-Every scheduler policy is stated once in batched form, by
-`batched_selector`, for `engine.ensemble_runs`.  Only the source of its
-random numbers differs between callers: `Streams`, numpy streams for
-`policy_ensembles` (the ensemble and `compare`'s sampled bounds), or
-`Replay`, for `sweep`, which reads the words of the scalar daemons' own
-`random.Random` generators into numpy buffers and replays their ``choice``
-and ``random()`` calls on all rows at once, draw for draw.
-`policy_ensembles` steps the five ensemble policies as consecutive row
-blocks of one matrix, so each step makes one kernel call for all of them.
+`policy_ensembles` (the ensemble and `compare`'s sampled bounds) runs each
+scheduler policy under its daemon class's ``batched`` selection, with
+random numbers from `Streams`, one numpy stream per policy and policy
+seed, where `sweep` uses `daemon.Replay`.  It steps the five ensemble
+policies as consecutive row blocks of one matrix, so each step makes one
+kernel call for all of them.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, fields
 from itertools import combinations, combinations_with_replacement, product
@@ -449,58 +445,9 @@ ENSEMBLE_POLICIES = (
 )
 
 
-def _nth(mask: np.ndarray, nth: np.ndarray) -> np.ndarray:
-    """One-hot of the ``nth[b]``-th (from 1) set entry of column b of a
-    vertex-by-row mask."""
-    seen = np.zeros(mask.shape[1], dtype=np.int32)
-    out = np.empty_like(mask)
-    for v, col in enumerate(mask):
-        seen += col
-        out[v] = col & (seen == nth)
-    return out
-
-
-def _round_robin(n: int, size: int):
-    """`CentralRoundRobin` for `ensemble_runs`, with one cursor per row id
-    below ``size``."""
-    cols = np.arange(n)[:, None]
-    cursor = np.zeros(size, dtype=np.int64)
-
-    def select(rows, R, b):
-        enabled = b.enabled.T
-        ahead = enabled & (cols >= cursor[rows])
-        act = _nth(np.where(ahead.any(axis=0), ahead, enabled), 1)
-        cursor[rows] = ((act * cols).sum(axis=0) + 1) % n
-        return act
-
-    return select
-
-
-def _adversarial_best(proto, g: Graph, R: np.ndarray, b) -> np.ndarray:
-    """The vertex-by-row mask `CentralAdversarial` draws from: the enabled
-    vertices that leave the most `Batch.hits` (reset-enabled vertices, for
-    the clock protocol) after moving alone.
-
-    One trial row per (row, enabled vertex) pair, the row with that vertex
-    moved, is scored by one kernel call; vertices that are not enabled
-    score -1.
-    """
-    # Flat indices into vertex-by-row matrices, vertex-major.
-    pairs = np.flatnonzero(b.enabled.T)
-    v, r = np.divmod(pairs, len(R))
-    # Vertex-major, so the kernel gets a column-major matrix (``R.T[:, r]``
-    # would come out column-major itself).
-    trial = R.T.take(r, axis=1)
-    np.put(trial, v * len(r) + np.arange(len(r)), b.nxt.T.take(pairs))
-    after = proto.batch(trial.T, g).hits
-    score = np.full(g.n * len(R), -1)
-    score[pairs] = np.asfortranarray(after).sum(axis=1)
-    score = score.reshape(g.n, len(R))
-    return score == score.max(axis=0)
-
-
 class Streams:
-    """Draws from numpy streams: row r draws from ``rngs[r // per_stream]``."""
+    """The ``draws`` of a daemon's ``batched`` selection from numpy
+    streams: row r draws from ``rngs[r // per_stream]``."""
 
     def __init__(self, rngs: list, per_stream: int):
         self.rngs = rngs
@@ -532,167 +479,6 @@ class Streams:
         return act
 
 
-# `Replay`: a stream's buffer grows in blocks of this many words; `pick`
-# reads this many words per row before it loops on the rows that rejected
-# them all; `coins` reads at most this many coins' words per row in one
-# pass.
-REPLAY_BLOCK = 128
-PICK_WINDOW = 4
-MAX_COIN_WINDOW = 256
-
-
-class Replay:
-    """The draws of the scalar daemons, for all rows at once: row r reads
-    the 32-bit Mersenne Twister words of ``random.Random(seeds[r])``, the
-    generator of its daemon, exactly as the daemon's ``select`` does.
-
-    Rows whose seeds give one generator (``s`` and ``-s`` seed alike) read
-    one stream of words, each at its own cursor.  A stream's buffer keeps
-    only its words from the lowest cursor of its live rows on, and is
-    topped up in `REPLAY_BLOCK`-word blocks by one ``getrandbits`` call,
-    whose words come least significant first in draw order.  Rows absent
-    from a call have finished and never draw again, as in `ensemble_runs`.
-    """
-
-    def __init__(self, seeds: list[int]):
-        ids: dict[int, int] = {}
-        self.stream = np.array(
-            [ids.setdefault(abs(s), len(ids)) for s in seeds], dtype=np.intp
-        )
-        self.keys = list(ids)
-        # Built on first draw: sync and central-rr draw nothing.
-        self.rngs = None
-        self.cursor = np.zeros(len(seeds), dtype=np.int64)
-        # ``buf[s, :filled[s]]`` holds stream s's words from ``base[s]`` on.
-        self.base = np.zeros(len(ids), dtype=np.int64)
-        self.filled = np.zeros(len(ids), dtype=np.int64)
-        self.buf = np.empty((len(ids), 0), dtype=np.uint32)
-        self.live = np.arange(len(seeds))
-
-    def _read(self, rows: np.ndarray, width: int) -> np.ndarray:
-        """The ``width`` words of each row from its cursor on; the cursors
-        stay."""
-        s = self.stream[rows]
-        off = self.cursor[rows] - self.base[s]
-        short = off + width > self.filled[s]
-        if short.any():
-            self._refill(s[short], self.cursor[rows[short]] + width)
-            off = self.cursor[rows] - self.base[s]
-        return self.buf[s[:, None], off[:, None] + np.arange(width)]
-
-    def _refill(self, s: np.ndarray, end: np.ndarray) -> None:
-        """Give each stream of ``s`` its words below the matching ``end``,
-        dropping those below its live rows' lowest cursor.  A stream's
-        buffer then holds a whole number of blocks."""
-        if self.rngs is None:
-            self.rngs = [random.Random(key) for key in self.keys]
-        want = np.zeros(len(self.keys), dtype=np.int64)
-        np.maximum.at(want, s, end)
-        lo = np.full(len(self.keys), np.iinfo(np.int64).max)
-        np.minimum.at(lo, self.stream[self.live], self.cursor[self.live])
-        t = np.unique(s)
-        lo, drop = lo[t], lo[t] - self.base[t]
-        keep = self.filled[t] - drop
-        size = -(-(want[t] - lo) // REPLAY_BLOCK) * REPLAY_BLOCK
-        if size.max() > self.buf.shape[1]:
-            width = max(2 * self.buf.shape[1], size.max())
-            wider = np.empty((len(self.keys), width), dtype=np.uint32)
-            wider[:, : self.buf.shape[1]] = self.buf
-            self.buf = wider
-        for i, d, k, c in zip(t.tolist(), drop.tolist(), keep.tolist(), size.tolist()):
-            row = self.buf[i]
-            row[:k] = row[d : d + k]
-            words = self.rngs[i].getrandbits(32 * (c - k))
-            row[k:c] = np.frombuffer(words.to_bytes(4 * (c - k), "little"), "<u4")
-        self.base[t], self.filled[t] = lo, size
-
-    def pick(self, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        """``choice(range(k))`` for each row's ``k = sizes[i]`` (1 <= k <
-        2**32): a word shifted right by ``32 - k.bit_length()``, read again
-        while it is k or more."""
-        self.live = rows
-        out = np.empty(len(rows), dtype=np.int32)
-        # frexp's exponent of a positive integer is its bit length.
-        shift = (32 - np.frexp(sizes)[1]).astype(np.uint32)[:, None]
-        todo = np.arange(len(rows))
-        while len(todo):
-            r = rows[todo]
-            draw = self._read(r, PICK_WINDOW) >> shift[todo]
-            ok = draw < sizes[todo, None]
-            first = ok.argmax(axis=1)
-            hit = ok[np.arange(len(todo)), first]
-            self.cursor[r] += np.where(hit, first + 1, PICK_WINDOW)
-            out[todo[hit]] = draw[hit, first[hit]]
-            todo = todo[~hit]
-        return out
-
-    def coins(self, rows: np.ndarray, enabled: np.ndarray, p: float) -> np.ndarray:
-        """``random() < p`` once per set entry of the vertex-by-row
-        ``enabled``, ascending, each row redrawn whole while it comes out
-        empty.  ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``
-        over two words.
-
-        Each pass reads whole redraws of a row for at least 2 / p coins (at
-        most `MAX_COIN_WINDOW` coins, unless one redraw needs more), so at
-        most e**-2 of the rows need another pass.
-        """
-        self.live = rows
-        k = enabled.sum(axis=0)
-        span = np.arange(k.max())
-        window = min(math.ceil(2 / p), MAX_COIN_WINDOW)
-        heads = np.zeros((len(rows), len(span)), dtype=bool)
-        todo = np.arange(len(rows))
-        while len(todo):
-            r, kk = rows[todo], k[todo]
-            flips = -(-window // kk) * kk
-            w = self._read(r, 2 * int(flips.max()))
-            u = ((w[:, 0::2] >> 5) * 67108864.0 + (w[:, 1::2] >> 6)) * 2.0**-53
-            ok = (u < p) & (np.arange(u.shape[1]) < flips[:, None])
-            first = ok.argmax(axis=1)
-            hit = ok[np.arange(len(todo)), first]
-            # The first head's redraw is the row's first non-empty one.
-            start = first - first % kk
-            self.cursor[r] += 2 * np.where(hit, start + kk, flips)
-            cols = np.minimum(start[hit, None] + span, u.shape[1] - 1)
-            heads[todo[hit]] = np.take_along_axis(ok[hit], cols, axis=1) & (
-                span < kk[hit, None]
-            )
-            todo = todo[~hit]
-        rank = np.maximum(np.cumsum(enabled, axis=0) - 1, 0)
-        return enabled & np.take_along_axis(heads.T, rank, axis=0)
-
-
-def batched_selector(name: str, proto, g: Graph, draws, size: int, *, prob: float):
-    """The daemon ``make_daemon(name, n=g.n, prob=prob)`` as a selection for
-    `ensemble_runs` over row ids below ``size``.
-
-    ``sync`` takes every enabled vertex and ``central-rr`` keeps a cursor
-    per row; neither draws.  ``central-rand`` and ``central-adv`` pick
-    uniformly from the enabled set or from `_adversarial_best`, and
-    ``dist-rand`` activates each enabled vertex with probability ``prob``,
-    redrawing empty selections.  The random numbers come from ``draws``:
-    `Streams` for the ensembles, `Replay` for rows that must equal
-    `engine.run` under the scalar daemon step for step.  The protocol is
-    reached only through its batch kernel.
-    """
-    kind = make_daemon(name, n=g.n, prob=prob).name
-    if kind == "sync":
-        return lambda rows, R, b: b.enabled.T
-    if kind == "central-rr":
-        return _round_robin(g.n, size)
-    if kind == "dist-rand":
-        return lambda rows, R, b: draws.coins(rows, b.enabled.T, prob)
-
-    def select(rows, R, b):
-        if kind == "central-rand":
-            pool = b.enabled.T
-        else:
-            pool = _adversarial_best(proto, g, R, b)
-        return _nth(pool, draws.pick(rows, pool.sum(axis=0)) + 1)
-
-    return select
-
-
 def policy_ensembles(
     proto, g: Graph, inits, *, seed: int, seeds, max_steps: int, tail: int
 ):
@@ -719,7 +505,8 @@ def policy_ensembles(
         # Like random.Random, a negative seed seeds as its absolute value.
         rngs = [np.random.default_rng([abs(seed), i, abs(s)]) for s in seeds]
         draws = Streams(rngs, size // len(seeds))
-        selects.append(batched_selector(name, proto, g, draws, size, prob=prob))
+        policy = make_daemon(name, n=g.n, prob=prob)
+        selects.append(policy.batched(proto, g, draws, size))
 
     def select(rows, R, b):
         cuts = np.searchsorted(rows, starts).tolist()

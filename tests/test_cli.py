@@ -6,7 +6,7 @@ import pytest
 
 from stabsim import cli, generate, make_protocol, search, worst_case_unfair
 from stabsim.cli import main
-from stabsim.daemon import CentralRoundRobin
+from stabsim.daemon import DAEMON_NAMES, CentralRoundRobin, make_daemon
 from stabsim.engine import FalsificationError, run_stats
 from stabsim.search import SyncScanResult
 from stabsim.verify import random_inits
@@ -475,6 +475,18 @@ def test_compare_passes_its_exhaustive_budget(tmp_path, monkeypatch):
     assert seen == [("exhaustive", 50_000_000)] * 2
 
 
+def test_every_daemon_choice_builds_its_policy():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    for command in ("run", "sweep"):
+        (daemon,) = (a for a in commands[command]._actions if a.dest == "daemon")
+        assert list(daemon.choices) == list(DAEMON_NAMES)
+        for name in daemon.choices:
+            policy = make_daemon(name, n=4)
+            assert policy.name == name
+            assert callable(policy.batched)
+
+
 def test_unknown_daemon_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--daemon", "chaotic"])
@@ -549,7 +561,7 @@ def test_config_file_int_key(tmp_path, capsys):
     conf = tmp_path / "cfg.txt"
     conf.write_text("max_steps 50\nk_states 6\n")
     rc = main([
-        "run", "--graph", "ring:4", "--protocol", "ssme", "--daemon", "sync",
+        "run", "--graph", "ring:4", "--protocol", "dijkstra", "--daemon", "sync",
         "--init", "zeros", "--config", str(conf), "--out", str(tmp_path / "o"),
     ])
     assert rc == 0
@@ -690,10 +702,14 @@ def test_sweep_init_must_be_exactly_exhaustive(tmp_path, capsys):
         ("run", "--init", "random:0:1", "COUNT must be >= 1"),
         ("sweep", "--init", "random:0:1", "COUNT must be >= 1"),
         ("sweep", "--init", "random:-1:0", "COUNT must be >= 1"),
+        ("run", "--init", "random:5:0", "gives 5; use sweep for several"),
+        ("run", "--k-states", "7", "k_states sets the token ring's states"),
+        ("sweep", "--k-states", "7", "k_states sets the token ring's states"),
     ],
     ids=[
-        "sweep-max-steps", "run-tail", "sweep-tail", "run-count-0",
-        "sweep-count-0", "sweep-count-negative",
+        "sweep-max-steps", "run-tail", "sweep-tail",
+        "run-count-0", "sweep-count-0", "sweep-count-negative", "run-count-5",
+        "run-k-states-ssme", "sweep-k-states-ssme",
     ],
 )
 def test_bad_run_input_exits_2(tmp_path, capsys, command, flag, value, message):

@@ -16,6 +16,7 @@ from stabsim.search import (
     _sync_scan_scalar,
     lower_bound_witness,
     ssme_unfair_step_bound,
+    sync_worst_bound,
     sync_worst_case,
     worst_case_unfair,
 )
@@ -386,6 +387,15 @@ class SmallClock(SsmeProtocol):
         self.thresholds = tuple(range(n))
 
 
+class Spread(SsmeProtocol):
+    """ring:6's clock with thresholds 0, 18, ..., 42: the paper's ring:6
+    witness ``(11, 11, 29, 29, 29, 11)`` is ME-safe from its start here."""
+
+    def __init__(self, n, diam):
+        super().__init__(n, diam)
+        self.thresholds = (0, 18, 24, 30, 36, 42)
+
+
 class Hasty(SsmeProtocol):
     """Clock protocol that promises legitimacy within two synchronous steps."""
 
@@ -747,3 +757,40 @@ class TestWitness:
     def test_config_is_pinned(self, spec, config):
         res = lower_bound_witness(generate(spec))
         assert res.config == config
+
+
+class TestSyncWorstBound:
+    """The sampled `sync_worst_bound` folds the planted witness in only at
+    the index it has on the scanned protocol."""
+
+    @pytest.mark.parametrize(
+        "make, spec, config_budget",
+        [
+            (SsmeProtocol.for_graph, "ring:6", search.DEFAULT_CONFIG_BUDGET),
+            (Spread.for_graph, "ring:6", search.DEFAULT_CONFIG_BUDGET),
+            # The paper's complete:4 witness (8, 10, 0, 0) lies outside
+            # SmallClock's domain -1..4.
+            (SmallClock.for_graph, "complete:4", 0),
+        ],
+        ids=["ssme", "spread", "small-clock"],
+    )
+    def test_witness_index_is_the_maximum(
+        self, monkeypatch, make, spec, config_budget
+    ):
+        scalar = search._sync_scan_scalar
+
+        def in_domain(protocol, g, configs, window):
+            domain = protocol.state_domain()
+            assert all(x in domain for c in configs for x in c)
+            return scalar(protocol, g, configs, window)
+
+        # No protocol runs a configuration outside its own domain.
+        monkeypatch.setattr(search, "_sync_scan_scalar", in_domain)
+        g = generate(spec)
+        p = make(g)
+        scan = sync_worst_bound(
+            p, g, samples=2000, seed=0, config_budget=config_budget
+        )
+        assert scan.runs == 2000
+        rerun = scalar(p, g, [scan.witness_me], None)
+        assert rerun.max_convergence_me == scan.max_convergence_me

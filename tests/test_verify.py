@@ -7,7 +7,14 @@ import pytest
 
 from stabsim import generate, verify
 from stabsim.cli import main
-from stabsim.daemon import CentralAdversarial, CentralRoundRobin, StepContext
+from stabsim.daemon import (
+    CentralAdversarial,
+    CentralRoundRobin,
+    Replay,
+    StepContext,
+    _adversarial_best,
+    make_daemon,
+)
 from stabsim.engine import (
     STOP_REASONS,
     EnsembleRuns,
@@ -20,10 +27,7 @@ from stabsim.protocol import Batch, DijkstraProtocol, SsmeProtocol
 from stabsim.search import ssme_unfair_step_bound
 from stabsim.verify import (
     ENSEMBLE_POLICIES,
-    Replay,
     Streams,
-    _adversarial_best,
-    batched_selector,
     bounds_checks,
     clock_checks,
     closure_checks,
@@ -167,8 +171,8 @@ def _batched(label, p, g, initials, seeds, select_wrapper=None):
     name, prob = POLICY[label]
     rngs = [np.random.default_rng([7, s]) for s in seeds]
     draws = Streams(rngs, len(initials))
-    select = batched_selector(
-        name, p, g, draws, len(seeds) * len(initials), prob=prob
+    select = make_daemon(name, n=g.n, prob=prob).batched(
+        p, g, draws, len(seeds) * len(initials)
     )
     if select_wrapper is not None:
         select = select_wrapper(select)
@@ -524,7 +528,8 @@ def test_fused_policy_blocks_equal_their_own_runs(spec, name, k, tail, legit, wa
     for i, (label, res) in enumerate(fused):
         name_i, prob = POLICY[label]
         rngs = [np.random.default_rng([seed, i, s]) for s in seeds]
-        select = batched_selector(name_i, p, g, Streams(rngs, 8), block, prob=prob)
+        policy = make_daemon(name_i, n=g.n, prob=prob)
+        select = policy.batched(p, g, Streams(rngs, 8), block)
         alone = ensemble_runs(
             p, g, inits[i * block : (i + 1) * block], select,
             max_steps=max_steps, tail=tail,
