@@ -139,6 +139,9 @@ def run(
     first legitimate configuration.  Each recorded configuration's
     privileged set and legitimacy are evaluated once, and the trace's
     summary indices are kept from them as `ensemble_runs` keeps its rows'.
+    An ``init`` that is not one value per vertex, each in
+    ``protocol.state_domain()``, raises ``ValueError``; the configurations
+    stepped from it are not checked again.
     """
     protocol.check_graph(g)
     if max_steps is None:
@@ -148,6 +151,18 @@ def run(
     if tail < 0:
         raise ValueError("tail must be >= 0")
     config = tuple(init)
+    if len(config) != g.n:
+        raise ValueError(
+            f"initial configuration has {len(config)} values, graph has "
+            f"{g.n} vertices"
+        )
+    domain = protocol.state_domain()
+    for x in config:
+        if x not in domain:
+            raise ValueError(
+                f"initial configuration holds {x}, outside the {protocol.name} "
+                f"states {domain[0]}..{domain[-1]}"
+            )
     configs = [config]
     activated_log: list[tuple[int, ...]] = []
     rules_log: list[tuple[str, ...]] = []

@@ -34,6 +34,7 @@ from stabsim.verify import sample_legitimate_config
 PATH2 = generate("path:2")
 SSME2 = SsmeProtocol.for_graph(PATH2)
 RING3 = generate("ring:3")
+RING4 = generate("ring:4")
 DIJK3 = DijkstraProtocol.for_graph(RING3, 4)
 
 
@@ -159,6 +160,19 @@ class TestRun:
         )
         assert trace.reason == REASON_CONVERGED
         assert convergence_index_me(trace) == 1
+
+    @pytest.mark.parametrize(
+        "protocol, g, init, match",
+        [
+            (SsmeProtocol.for_graph(RING4), RING4, (999, 0, 0, 0), "holds 999"),
+            (DijkstraProtocol.for_graph(RING4), RING4, (7, -2, 0, 0), "holds 7"),
+            (SsmeProtocol.for_graph(RING4), RING4, (0, 0, 0), "has 3 values"),
+        ],
+        ids=["ssme-out-of-domain", "dijkstra-out-of-domain", "wrong-length"],
+    )
+    def test_init_outside_the_state_space_is_rejected(self, protocol, g, init, match):
+        with pytest.raises(ValueError, match=match):
+            run(protocol, g, init, SynchronousDaemon(), max_steps=50)
 
     def test_trace_shape_invariants(self):
         policy = RandomDistributed(0.6, seed=2)

@@ -30,7 +30,8 @@ def test_unfair_step_bound_values():
 # (protocol, graph, window) triples on which the exhaustive scan must equal
 # the scalar reference field by field; the windowless ones also hold the
 # sample mode to it.  Window "2K" is twice the clock's ring, "2k" twice the
-# token ring's state count.
+# token ring's state count; an integer window is taken as given, and window
+# 0 slides no count at all.
 DIFFERENTIAL_CASES = (
     [
         ("ssme", spec, window)
@@ -46,6 +47,15 @@ DIFFERENTIAL_CASES = (
         ("hasty", "path:3", "2K"),
         ("toggler", "path:2", None),
         ("small-clock", "complete:4", "2K"),
+    ]
+    + [
+        (name, spec, window)
+        for name, spec in (
+            ("ssme", "path:2"),
+            ("small-clock", "complete:4"),
+            ("dijkstra", "ring:4"),
+        )
+        for window in (0, 1)
     ]
 )
 
@@ -332,8 +342,8 @@ def _differential_case(name, spec, window):
         "small-clock": SmallClock.for_graph,
     }[name]
     p = make(g)
-    if window is None:
-        return g, p, None
+    if window is None or isinstance(window, int):
+        return g, p, window
     return g, p, 2 * (p.ring if window == "2K" else p.k)
 
 
@@ -520,6 +530,23 @@ class Climber(Toggler):
         return config[0] == 2
 
 
+class Hopper(Toggler):
+    """One vertex over 0..4, never legitimate, moving 0 -> 3, 1 -> 2,
+    2 -> 1, 3 -> 4 and 4 -> 3: nothing steps to 0."""
+
+    MOVES = (3, 2, 1, 4, 3)
+
+    def state_domain(self):
+        return range(5)
+
+    def batch(self, R, g):
+        b = super().batch(R, g)
+        return b._replace(nxt=np.asarray(self.MOVES, dtype=np.int32)[R])
+
+    def apply(self, v, rule, config, g):
+        return self.MOVES[config[v]]
+
+
 class TestUnfairWorstCase:
     @pytest.mark.parametrize(
         "proto,spec",
@@ -640,6 +667,16 @@ class TestUnfairWorstCase:
         cycle = exc.value.artifact
         assert cycle == [(0, 0, 0), (0, 1, 0), (0, 2, 0), (0, 0, 0)]
         for a, b in zip(cycle, cycle[1:]):
+            assert _is_move(p, g, a, b)
+
+    def test_cycle_walk_starts_at_the_lowest_unfinished_state(self):
+        # (0,) has no predecessor; the walk still starts there, so it
+        # reports the cycle (0,) runs into, not the lower one at (1,).
+        p, g = Hopper(), generate("path:1")
+        with pytest.raises(FalsificationError, match="2 actions") as exc:
+            worst_case_unfair(p, g, state_budget=10)
+        assert exc.value.artifact == [(3,), (4,), (3,)]
+        for a, b in zip(exc.value.artifact, exc.value.artifact[1:]):
             assert _is_move(p, g, a, b)
 
     def test_branch_cap_rejection(self):
