@@ -43,10 +43,7 @@ from .engine import (
     run,
 )
 from .protocol import make_protocol
-from .search import (
-    DEFAULT_CONFIG_BUDGET, DEFAULT_STATE_BUDGET, StateSpace, lower_bound_witness,
-    ssme_unfair_step_bound, sync_worst_bound, worst_case_unfair,
-)
+from .search import StateSpace, lower_bound_witness, ssme_unfair_step_bound
 from . import verify as verifylib
 
 SUMMARY_FIELDS = [
@@ -370,19 +367,12 @@ def cmd_compare(args) -> int:
                 # The token ring runs on rings only.
                 print(f"{spec} {proto_name}: skipped: {exc}")
                 continue
-            sync_worst = sync_worst_bound(
-                protocol, g, samples=args.samples, seed=args.seed,
-                config_budget=args.exhaustive_budget,
+            sync_worst = verifylib.sync_worst_bound(
+                protocol, g, samples=args.samples, seed=args.seed
             ).max_convergence_me
-            total = StateSpace(protocol.state_domain(), g.n).total
-            if total <= args.unfair_state_budget:
-                unfair = worst_case_unfair(
-                    protocol, g, state_budget=args.unfair_state_budget
-                ).max_steps
-            else:
-                unfair = _sampled_unfair_worst(
-                    protocol, g, samples=args.samples, seed=args.seed
-                )
+            unfair = verifylib.unfair_worst_bound(
+                protocol, g, samples=args.samples, seed=args.seed
+            ).max_steps
             if proto_name == "dijkstra":
                 predicted = float(g.n)
             else:
@@ -416,44 +406,6 @@ def cmd_compare(args) -> int:
         writer.writerows(rows)
     print(f"table {target}")
     return 0
-
-
-def _sampled_unfair_worst(protocol, g, *, samples: int, seed: int) -> int:
-    """Max steps-to-legitimacy over adversarial policy samples (lower bound).
-
-    Each ensemble policy runs ``samples // 25`` initial configurations under
-    each of five policy seeds.  The policies take consecutive blocks of one
-    `verify.random_inits` draw from ``seed``, and `verify.policy_ensembles`
-    steps the blocks as one matrix.  A run that reaches no legitimate
-    configuration within the step budget raises `FalsificationError` with
-    its initial configuration.
-    """
-    budget = (
-        ssme_unfair_step_bound(g.n, g.diam)
-        if protocol.name == "ssme"
-        else protocol.default_max_steps(g)
-    )
-    seeds = range(5)
-    per = max(1, samples // 25)
-    block = len(seeds) * per
-    inits = verifylib.random_inits(
-        protocol, g.n, len(verifylib.ENSEMBLE_POLICIES) * block, seed
-    )
-    worst = 0
-    for i, (label, res) in enumerate(verifylib.policy_ensembles(
-        protocol, g, np.array(inits, dtype=np.int32),
-        seed=seed, seeds=seeds, max_steps=budget, tail=0,
-    )):
-        missed = np.flatnonzero(res.legitimate_at < 0)
-        if len(missed):
-            r = int(missed[0])
-            raise FalsificationError(
-                f"{label} run under policy seed {seeds[r // per]} reached no "
-                f"legitimate configuration within {budget} steps",
-                artifact=inits[i * block + r],
-            )
-        worst = max(worst, int(res.legitimate_at.max()))
-    return worst
 
 
 def cmd_witness(args) -> int:
@@ -515,8 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
                                    "ensemble", "indist"])
     p_verify.add_argument("--graph", default="ring:4")
     p_verify.add_argument("--samples", type=_positive_int, default=1000,
-                          help="sampled configurations, for closure and bounds "
-                               "only past the exhaustive budget; initial "
+                          help="sampled configurations for closure and the "
+                               "synchronous half of bounds, sampled runs for "
+                               "the unconstrained half of bounds, each only "
+                               "past its exhaustive budget; initial "
                                "configurations for ensemble, constructed pairs "
                                "for indist")
     p_verify.add_argument("--seed", type=int, default=0)
@@ -526,10 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--graphs", default="ring:4")
     p_cmp.add_argument("--samples", type=_positive_int, default=500)
     p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--exhaustive-budget", type=_nonnegative_int,
-                       default=DEFAULT_CONFIG_BUDGET)
-    p_cmp.add_argument("--unfair-state-budget", type=_nonnegative_int,
-                       default=DEFAULT_STATE_BUDGET)
     p_cmp.add_argument("--out", default="out")
     p_cmp.set_defaults(func=cmd_compare)
 

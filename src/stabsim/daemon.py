@@ -4,9 +4,11 @@ A policy is handed the enabled set and must return a non-empty subset of
 it.  The synchronous policy activates everyone, central policies pick a
 single vertex, the distributed random policy flips a coin per vertex.  No
 fairness of any kind is imposed.  The fully adversarial scheduler is not an
-implementable object; it is approximated by the greedy central policy here
-and, exactly, by `enumerate_choices` which spells out every legal move for
-exhaustive search on tiny instances.
+implementable object; it is approximated by the greedy central policy here.
+`enumerate_choices` lists every legal move of one configuration: the
+closure suite steps each of them, and the unconstrained solver, which
+builds its moves as index columns (`search._subset_successors`) in the same
+order, calls it for its branching-cap check.
 
 A policy instance is owned by a single run: seeded policies carry their own
 RNG stream, so identical (seed, run) pairs replay identical selections.
@@ -361,9 +363,9 @@ DaemonPolicy = (
 def enumerate_choices(enabled: Iterable[int]) -> list[frozenset[int]]:
     """All non-empty subsets of the enabled set, in a canonical order.
 
-    Order: by subset size is NOT used; subsets follow binary counting over
-    the sorted vertex list, so {a} before {b} before {a,b}.  Rejects enabled
-    sets larger than `DEFAULT_BRANCH_CAP`.
+    Subsets follow binary counting over the sorted vertex list: subset j
+    holds the vertices of j's set bits, so {a} before {b} before {a,b}.
+    Rejects enabled sets larger than `DEFAULT_BRANCH_CAP`.
     """
     ordered = sorted(set(enabled))
     if not ordered:

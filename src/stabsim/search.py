@@ -464,20 +464,18 @@ def sync_worst_case(
     )
 
 
-def sync_worst_bound(
-    protocol, g: Graph, *, samples: int, seed: int,
-    config_budget: int = DEFAULT_CONFIG_BUDGET,
-) -> SyncScanResult:
-    """`sync_worst_case`, exact when the `StateSpace` fits ``config_budget``
-    and sampled otherwise.  A sampled maximum is only a lower bound, so on
-    a clock protocol the closed-form `lower_bound_witness`, planted on the
-    paper's thresholds (it reaches ceil(diam/2) there or raises
-    FalsificationError), is folded into the maximum and its witness when it
-    lies in the protocol's domain, at the index one run measures on the
-    protocol itself."""
+def sync_worst_bound(protocol, g: Graph, *, samples: int, seed: int) -> SyncScanResult:
+    """`sync_worst_case`, exact when the `StateSpace` fits
+    `DEFAULT_CONFIG_BUDGET` and sampled otherwise.  A sampled maximum is
+    only a lower bound, so on a clock protocol the closed-form
+    `lower_bound_witness`, planted on the paper's thresholds (it reaches
+    ceil(diam/2) there or raises FalsificationError), is folded into the
+    maximum and its witness when it lies in the protocol's domain, at the
+    index one run measures on the protocol itself."""
     domain = protocol.state_domain()
-    if StateSpace(domain, g.n).total <= config_budget:
-        return sync_worst_case(protocol, g, "exhaustive", config_budget=config_budget)
+    budget = DEFAULT_CONFIG_BUDGET
+    if StateSpace(domain, g.n).total <= budget:
+        return sync_worst_case(protocol, g, "exhaustive", config_budget=budget)
     scan = sync_worst_case(protocol, g, "sample", samples=samples, seed=seed)
     if isinstance(protocol, SsmeProtocol):
         wit = lower_bound_witness(g).config

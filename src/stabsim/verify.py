@@ -12,12 +12,17 @@ contain zero lose depth every synchronous step; and diam steps after any
 illegitimate start, every register is confined to the initial segment plus
 a narrow arc of the ring.
 
-`policy_ensembles` (the ensemble and `compare`'s sampled bounds) runs each
-scheduler policy under its daemon class's ``batched`` selection, with
-random numbers from `Streams`, one numpy stream per policy and policy
-seed, where `sweep` uses `daemon.Replay`.  It steps the five ensemble
-policies as consecutive row blocks of one matrix, so each step makes one
-kernel call for all of them.
+`policy_ensembles` (the ensemble check, and the sampled branch of
+`unfair_worst_bound`) runs each scheduler policy under its daemon class's
+``batched`` selection, with random numbers from `Streams`, one numpy
+stream per policy and policy seed, where `sweep` uses `daemon.Replay`.  It
+steps the five ensemble policies as consecutive row blocks of one matrix,
+so each step makes one kernel call for all of them.
+
+The speculation comparison has two halves, each chosen exact or sampled
+in one place: `search.sync_worst_bound` for the synchronous worst case and
+`unfair_worst_bound` for the unconstrained one.  `bounds_checks` gates
+both, and the CLI's `compare` tabulates both.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from . import clock
 from .daemon import SynchronousDaemon, enumerate_choices, make_daemon
 from .engine import (
     EnsembleRuns,
+    FalsificationError,
     ensemble_runs,
     islands,
     local_state,
@@ -572,11 +578,66 @@ def scheduler_ensemble_check(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class UnfairBound:
+    """The worst steps to legitimacy under the unconstrained scheduler:
+    exact over ``covered`` states, or a lower bound over ``covered``
+    sampled runs."""
+
+    max_steps: int
+    exact: bool
+    covered: int
+
+    def __str__(self) -> str:
+        unit = "states" if self.exact else "sampled runs"
+        return f"{self.covered} {unit}, worst {self.max_steps}"
+
+
+def unfair_worst_bound(protocol, g: Graph, *, samples: int, seed: int) -> UnfairBound:
+    """`search.worst_case_unfair`'s exact worst case when the `StateSpace`
+    fits `DEFAULT_STATE_BUDGET`, and a sampled lower bound otherwise.
+
+    The sample runs each `ENSEMBLE_POLICIES` policy on ``samples // 25``
+    initial configurations (at least one) under each of five policy seeds.
+    The policies take consecutive blocks of one `random_inits` draw from
+    ``seed``, and `policy_ensembles` steps the blocks as one matrix.  A run
+    that reaches no legitimate configuration within the step budget (the
+    cubic bound on a clock protocol) raises `FalsificationError` with its
+    initial configuration.
+    """
+    if StateSpace(protocol.state_domain(), g.n).total <= DEFAULT_STATE_BUDGET:
+        res = worst_case_unfair(protocol, g, state_budget=DEFAULT_STATE_BUDGET)
+        return UnfairBound(res.max_steps, True, res.states)
+    budget = (
+        ssme_unfair_step_bound(g.n, g.diam)
+        if protocol.name == "ssme"
+        else protocol.default_max_steps(g)
+    )
+    seeds = range(5)
+    per = max(1, samples // 25)
+    block = len(seeds) * per
+    inits = random_inits(protocol, g.n, len(ENSEMBLE_POLICIES) * block, seed)
+    worst = 0
+    for i, (label, res) in enumerate(policy_ensembles(
+        protocol, g, np.array(inits, dtype=np.int32),
+        seed=seed, seeds=seeds, max_steps=budget, tail=0,
+    )):
+        missed = np.flatnonzero(res.legitimate_at < 0)
+        if len(missed):
+            r = int(missed[0])
+            raise FalsificationError(
+                f"{label} run under policy seed {seeds[r // per]} reached no "
+                f"legitimate configuration within {budget} steps",
+                artifact=inits[i * block + r],
+            )
+        worst = max(worst, int(res.legitimate_at.max()))
+    return UnfairBound(worst, False, len(inits))
+
+
 def bounds_checks(
     g: Graph, *, samples: int = 100_000, seed: int = 0
 ) -> list[CheckResult]:
     proto = SsmeProtocol.for_graph(g)
-    out = []
     target = -(-g.diam // 2)
     scan = sync_worst_bound(proto, g, samples=samples, seed=seed)
     bad = []
@@ -587,33 +648,19 @@ def bounds_checks(
             f"worst synchronous convergence {scan.max_convergence_me}, "
             f"expected {target} (witness {scan.witness_me})"
         )
-    out.append(
-        _result(
-            "worst synchronous convergence equals ceil(diam/2)",
-            bad,
-            f"{scan.runs} runs",
-        )
+    sync = _result(
+        "worst synchronous convergence equals ceil(diam/2)", bad, f"{scan.runs} runs"
     )
-    total = StateSpace(proto.state_domain(), g.n).total
-    if total <= DEFAULT_STATE_BUDGET:
-        bound = ssme_unfair_step_bound(g.n, g.diam)
-        res = worst_case_unfair(proto, g)
-        bad = []
-        if res.max_steps > bound:
-            bad.append(f"longest recovery {res.max_steps} exceeds bound {bound}")
-        out.append(
-            _result(
-                "unconstrained-scheduler worst case within the cubic bound",
-                bad,
-                f"{res.states} states, worst {res.max_steps} <= {bound}",
-            )
-        )
-    else:
-        out.append(
-            CheckResult(
-                "unconstrained-scheduler worst case within the cubic bound",
-                True,
-                f"skipped: state space {total} exceeds budget {DEFAULT_STATE_BUDGET}",
-            )
-        )
-    return out
+    bound = ssme_unfair_step_bound(g.n, g.diam)
+    unfair = unfair_worst_bound(proto, g, samples=samples, seed=seed)
+    bad = []
+    if unfair.max_steps > bound:
+        bad.append(f"longest recovery {unfair.max_steps} exceeds bound {bound}")
+    return [
+        sync,
+        _result(
+            "unconstrained-scheduler worst case within the cubic bound",
+            bad,
+            f"{unfair} <= {bound}",
+        ),
+    ]

@@ -1,10 +1,13 @@
 import csv
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from stabsim import cli, generate, make_protocol, search, worst_case_unfair
+from stabsim import cli, generate, make_protocol, search, verify, worst_case_unfair
 from stabsim.cli import main
 from stabsim.daemon import DAEMON_NAMES, CentralRoundRobin, make_daemon
 from stabsim.engine import FalsificationError, run_stats
@@ -124,16 +127,6 @@ def test_verify_indist_needs_diameter_1(capsys):
     rc = main(["verify", "indist", "--graph", "path:1"])
     assert rc == 2
     assert "needs a graph of diameter >= 1" in capsys.readouterr().err
-
-
-def test_exhaustive_scan_past_int32_exits_2(tmp_path, capsys):
-    # 74**6 clock configurations do not fit the scan's int32 index.
-    rc = main([
-        "compare", "--graphs", "path:6", "--exhaustive-budget", str(10**12),
-        "--out", str(tmp_path),
-    ])
-    assert rc == 2
-    assert "int32" in capsys.readouterr().err
 
 
 def test_run_init_file(tmp_path, capsys):
@@ -285,12 +278,39 @@ def test_verify_bounds_solves_ring4_unconstrained_space(capsys):
         "531441 states, worst 23 <= 336" in out
 
 
-def test_verify_bounds_sampled_skips_large_unconstrained_space(capsys):
+def test_verify_bounds_samples_large_unconstrained_space(capsys):
+    # 74**6 states are past the state budget: the unconstrained half is the
+    # sampled lower bound.
     rc = main(["verify", "bounds", "--graph", "ring:6", "--samples", "2000"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "PASS worst synchronous convergence equals ceil(diam/2): 2000 runs" in out
-    assert "skipped: state space 19770609664 exceeds budget 2097152" in out
+    assert "PASS unconstrained-scheduler worst case within the cubic bound: " \
+        "2000 sampled runs, worst 46 <= 1548" in out
+
+
+def test_verify_bounds_falsifies_a_sampled_run_that_misses_the_bound(
+    monkeypatch, capsys
+):
+    # Under a 3-step bound some sampled ssme runs on ring:6 reach no
+    # legitimate configuration; the suite must report them, not pass.
+    monkeypatch.setattr(verify, "ssme_unfair_step_bound", lambda n, diam: 3)
+    rc = main(["verify", "bounds", "--graph", "ring:6", "--samples", "50"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert (
+        "FALSIFIED: central-rr run under policy seed 0 reached no legitimate "
+        "configuration within 3 steps"
+    ) in err
+    g = generate("ring:6")
+    p = make_protocol("ssme", g)
+    first = next(
+        init
+        for init in random_inits(p, g.n, 2, 0)
+        if run_stats(p, g, init, CentralRoundRobin(g.n, 0), max_steps=3, tail=0)
+        .legitimate_at < 0
+    )
+    assert f"artifact: {first}" in err
 
 
 def test_verify_ensemble_small(capsys):
@@ -395,13 +415,11 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys, argv, below):
     assert afile.read_text() == "kept\n"
 
 
-def test_compare_sampled_unfair_is_a_lower_bound(tmp_path):
+def test_compare_sampled_unfair_is_a_lower_bound(tmp_path, monkeypatch):
     # A state budget of 1 forces the sampled ensemble for both protocols.
+    monkeypatch.setattr(verify, "DEFAULT_STATE_BUDGET", 1)
     out = tmp_path / "o"
-    rc = main([
-        "compare", "--graphs", "ring:3", "--unfair-state-budget", "1",
-        "--out", str(out),
-    ])
+    rc = main(["compare", "--graphs", "ring:3", "--out", str(out)])
     assert rc == 0
     with (out / "compare.csv").open() as fh:
         rows = {r["protocol"]: r for r in csv.DictReader(fh)}
@@ -422,12 +440,17 @@ def test_compare_sampled_unfair_is_a_lower_bound(tmp_path):
         ("path:4", "ssme", 250, -2, 24),
     ],
 )
-def test_sampled_unfair_worst_is_pinned(spec, name, samples, seed, want):
+def test_sampled_unfair_worst_is_pinned(
+    monkeypatch, spec, name, samples, seed, want
+):
     # Pins the draw order: the initial configurations from one
     # random.Random(seed), then one numpy stream per (policy, policy seed).
+    monkeypatch.setattr(verify, "DEFAULT_STATE_BUDGET", 0)
     g = generate(spec)
     p = make_protocol(name, g)
-    assert cli._sampled_unfair_worst(p, g, samples=samples, seed=seed) == want
+    bound = verify.unfair_worst_bound(p, g, samples=samples, seed=seed)
+    assert (bound.max_steps, bound.exact) == (want, False)
+    assert bound.covered == 25 * max(1, samples // 25)
 
 
 def test_compare_falsifies_a_sampled_run_that_misses_the_bound(
@@ -435,10 +458,11 @@ def test_compare_falsifies_a_sampled_run_that_misses_the_bound(
 ):
     # Under a 3-step bound some sampled ssme runs reach no legitimate
     # configuration; compare must report them, not count them as -1 steps.
-    monkeypatch.setattr(cli, "ssme_unfair_step_bound", lambda n, diam: 3)
+    monkeypatch.setattr(search, "DEFAULT_CONFIG_BUDGET", 0)
+    monkeypatch.setattr(verify, "DEFAULT_STATE_BUDGET", 1)
+    monkeypatch.setattr(verify, "ssme_unfair_step_bound", lambda n, diam: 3)
     rc = main([
-        "compare", "--graphs", "ring:4", "--exhaustive-budget", "0",
-        "--unfair-state-budget", "1", "--samples", "50", "--out", str(tmp_path),
+        "compare", "--graphs", "ring:4", "--samples", "50", "--out", str(tmp_path),
     ])
     assert rc == 1
     err = capsys.readouterr().err
@@ -457,22 +481,34 @@ def test_compare_falsifies_a_sampled_run_that_misses_the_bound(
     assert f"artifact: {first}" in err
 
 
-def test_compare_passes_its_exhaustive_budget(tmp_path, monkeypatch):
-    # ssme ring:5 has 45,435,424 configurations, past the scan's default
-    # budget; the spy stands in for a scan too slow for a unit test.
+def test_verify_bounds_and_compare_share_both_halves(tmp_path, monkeypatch):
+    # Each half of the comparison is chosen exact or sampled in one
+    # function, which the suite and the table both call.
     seen = []
 
-    def spy(protocol, g, mode, **kw):
-        seen.append((mode, kw.get("config_budget")))
-        return SyncScanResult(runs=1, max_convergence_me=1)
+    def spy(name, fn):
+        def wrapped(protocol, g, **kw):
+            seen.append((name, protocol.name, g.n, kw))
+            return fn(protocol, g, **kw)
 
-    monkeypatch.setattr(search, "sync_worst_case", spy)
+        return wrapped
+
+    monkeypatch.setattr(
+        verify, "sync_worst_bound", spy("sync", verify.sync_worst_bound)
+    )
+    monkeypatch.setattr(
+        verify, "unfair_worst_bound", spy("unfair", verify.unfair_worst_bound)
+    )
+    assert main(["verify", "bounds", "--graph", "path:3", "--samples", "30"]) == 0
+    suite, seen[:] = list(seen), []
     rc = main([
-        "compare", "--graphs", "ring:5", "--exhaustive-budget", "50000000",
-        "--unfair-state-budget", "1", "--samples", "25", "--out", str(tmp_path),
+        "compare", "--graphs", "path:3", "--samples", "30", "--out", str(tmp_path),
     ])
     assert rc == 0
-    assert seen == [("exhaustive", 50_000_000)] * 2
+    want = {"samples": 30, "seed": 0}
+    assert suite == seen == [
+        ("sync", "ssme", 3, want), ("unfair", "ssme", 3, want),
+    ]
 
 
 def test_every_daemon_choice_builds_its_policy():
@@ -513,8 +549,6 @@ def test_samples_must_be_positive(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["compare", "--unfair-state-budget", "-5"],
-        ["compare", "--exhaustive-budget", "-1"],
         ["sweep", "--budget", "-1"],
     ],
 )
@@ -532,16 +566,21 @@ def test_compare_zero_budgets_always_sample(tmp_path, monkeypatch):
         seen.append(("sync", mode))
         return SyncScanResult(runs=1, max_convergence_me=1)
 
-    def unfair(protocol, g, **kw):
-        seen.append(("unfair", "sample"))
-        return 1
+    def exact(protocol, g, **kw):
+        seen.append(("unfair", "exhaustive"))
+        return worst_case_unfair(protocol, g, **kw)
 
+    def sampled(*args, **kw):
+        seen.append(("unfair", "sample"))
+        return ensembles(*args, **kw)
+
+    ensembles = verify.policy_ensembles
+    monkeypatch.setattr(search, "DEFAULT_CONFIG_BUDGET", 0)
+    monkeypatch.setattr(verify, "DEFAULT_STATE_BUDGET", 0)
     monkeypatch.setattr(search, "sync_worst_case", scan)
-    monkeypatch.setattr(cli, "_sampled_unfair_worst", unfair)
-    rc = main([
-        "compare", "--graphs", "ring:3", "--exhaustive-budget", "0",
-        "--unfair-state-budget", "0", "--out", str(tmp_path),
-    ])
+    monkeypatch.setattr(verify, "worst_case_unfair", exact)
+    monkeypatch.setattr(verify, "policy_ensembles", sampled)
+    rc = main(["compare", "--graphs", "ring:3", "--out", str(tmp_path)])
     assert rc == 0
     assert seen == [("sync", "sample"), ("unfair", "sample")] * 2
 
@@ -718,6 +757,32 @@ def test_bad_run_input_exits_2(tmp_path, capsys, command, flag, value, message):
     ])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def test_python_m_stabsim_runs_the_cli(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "stabsim", "verify", "clock"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    lines = done.stdout.splitlines()
+    assert lines[0] == "# effective-spec"
+    # The effective-spec block holds one key=value line per parameter.
+    results = [ln for ln in lines[1:] if "=" not in ln.split()[0]]
+    assert len(results) == len(verify.clock_checks())
+    assert all(ln.startswith("PASS ") for ln in results), done.stdout
+
+
+@pytest.mark.parametrize("flag", ["--exhaustive-budget", "--unfair-state-budget"])
+def test_compare_takes_no_budget_flags(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", flag, "5", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
 
 
 def _readme_cli_commands() -> list[list[str]]:

@@ -29,6 +29,7 @@ from stabsim.engine import (
     step,
 )
 from stabsim.protocol import DijkstraProtocol, SsmeProtocol
+from stabsim.search import sync_worst_case
 from stabsim.verify import sample_legitimate_config
 
 PATH2 = generate("path:2")
@@ -303,6 +304,61 @@ class TestLocalViews:
     def test_restrict(self):
         trace = run(SSME2, PATH2, (4, 6), SynchronousDaemon(), max_steps=3)
         assert restrict_trace(trace, 0) == (4, -2, -1, 0)
+
+
+class Picks:
+    """A policy that selects ``pick(enabled)``."""
+
+    def __init__(self, pick):
+        self.pick = pick
+
+    def select(self, enabled, ctx):
+        return self.pick(enabled)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (
+            lambda: run(SSME2, PATH2, (0, 0), Picks(lambda en: set()), max_steps=5),
+            "scheduler returned an empty selection",
+        ),
+        (
+            # From (-2, -1) only vertex 0 is enabled.
+            lambda: run(SSME2, PATH2, (-2, -1), Picks(lambda en: {1}), max_steps=5),
+            r"scheduler selected non-enabled vertices \[1\]",
+        ),
+        (
+            lambda: run(SSME2, PATH2, (0, 0), SynchronousDaemon(), max_steps=-1),
+            "max_steps must be >= 0",
+        ),
+        (
+            lambda: liveness_report(
+                run(SSME2, PATH2, (0, 0), SynchronousDaemon(), max_steps=2), -1
+            ),
+            "window must be >= 0",
+        ),
+        (
+            lambda: liveness_report(
+                run(SSME2, PATH2, (-2, -1), SynchronousDaemon(), max_steps=0), 3
+            ),
+            "trace did not reach a legitimate configuration",
+        ),
+        (lambda: local_state((0, 0), PATH2, 2, 1), "vertex 2 out of range"),
+        (lambda: local_state((0, 0), PATH2, -1, 1), "vertex -1 out of range"),
+        (lambda: local_state((0, 0), PATH2, 0, -1), "radius must be >= 0"),
+        (lambda: sync_worst_case(SSME2, PATH2, "bogus"), "unknown mode 'bogus'"),
+    ],
+    ids=[
+        "run-empty-selection", "run-non-enabled-selection", "run-negative-budget",
+        "liveness-negative-window", "liveness-never-legitimate",
+        "local-state-vertex-past-n", "local-state-negative-vertex",
+        "local-state-negative-radius", "sync-worst-case-unknown-mode",
+    ],
+)
+def test_bad_input_is_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 class TestDeterminism:

@@ -823,11 +823,10 @@ class TestSyncWorstBound:
 
         # No protocol runs a configuration outside its own domain.
         monkeypatch.setattr(search, "_sync_scan_scalar", in_domain)
+        monkeypatch.setattr(search, "DEFAULT_CONFIG_BUDGET", config_budget)
         g = generate(spec)
         p = make(g)
-        scan = sync_worst_bound(
-            p, g, samples=2000, seed=0, config_budget=config_budget
-        )
+        scan = sync_worst_bound(p, g, samples=2000, seed=0)
         assert scan.runs == 2000
         rerun = scalar(p, g, [scan.witness_me], None)
         assert rerun.max_convergence_me == scan.max_convergence_me

@@ -7,6 +7,7 @@ import pytest
 
 from stabsim import generate, verify
 from stabsim.cli import main
+from stabsim.clock import ClockParams
 from stabsim.daemon import (
     CentralAdversarial,
     CentralRoundRobin,
@@ -18,6 +19,7 @@ from stabsim.daemon import (
 from stabsim.engine import (
     STOP_REASONS,
     EnsembleRuns,
+    FalsificationError,
     convergence_index_me,
     ensemble_runs,
     run_stats,
@@ -111,6 +113,57 @@ def test_indistinguishability_suite_small():
 
 def test_bounds_suite_path2_exhaustive():
     _assert_all_pass(bounds_checks(generate("path:2")))
+
+
+class ZeroThreshold(SsmeProtocol):
+    """The paper's path:3 clock with a privilege threshold at 0."""
+
+    def __init__(self, n, diam):
+        super().__init__(n, diam)
+        self.thresholds = (0, 4, 8)
+
+
+class ShortStem(SsmeProtocol):
+    """ring:4's clock on a stem of 1 instead of n, K = 17, thresholds
+    1, 5, 9, 13."""
+
+    def __init__(self, n, diam):
+        super().__init__(n, diam)
+        self.params = ClockParams(1, 17)
+        self.alpha, self.ring = self.params.alpha, self.params.ring
+        self.thresholds = (1, 5, 9, 13)
+
+
+def test_bounds_suite_fails_a_threshold_at_zero(monkeypatch):
+    # Both spaces fit their budgets, so both halves are exact.
+    monkeypatch.setattr(verify, "SsmeProtocol", ZeroThreshold)
+    sync, unfair = bounds_checks(generate("path:3"))
+    assert str(sync) == (
+        "FAIL worst synchronous convergence equals ceil(diam/2): "
+        "1 counterexamples, first: worst synchronous convergence 2, "
+        "expected 1 (witness (0, 7, 7))"
+    )
+    assert unfair.ok, str(unfair)
+
+
+def test_bounds_suite_falsifies_a_short_stem(monkeypatch):
+    monkeypatch.setattr(verify, "SsmeProtocol", ShortStem)
+    with pytest.raises(FalsificationError) as exc:
+        bounds_checks(generate("ring:4"))
+    assert str(exc.value) == "cycle among non-legitimate configurations (12 actions)"
+    cycle = exc.value.artifact
+    assert len(cycle) == 13 and cycle[0] == cycle[-1] == (-1, -1, 0, 1)
+
+
+def test_bounds_suite_fails_a_bound_below_the_worst_case(monkeypatch):
+    # path:2's exact unconstrained worst case is 6.
+    monkeypatch.setattr(verify, "ssme_unfair_step_bound", lambda n, diam: 5)
+    sync, unfair = bounds_checks(generate("path:2"))
+    assert sync.ok, str(sync)
+    assert str(unfair) == (
+        "FAIL unconstrained-scheduler worst case within the cubic bound: "
+        "1 counterexamples, first: longest recovery 6 exceeds bound 5"
+    )
 
 
 def test_scheduler_ensemble_small():
