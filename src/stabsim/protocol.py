@@ -22,10 +22,18 @@ reads the guards' per-value and per-pair predicates from small lookup
 tables that each protocol builds once from the clock module's own
 predicates (`is_stab`, `is_init`, `increment`, `locally_comparable`,
 `leq_local`), so no clock formula is restated in numpy.
+
+A protocol may also declare a symmetry of its kernel, `symmetry(g)`: a
+group acting on value matrices that maps ``legit``, ``enabled`` and
+``nxt`` onto themselves, so that the unconstrained solver needs one
+configuration per orbit.  The token ring's is `ValueShift`; the clock
+protocol's, on a complete graph, is `VertexPermutations`, since only
+privilege reads vertex ids.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -121,6 +129,85 @@ def rows_with(mask: np.ndarray, least: int) -> np.ndarray:
     return seen if least == 1 else twice
 
 
+class ValueShift(NamedTuple):
+    """The group that adds c mod ``k`` to every value, c in ``range(k)``,
+    acting on configurations over ``range(k)``.
+
+    Configurations are indexed in ``product(range(k), repeat=n)`` order,
+    vertex 0 the most significant digit, so each orbit's smallest index is
+    its configuration with vertex 0 at 0: the indices ``[0, k^(n-1))``.
+    Every orbit has ``k`` configurations.
+    """
+
+    k: int
+
+    def canonical(self, R: np.ndarray) -> np.ndarray:
+        """Each int32 row of ``R`` shifted so that vertex 0 holds 0.  A
+        difference below 0 wraps by adding k, which is ``(d >> 31) & k``: a
+        column of shifts and masks, several times faster than ``% k``."""
+        C = R - R[:, :1]
+        for v in range(1, C.shape[1]):
+            d = C[:, v]
+            d += (d >> 31) & self.k
+        return C
+
+    def representatives(self, n: int) -> np.ndarray:
+        return np.arange(self.k ** (n - 1), dtype=np.int32)
+
+    def orbit_sizes(self, R: np.ndarray) -> np.ndarray:
+        return np.full(len(R), self.k)
+
+
+class VertexPermutations(NamedTuple):
+    """The group of every permutation of the vertices, acting on
+    configurations over a domain of ``size`` consecutive values.
+
+    Configurations are indexed in ``product(domain, repeat=n)`` order,
+    vertex 0 the most significant digit, so each orbit's smallest index is
+    its sorted configuration, and the orbit of a multiset with value
+    multiplicities ``m_1, m_2, ...`` has ``n! / (m_1! m_2! ...)``
+    configurations.
+    """
+
+    size: int
+
+    def canonical(self, R: np.ndarray) -> np.ndarray:
+        """Each int32 row of ``R`` sorted, as a column-major copy.  The
+        rows are sorted by odd-even transposition over the columns, which
+        on a few columns is several times faster than a per-row sort."""
+        C = np.array(R, order="F")
+        n = C.shape[1]
+        for r in range(n):
+            for v in range(r % 2, n - 1, 2):
+                low = np.minimum(C[:, v], C[:, v + 1])
+                np.maximum(C[:, v], C[:, v + 1], out=C[:, v + 1])
+                C[:, v] = low
+        return C
+
+    def representatives(self, n: int) -> np.ndarray:
+        """The indices of the non-decreasing configurations, in order: each
+        prefix of digits ending at ``last`` is extended by every digit from
+        ``last`` up."""
+        D = self.size
+        idx = last = np.arange(D, dtype=np.int64)
+        for _ in range(n - 1):
+            counts = D - last
+            starts = np.repeat(np.cumsum(counts) - counts - last, counts)
+            new = np.arange(len(starts)) - starts
+            idx, last = np.repeat(idx, counts) * D + new, new
+        return idx.astype(np.int32)
+
+    def orbit_sizes(self, R: np.ndarray) -> np.ndarray:
+        """The orbit size of each sorted row of ``R``: ``n!`` over the
+        product, along the row, of each value's count of copies so far."""
+        run = np.ones(len(R), dtype=np.int64)
+        copies = np.ones(len(R), dtype=np.int64)
+        for v in range(1, R.shape[1]):
+            run = np.where(R[:, v] == R[:, v - 1], run + 1, 1)
+            copies *= run
+        return math.factorial(R.shape[1]) // copies
+
+
 def is_unison_legitimate(
     config: Sequence[int], g: Graph, params: ClockParams
 ) -> bool:
@@ -196,6 +283,14 @@ class SsmeProtocol:
 
     def is_legitimate(self, config: Sequence[int], g: Graph) -> bool:
         return is_unison_legitimate(config, g, self.params)
+
+    def symmetry(self, g: Graph) -> VertexPermutations | None:
+        """The vertex permutations when ``g`` is complete, and otherwise
+        none.  Only privilege reads vertex ids, so every automorphism of
+        ``g`` maps ``legit``, ``enabled`` and ``nxt`` onto themselves."""
+        if g.m == g.n * (g.n - 1) // 2:
+            return VertexPermutations(len(self.state_domain()))
+        return None
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, ...]:
@@ -351,6 +446,11 @@ class DijkstraProtocol:
     def is_legitimate(self, config: Sequence[int], g: Graph) -> bool:
         """Exactly one vertex holds the token."""
         return len(self.privileged_vertices(config, g)) == 1
+
+    def symmetry(self, g: Graph) -> ValueShift:
+        """Adding c mod K to every value: the rules compare values only for
+        equality, and vertex 0 adds 1 mod K."""
+        return ValueShift(self.k)
 
     def batch(self, R: np.ndarray, g: Graph) -> Batch:
         """`Batch` of the int32 rows of ``R``, one column per vertex.  A

@@ -5,7 +5,8 @@ kernel (`batch`), which evaluates guards and actions for a whole matrix of
 configurations at once.  Both exhaustive solvers read one `StateSpace`: it
 indexes every configuration in mixed radix, rejects a space past an int32
 index or the caller's budget, and feeds the kernel in chunks of
-`CHUNK_ROWS` configurations.
+`CHUNK_ROWS` consecutive indices, or of the orbit representatives among
+them.
 
 * `sync_worst_case` measures the worst mutual-exclusion convergence index
   over many initial configurations under the synchronous scheduler.  There
@@ -25,16 +26,20 @@ index or the caller's budget, and feeds the kernel in chunks of
 
 * `worst_case_unfair` computes the longest action sequence from any
   configuration to the first legitimate one over the full nondeterministic
-  transition relation (every non-empty activation subset).  Guards and
-  actions are evaluated once per configuration, each activation subset's
-  successors are built once as an earlier subset's plus one vertex's
-  mixed-radix index delta, and the longest paths come from peeling the
-  core level by level back from the legitimate set: the states that some
-  non-legitimate state steps to.  Each unfinished state watches one
-  successor, before which every successor is finished, so a level costs
-  one lookup per unfinished state plus a rescan of the states whose
-  watched successor has just finished.  Every other state finishes after
-  the peel, one step past its farthest successor, in one pass.
+  transition relation (every non-empty activation subset).  It solves one
+  representative per orbit of the protocol's declared `symmetry`, the
+  smallest index in the orbit: the relation reads only `legit`, `enabled`
+  and `nxt`, which the symmetry maps onto themselves, so every state of an
+  orbit has the same distance.  Guards and actions are evaluated once per
+  representative, each activation subset's successors are built once as
+  an earlier subset's plus one vertex's mixed-radix index delta and mapped
+  to their orbits' representatives, and the longest paths come from
+  peeling the core level by level back from the legitimate set: the
+  states that some non-legitimate state steps to.  Each unfinished state
+  watches one successor, before which every successor is finished, so a
+  level costs one lookup per unfinished state plus a rescan of the states
+  whose watched successor has just finished.  Every other state finishes
+  after the peel, one step past its farthest successor, in one pass.
   Legitimate configurations are absorbing targets; a cycle among
   non-legitimate configurations or a stuck non-legitimate configuration is
   surfaced as a falsification artifact, never ignored.
@@ -75,10 +80,12 @@ from .protocol import SsmeProtocol, rows_with
 DEFAULT_CONFIG_BUDGET = 10_000_000
 DEFAULT_STATE_BUDGET = 2**21
 # Configurations per kernel call.  The clock kernel holds a few int64 index
-# matrices per chunk; at 2^16 rows they stay small beside the solvers' arrays
+# matrices per chunk; at 2^15 rows they stay small beside the solvers' arrays
 # of one entry per configuration, where 2^18 rows raised the exhaustive
-# scans' peak RSS and slowed them.
-CHUNK_ROWS = 1 << 16
+# scans' peak RSS and slowed them.  At 2^16 rows a chunk's temporaries were
+# handed back to the OS after each chunk and faulted in again by the next
+# (about 9,900 minor faults per repeated ssme ring:4 scan, against 780).
+CHUNK_ROWS = 1 << 15
 
 
 def ssme_unfair_step_bound(n: int, diam: int) -> int:
@@ -158,27 +165,52 @@ class StateSpace:
         D = len(self.domain)
         return tuple(self.domain[i // w % D] for w in self.weight)
 
-    def batches(self, protocol, g: Graph):
+    def configs(self, idx: np.ndarray) -> np.ndarray:
+        """The configurations at the int32 indices ``idx``, one row each,
+        column-major so that a kernel reads each vertex contiguously.  The
+        digits are peeled off the index, last vertex first, as
+        ``q = idx // D`` and ``idx - q * D``; `of` keeps every index below
+        2^31, so this is int32 arithmetic, and the last quotient is vertex
+        0's digit."""
+        D, lo = len(self.domain), self.domain[0]
+        R = np.empty((len(idx), self.n), dtype=np.int32, order="F")
+        for v in range(self.n - 1, 0, -1):
+            q = idx // D
+            R[:, v] = idx - q * D + lo
+            idx = q
+        R[:, 0] = idx + lo
+        return R
+
+    def index(self, R: np.ndarray) -> np.ndarray:
+        """The int32 index of each configuration row of ``R``."""
+        lo = self.domain[0]
+        w32 = np.asarray(self.weight, dtype=np.int32)
+        out = (R[:, 0] - lo) * w32[0]
+        for v in range(1, self.n):
+            out += (R[:, v] - lo) * w32[v]
+        return out
+
+    def batches(self, protocol, g: Graph, at: np.ndarray | None = None):
         """``(here, R, protocol.batch(R, g))`` for each run of `CHUNK_ROWS`
-        consecutive indices ``here``; row r of R is configuration
-        ``here.start + r``.  R's digits are peeled off an int32 index, last
-        vertex first, as ``q = idx // D`` and ``idx - q * D``.  One chunk is
-        alive at a time when the caller drops its ``R`` and batch before
+        consecutive indices, over every configuration or over the sorted
+        int32 indices ``at`` only.  Row r of R is the configuration at
+        position ``here.start + r`` of the indices covered: of the space,
+        or of ``at``.  A run holding none of ``at`` is skipped.  One chunk
+        is alive at a time when the caller drops its ``R`` and batch before
         asking for the next one."""
-        D, lo, total = len(self.domain), self.domain[0], self.total
+        total = self.total
         for start in range(0, total, CHUNK_ROWS):
-            here = slice(start, min(start + CHUNK_ROWS, total))
-            # `of` keeps every index below 2^31, so the digits are int32
-            # arithmetic; the last quotient is vertex 0's digit.
-            idx = np.arange(here.start, here.stop, dtype=np.int32)
-            # Column-major, so that the kernel reads each vertex contiguously.
-            R = np.empty((len(idx), self.n), dtype=np.int32, order="F")
-            for v in range(self.n - 1, 0, -1):
-                q = idx // D
-                R[:, v] = idx - q * D + lo
-                idx = q
-            R[:, 0] = idx + lo
-            del idx
+            stop = min(start + CHUNK_ROWS, total)
+            if at is None:
+                here = slice(start, stop)
+                R = self.configs(np.arange(start, stop, dtype=np.int32))
+            else:
+                # Keys of ``at``'s own type, or the search casts all of it.
+                ends = np.array((start, stop), dtype=at.dtype)
+                here = slice(*at.searchsorted(ends).tolist())
+                if here.start == here.stop:
+                    continue
+                R = self.configs(at[here])
             yield here, R, protocol.batch(R, g)
             del R
 
@@ -533,8 +565,12 @@ def _sync_scan_scalar(
 class UnfairSearchResult:
     max_steps: int
     witness: tuple[int, ...]
+    # Configurations in the state space.
     states: int
-    # Successor entries built: 2^|enabled| - 1 per non-legitimate state.
+    # Representatives solved, one per orbit of the protocol's symmetry.
+    orbits: int
+    # Activation choices, 2^|enabled| - 1 per non-legitimate state, over
+    # the whole state space.
     edges: int
 
 
@@ -567,15 +603,32 @@ def worst_case_unfair(
     every initial configuration and every legal activation choice.
 
     Configurations are indexed as in `StateSpace`, which rejects spaces
-    past ``state_budget`` or past an int32 index.  One pass of the
-    protocol's batch kernel over the state space evaluates every guard and
-    action once, and stores each vertex's index delta.  States are grouped
-    by enabled mask, and `_subset_successors` builds a group's successors
-    one activation subset at a time, in the binary-counting order of
-    `enumerate_choices`, each from a smaller subset's plus one vertex's
-    deltas; ``edges`` counts them.  A state's distance is its longest
-    path to legitimacy: 0 on the legitimate set, and otherwise one past
-    its farthest successor's.
+    past ``state_budget`` configurations (the whole space, not its orbits)
+    or past an int32 index.
+
+    The solve runs on the orbits of ``protocol.symmetry(g)``: a group of
+    maps on value matrices that carry the protocol's ``legit``,
+    ``enabled`` and ``nxt`` onto themselves (`protocol.ValueShift` for the
+    token ring, `protocol.VertexPermutations` for the clock protocol on a
+    complete graph).  A protocol without the method, or returning None,
+    has the trivial group, whose orbits are single configurations.  Each
+    orbit is solved at its smallest index, its representative: vertex 0
+    is the most significant digit, so the first configuration attaining
+    the maximum, the first stuck one and the lowest unfinished one are all
+    representatives.  ``states`` counts the whole space, ``orbits`` the
+    representatives, and ``edges`` the activation choices of the whole
+    space, each representative's times its orbit's size.
+
+    One pass of the protocol's batch kernel over the representatives
+    evaluates every guard and action once, and stores each vertex's index
+    delta.  States are grouped by enabled mask, and `_subset_successors`
+    builds a group's successors one activation subset at a time, in the
+    binary-counting order of `enumerate_choices`, each from a smaller
+    subset's plus one vertex's deltas; the group's canonical forms are
+    then taken in one call over the whole successor matrix and located
+    among the representatives.  A state's distance is its longest path to
+    legitimacy: 0 on the legitimate set, and otherwise one past its
+    farthest successor's.
 
     Distances are peeled level by level over the core only: the states
     that some non-legitimate state steps to.  Level k holds the core
@@ -596,58 +649,96 @@ def worst_case_unfair(
     Raises FalsificationError on a stuck non-legitimate configuration or on
     a cycle among non-legitimate configurations (the states that never
     finish); either would contradict convergence under the unconstrained
-    scheduler.  The cycle is found by following each unfinished state's
-    first unfinished successor from the lowest unfinished state, in or
-    out of the core.
+    scheduler.  The cycle is found by following each unfinished
+    configuration's first unfinished successor from the lowest unfinished
+    configuration.  The walk steps configurations, not orbits, since a
+    vertex permutation reorders the activation subsets: each step runs the
+    kernel on one row and reads whether each successor has finished
+    through its orbit.
     """
     protocol.check_graph(g)
     space = StateSpace.of(protocol, g, state_budget)
-    n, total, config_at = g.n, space.total, space.config_at
+    n, config_at = g.n, space.config_at
+    w32 = np.asarray(space.weight, dtype=np.int32)
 
-    # Kernel pass: legitimacy, enabled mask and per-vertex index delta.
-    # The domain is a range, so a value's index moves by its value's change.
-    # An enabled mask fits in n bits.
+    # The representatives, each the smallest index in its orbit, in order:
+    # every index (None) under the trivial group.  Distances, masks and
+    # deltas are held per representative, and a state is addressed by its
+    # representative's position.
+    symmetry = getattr(protocol, "symmetry", None)
+    group = symmetry(g) if symmetry is not None else None
+    reps = None if group is None else group.representatives(n)
+    orbits = space.total if reps is None else len(reps)
+
+    def rep(pos):
+        """The index of the representative at ``pos``."""
+        return pos if reps is None else reps[pos]
+
+    def to_positions(idx: np.ndarray) -> None:
+        """Replace each int32 index in ``idx`` by its orbit's position.
+        Where the representatives are a prefix of the indices, an index in
+        it is its own orbit's position, and only the others are mapped."""
+        if reps is None:
+            return
+        prefix = reps[-1] == orbits - 1
+        far = np.flatnonzero(idx >= orbits) if prefix else slice(None)
+        canon = space.index(group.canonical(space.configs(idx[far])))
+        idx[far] = canon if prefix else np.searchsorted(reps, canon)
+
+    # Kernel pass over the representatives: legitimacy, enabled mask and
+    # per-vertex index delta.  The domain is a range, so a value's index
+    # moves by its value's change.  An enabled mask fits in n bits.
     mtype = _int_type(2**n - 1)
-    done = np.empty(total, dtype=bool)
-    mask_of = np.empty(total, dtype=mtype)
+    done = np.empty(orbits, dtype=bool)
+    mask_of = np.empty(orbits, dtype=mtype)
     # One row per vertex, so that a group gathers each vertex's deltas
     # contiguously.
-    delta_of = np.empty((n, total), dtype=np.int32)
+    delta_of = np.empty((n, orbits), dtype=np.int32)
     bits = 2 ** np.arange(n, dtype=mtype)
-    w32 = np.asarray(space.weight, dtype=np.int32)
-    for here, R, b in space.batches(protocol, g):
+    for here, R, b in space.batches(protocol, g, reps):
         done[here] = b.legit
         mask_of[here] = b.enabled @ bits
         for v in range(n):
             np.multiply(b.nxt[:, v] - R[:, v], w32[v], out=delta_of[v, here])
         stuck = np.flatnonzero(~b.legit & (mask_of[here] == 0))
         if len(stuck):
-            cfg = config_at(here.start + int(stuck[0]))
+            cfg = config_at(int(rep(here.start + stuck[0])))
             raise FalsificationError(
                 f"stuck non-legitimate configuration {cfg}", artifact=cfg
             )
         del R, b
 
     # Successors, grouped by enabled mask: row r of a group's matrix holds
-    # the successors of its r-th state, one column per activation subset
-    # in the canonical order.
+    # the positions of its r-th state's successors, one column per
+    # activation subset in the canonical order.  They are built as indices
+    # from the representative's own and mapped to positions in one call
+    # over the matrix's column-major buffer.
     live = np.flatnonzero(~done).astype(np.int32)
     live_masks = mask_of[live]
     groups = []
+    edges = 0
     for m in np.unique(live_masks).tolist():
         states = live[live_masks == m]
         verts = [v for v in range(n) if m >> v & 1]
         # The columns' subsets; rejects an enabled set past the branching cap.
         enumerate_choices(verts)
         deltas = [delta_of[v][states] for v in verts]
-        groups.append((states, _subset_successors(states, deltas)))
+        idx = rep(states)
+        succ = _subset_successors(idx, deltas)
+        # Each state stands for its orbit's configurations.
+        if group is None:
+            edges += succ.size
+        else:
+            size = group.orbit_sizes(space.configs(idx))
+            edges += succ.shape[1] * int(size.sum())
+            to_positions(succ.reshape(-1, order="F"))
+        groups.append((states, succ))
     del delta_of, mask_of, live, live_masks
-    edges = sum(succ.size for _, succ in groups)
 
     # The core: every state some live state steps to.  Only its rows are
     # peeled, each watching its first column to start with; a row outside
     # it is no state's successor, so it finishes after the peel.
-    in_core = np.zeros(total, dtype=bool)
+    in_core = np.zeros(orbits, dtype=bool)
     for _, succ in groups:
         in_core[succ] = True
     peel = []
@@ -682,8 +773,8 @@ def worst_case_unfair(
         peel = [grp for grp in peel if len(grp[2])]
 
     # A row outside the core finishes one step past its farthest successor,
-    # once all of them have; otherwise it watches its first unfinished one.
-    # The farthest is a running maximum over the columns.
+    # once all of them have.  The farthest is a running maximum over the
+    # columns.
     for states, succ in groups:
         rows = np.flatnonzero(~in_core[states])
         last = dist[succ[rows, 0]]
@@ -692,24 +783,31 @@ def worst_case_unfair(
         f = last < unfinished
         dist[states[rows[f]]] = last[f] + 1
         done[states[rows[f]]] = True
-        if not f.all():
-            rows = rows[~f]
-            watch = succ[rows, done[succ[rows]].argmin(axis=1)]
-            peel.append((states, succ, rows, watch))
 
-    if peel:
-        # Every unfinished state watches its first unfinished successor:
-        # follow them from the lowest one until a state repeats.
-        succ_of = np.full(total, -1, dtype=np.int32)
-        for states, _, rows, watch in peel:
-            succ_of[states[rows]] = watch
+    if not done.all():
+        # Follow each unfinished configuration's first unfinished successor
+        # from the lowest one until a configuration repeats.  The walk steps
+        # configurations, not orbits: one kernel row per step, reading
+        # whether a successor has finished through its orbit's position.
+        def first_unfinished(i: int) -> int:
+            R = space.configs(np.array([i], dtype=np.int32))
+            b = protocol.batch(R, g)
+            deltas = [
+                (b.nxt[:, v] - R[:, v]) * w32[v]
+                for v in range(n) if b.enabled[0, v]
+            ]
+            succ = _subset_successors(np.array([i], dtype=np.int32), deltas)[0]
+            at = succ.copy()
+            to_positions(at)
+            return int(succ[done[at].argmin()])
+
         seen: dict[int, int] = {}
         path: list[int] = []
-        cur = int(np.flatnonzero(~done)[0])
+        cur = int(rep(np.flatnonzero(~done)[0]))
         while cur not in seen:
             seen[cur] = len(path)
             path.append(cur)
-            cur = int(succ_of[cur])
+            cur = first_unfinished(cur)
         cycle = [config_at(i) for i in path[seen[cur]:]] + [config_at(cur)]
         raise FalsificationError(
             "cycle among non-legitimate configurations "
@@ -718,8 +816,8 @@ def worst_case_unfair(
         )
     best = int(dist.argmax())
     return UnfairSearchResult(
-        max_steps=int(dist[best]), witness=config_at(best), states=total,
-        edges=edges,
+        max_steps=int(dist[best]), witness=config_at(int(rep(best))),
+        states=space.total, orbits=orbits, edges=edges,
     )
 
 

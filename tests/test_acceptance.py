@@ -101,6 +101,7 @@ def test_2_stabilization_under_adversarial_schedulers():
 UNFAIR_EXACT = {
     "path:2": (6, (1, 3)),
     "complete:4": (20, (1, 1, 1, 3)),
+    "complete:5": (30, (1, 1, 1, 1, 3)),
     "ring:4": (23, (0, 1, 3, 1)),
     "path:4": (33, (2, 0, 1, 3)),
 }

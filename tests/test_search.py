@@ -1,6 +1,6 @@
 import functools
 import weakref
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -9,7 +9,14 @@ from stabsim import generate, search
 from stabsim.clock import ClockParams
 from stabsim.engine import FalsificationError, run, step
 from stabsim.daemon import SynchronousDaemon, enumerate_choices
-from stabsim.protocol import Batch, DijkstraProtocol, SsmeProtocol, make_protocol
+from stabsim.protocol import (
+    Batch,
+    DijkstraProtocol,
+    SsmeProtocol,
+    ValueShift,
+    VertexPermutations,
+    make_protocol,
+)
 from stabsim.search import (
     StateSpace,
     _sampled_chunks,
@@ -739,6 +746,218 @@ class TestUnfairWorstCase:
         with pytest.raises(FalsificationError, match="stuck") as exc:
             worst_case_unfair(StuckPastZero(), generate("path:2"), state_budget=10)
         assert exc.value.artifact == (1, 0)
+
+
+def _plain(cls):
+    """``cls`` declaring no symmetry: its unconstrained solve walks every
+    configuration, the reference an orbit solve is held to."""
+    return type(f"Plain{cls.__name__}", (cls,), {"symmetry": lambda self, g: None})
+
+
+class ShortRing(DijkstraProtocol):
+    """Token ring with fewer than n + 1 states, which can cycle."""
+
+    def __init__(self, n, k):
+        super().__init__(n)
+        self.k = k
+
+
+class Relay(Toggler):
+    """Values 0..2 on any graph, legitimate when every vertex holds 2.  A
+    vertex at 0 moves to 1; one at 1 falls back to 0 while another vertex
+    holds 0, and moves on to 2 otherwise.  Every rule reads the other
+    values as a multiset, so each vertex permutation is a symmetry, and the
+    configurations holding a 0 cycle."""
+
+    def state_domain(self):
+        return range(3)
+
+    def symmetry(self, g):
+        return VertexPermutations(3)
+
+    def batch(self, R, g):
+        zeros = (R == 0).sum(axis=1, keepdims=True)
+        enabled = R < 2
+        nxt = np.where(R == 0, 1, np.where(R == 1, np.where(zeros > 0, 0, 2), R))
+        legit = (R == 2).all(axis=1)
+        enabled &= ~legit[:, None]
+        return Batch(
+            np.where(enabled, nxt, R).astype(np.int32), enabled,
+            np.zeros_like(enabled), legit, enabled,
+        )
+
+    def enabled_rule(self, v, config, g):
+        return None if config[v] == 2 or set(config) == {2} else "R"
+
+    def apply(self, v, rule, config, g):
+        if config[v] == 0:
+            return 1
+        return 0 if 0 in config else 2
+
+    def is_legitimate(self, config, g):
+        return set(config) == {2}
+
+
+def _generators(group, n):
+    """Maps of value matrices that generate ``group``: a shift by one, or a
+    transposition and an n-cycle of the vertices."""
+    if isinstance(group, ValueShift):
+        return [lambda M: (M + 1) % group.k]
+    cycle = [*range(1, n), 0]
+    swap = [1, 0, *range(2, n)]
+    return [lambda M, p=p: np.asfortranarray(M[:, p]) for p in (swap, cycle)]
+
+
+def _assert_equivariant(p, g):
+    """Each generator of ``p.symmetry(g)`` maps the protocol's own ``batch``
+    over the whole space onto itself: ``nxt`` and ``enabled`` move with
+    the configurations, and ``legit`` stays."""
+    space = StateSpace.of(p, g, 10**6)
+    R = space.configs(np.arange(space.total, dtype=np.int32))
+    b = p.batch(R, g)
+    for move in _generators(p.symmetry(g), g.n):
+        moved = p.batch(move(R), g)
+        assert (moved.nxt == move(b.nxt)).all()
+        # A value shift moves no vertex, so it leaves the enabled mask.
+        on = b.enabled if isinstance(p.symmetry(g), ValueShift) else move(b.enabled)
+        assert (moved.enabled == on).all()
+        assert (moved.legit == b.legit).all()
+
+
+def _solve(p, g):
+    try:
+        res = worst_case_unfair(p, g, state_budget=10**6)
+    except FalsificationError as exc:
+        return str(exc), exc.artifact
+    return res.max_steps, res.witness, res.states, res.edges
+
+
+# Every group the protocols declare, on spaces small enough to solve
+# without the group as well: the clock protocols on complete graphs, and
+# the token ring at K = n + 1 and n + 2.
+CLOCKS = {
+    "ssme": SsmeProtocol,
+    "small-clock": SmallClock,
+    "one-threshold": OneThreshold,
+    "frozen": Frozen,
+}
+ORBIT_CASES = [
+    *(f"{name} complete:{n}" for name in CLOCKS for n in (2, 3, 4)),
+    *(f"dijkstra ring:{n} k={n + extra}" for n in (3, 4, 5, 6) for extra in (1, 2)),
+]
+
+
+def _orbit_case(case):
+    """The protocol of ``case``, the same protocol declaring no symmetry,
+    and the graph."""
+    name, spec, *k = case.split()
+    g = generate(spec)
+    if name in CLOCKS:
+        return CLOCKS[name].for_graph(g), _plain(CLOCKS[name]).for_graph(g), g
+    k = int(k[0][2:])
+    return DijkstraProtocol(g.n, k), _plain(DijkstraProtocol)(g.n, k), g
+
+
+class TestSymmetry:
+    @pytest.mark.parametrize("case", ORBIT_CASES)
+    def test_declared_symmetry_is_one(self, case):
+        p, _, g = _orbit_case(case)
+        assert p.symmetry(g) is not None
+        _assert_equivariant(p, g)
+
+    def test_equivariance_check_has_teeth(self):
+        class Lopsided(SsmeProtocol):
+            """Vertex 0 never resets."""
+
+            def batch(self, R, g):
+                b = super().batch(R, g)
+                keep = b.hits.copy()
+                keep[:, 1:] = False
+                return b._replace(
+                    nxt=np.where(keep, R, b.nxt),
+                    enabled=b.enabled & ~keep,
+                    hits=b.hits & ~keep,
+                )
+
+        g = generate("complete:3")
+        with pytest.raises(AssertionError):
+            _assert_equivariant(Lopsided.for_graph(g), g)
+
+    @pytest.mark.parametrize(
+        "p,spec",
+        [
+            (SsmeProtocol(2, 1), "complete:2"),
+            (SsmeProtocol(3, 1), "complete:3"),
+            (SmallClock(4, 1), "complete:4"),
+            (DijkstraProtocol(3, 5), "ring:3"),
+            (DijkstraProtocol(4), "ring:4"),
+        ],
+        ids=str,
+    )
+    def test_group_matches_its_orbits(self, p, spec):
+        # Every orbit, closed under the whole group by brute force: its
+        # smallest index is the canonical form, the representatives are
+        # those indices, and each orbit's size is its number of members.
+        g = generate(spec)
+        group = p.symmetry(g)
+        space = StateSpace.of(p, g, 10**6)
+        R = space.configs(np.arange(space.total, dtype=np.int32))
+        if isinstance(group, ValueShift):
+            images = [(R + c) % group.k for c in range(group.k)]
+        else:
+            images = [R[:, list(perm)] for perm in permutations(range(g.n))]
+        orbit = np.stack([space.index(M) for M in images])
+        smallest = orbit.min(axis=0)
+        assert (space.index(group.canonical(R)) == smallest).all()
+        reps = np.unique(smallest)
+        assert (group.representatives(g.n) == reps).all()
+        sizes = [len(set(orbit[:, i].tolist())) for i in reps]
+        assert group.orbit_sizes(R[reps]).tolist() == sizes
+
+    @pytest.mark.parametrize("case", ORBIT_CASES)
+    def test_orbit_solve_equals_the_plain_solve(self, case):
+        p, plain, g = _orbit_case(case)
+        assert _solve(p, g) == _solve(plain, g)
+
+    def test_stuck_configuration_under_the_group(self):
+        # Frozen's all-bottom configuration is stuck; it is also the first
+        # representative, so both solves raise on it.
+        p, plain, g = _orbit_case("frozen complete:3")
+        message, artifact = _solve(p, g)
+        assert message.startswith("stuck") and artifact == (-3, -3, -3)
+        assert _solve(plain, g) == (message, artifact)
+
+    @pytest.mark.parametrize(
+        "p,plain,spec",
+        [
+            (ShortRing(4, 3), _plain(ShortRing)(4, 3), "ring:4"),
+            (ShortRing(5, 2), _plain(ShortRing)(5, 2), "ring:5"),
+            (Relay(), _plain(Relay)(), "complete:3"),
+            (Relay(), _plain(Relay)(), "complete:4"),
+        ],
+        ids=["token-ring-4-k3", "token-ring-5-k2", "relay-3", "relay-4"],
+    )
+    def test_cycle_under_the_group(self, p, plain, spec):
+        # The walk steps configurations, so the artifact is the plain
+        # solve's, move for move.
+        g = generate(spec)
+        assert p.symmetry(g) is not None
+        message, cycle = _solve(p, g)
+        assert message.startswith("cycle")
+        assert _solve(plain, g) == (message, cycle)
+        for a, b in zip(cycle, cycle[1:]):
+            assert _is_move(p, g, a, b)
+
+    @pytest.mark.parametrize(
+        "proto,spec,orbits",
+        [("dijkstra", "ring:6", 16_807), ("ssme", "complete:4", 8_855), ("ssme", "path:3", 8_000)],
+    )
+    def test_orbits_counts_the_representatives(self, proto, spec, orbits):
+        g = generate(spec)
+        p = make_protocol(proto, g)
+        res = worst_case_unfair(p, g, state_budget=10**6)
+        assert res.orbits == orbits
+        assert res.states == len(p.state_domain()) ** g.n
 
 
 class TestWitness:
