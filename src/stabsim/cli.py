@@ -298,7 +298,7 @@ def cmd_sweep(args) -> int:
     protocol = make_protocol(args.protocol, g, args.k_states)
     if args.init == "exhaustive":
         domain = protocol.state_domain()
-        total = StateSpace(domain, g.n).total
+        total = StateSpace(domain, g.n).total * args.seeds
         if total > args.budget:
             raise ValueError(
                 f"exhaustive sweep needs {total} runs, budget is {args.budget}"

@@ -2,11 +2,11 @@
 
 Three searches live here.  The first two run on the protocol's numpy batch
 kernel (`batch`), which evaluates guards and actions for a whole matrix of
-configurations at once.  Both exhaustive solvers read one `StateSpace`: it
-indexes every configuration in mixed radix, rejects a space past an int32
-index or the caller's budget, and feeds the kernel in chunks of
-`CHUNK_ROWS` consecutive indices, or of the orbit representatives among
-them.
+configurations at once.  Both exhaustive solvers read one `StateSpace`, the
+one holder of the mixed-radix index weights: it indexes every
+configuration, rejects a space past an int32 index or the caller's budget,
+and walks positions, among every index or the orbit representatives, in
+slices of `CHUNK_ROWS`, one kernel call each.
 
 * `sync_worst_case` measures the worst mutual-exclusion convergence index
   over many initial configurations under the synchronous scheduler.  There
@@ -33,13 +33,14 @@ them.
   orbit has the same distance.  Guards and actions are evaluated once per
   representative, each activation subset's successors are built once as
   an earlier subset's plus one vertex's mixed-radix index delta and mapped
-  to their orbits' representatives, and the longest paths come from
-  peeling the core level by level back from the legitimate set: the
-  states that some non-legitimate state steps to.  Each unfinished state
-  watches one successor, before which every successor is finished, so a
-  level costs one lookup per unfinished state plus a rescan of the states
-  whose watched successor has just finished.  Every other state finishes
-  after the peel, one step past its farthest successor, in one pass.
+  to their orbits' representatives one slice of `CHUNK_ROWS` at a time,
+  and the longest paths come from peeling the core level by level back
+  from the legitimate set: the states that some non-legitimate state
+  steps to.  Each unfinished state watches one successor, before which
+  every successor is finished, so a level costs one lookup per unfinished
+  state plus a rescan of the states whose watched successor has just
+  finished.  Every other state finishes after the peel, one step past
+  its farthest successor, in one pass.
   Legitimate configurations are absorbing targets; a cycle among
   non-legitimate configurations or a stuck non-legitimate configuration is
   surfaced as a falsification artifact, never ignored.
@@ -86,6 +87,13 @@ DEFAULT_STATE_BUDGET = 2**21
 # handed back to the OS after each chunk and faulted in again by the next
 # (about 9,900 minor faults per repeated ssme ring:4 scan, against 780).
 CHUNK_ROWS = 1 << 15
+
+
+def _slices(count: int):
+    """Consecutive slices of `CHUNK_ROWS` positions covering ``range(count)``;
+    only the last may be shorter."""
+    for start in range(0, count, CHUNK_ROWS):
+        yield slice(start, min(start + CHUNK_ROWS, count))
 
 
 def ssme_unfair_step_bound(n: int, diam: int) -> int:
@@ -183,34 +191,31 @@ class StateSpace:
 
     def index(self, R: np.ndarray) -> np.ndarray:
         """The int32 index of each configuration row of ``R``."""
-        lo = self.domain[0]
-        w32 = np.asarray(self.weight, dtype=np.int32)
-        out = (R[:, 0] - lo) * w32[0]
+        lo, w = self.domain[0], self.weight
+        out = (R[:, 0] - lo) * np.int32(w[0])
         for v in range(1, self.n):
-            out += (R[:, v] - lo) * w32[v]
+            out += (R[:, v] - lo) * np.int32(w[v])
         return out
 
+    def deltas(self, R: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+        """Each vertex's int32 index delta from the rows of ``R`` to those of
+        ``nxt``, one row per vertex.  The domain is a range, so a value's
+        index moves by its value's change."""
+        return (nxt - R).T * np.array(self.weight, dtype=np.int32)[:, None]
+
     def batches(self, protocol, g: Graph, at: np.ndarray | None = None):
-        """``(here, R, protocol.batch(R, g))`` for each run of `CHUNK_ROWS`
-        consecutive indices, over every configuration or over the sorted
-        int32 indices ``at`` only.  Row r of R is the configuration at
-        position ``here.start + r`` of the indices covered: of the space,
-        or of ``at``.  A run holding none of ``at`` is skipped.  One chunk
-        is alive at a time when the caller drops its ``R`` and batch before
+        """``(here, R, protocol.batch(R, g))`` for each slice ``here`` of
+        `CHUNK_ROWS` positions, over every configuration or over the sorted
+        int32 indices ``at`` only: every kernel call but the last is full.
+        Row r of R is the configuration at position ``here.start + r`` of
+        the indices covered: of the space, or of ``at``.  One chunk is
+        alive at a time when the caller drops its ``R`` and batch before
         asking for the next one."""
-        total = self.total
-        for start in range(0, total, CHUNK_ROWS):
-            stop = min(start + CHUNK_ROWS, total)
-            if at is None:
-                here = slice(start, stop)
-                R = self.configs(np.arange(start, stop, dtype=np.int32))
-            else:
-                # Keys of ``at``'s own type, or the search casts all of it.
-                ends = np.array((start, stop), dtype=at.dtype)
-                here = slice(*at.searchsorted(ends).tolist())
-                if here.start == here.stop:
-                    continue
-                R = self.configs(at[here])
+        for here in _slices(self.total if at is None else len(at)):
+            R = self.configs(
+                np.arange(here.start, here.stop, dtype=np.int32)
+                if at is None else at[here]
+            )
             yield here, R, protocol.batch(R, g)
             del R
 
@@ -218,13 +223,9 @@ class StateSpace:
 def _sampled_chunks(domain: Sequence[int], n: int, count: int, seed: int):
     rng = np.random.default_rng(seed)
     lo, hi = domain[0], domain[-1]
-    left = count
-    while left > 0:
-        rows = min(left, CHUNK_ROWS)
-        yield np.asfortranarray(
-            rng.integers(lo, hi + 1, size=(rows, n), dtype=np.int32)
-        )
-        left -= rows
+    for here in _slices(count):
+        size = (here.stop - here.start, n)
+        yield np.asfortranarray(rng.integers(lo, hi + 1, size=size, dtype=np.int32))
 
 
 def _int_type(top: int) -> np.dtype:
@@ -262,13 +263,8 @@ def _sync_scan_exhaustive(
     cs = None if liveness_window is None else np.empty((n, total), dtype=bool)
     # Legitimate configurations where no vertex is enabled.
     stuck = [np.empty(0, dtype=np.int64)]
-    w32 = np.asarray(space.weight, dtype=np.int32)
-    lo = space.domain[0]
     for here, R, b in space.batches(protocol, g):
-        to = succ[here]
-        np.multiply(b.nxt[:, 0] - lo, w32[0], out=to)
-        for v in range(1, n):
-            to += (b.nxt[:, v] - lo) * w32[v]
+        succ[here] = space.index(b.nxt)
         legit[here] = b.legit
         unsafe[here] = rows_with(b.priv, 2)
         if cs is not None:
@@ -462,10 +458,9 @@ def sync_worst_case(
     the core only, where ``succ^window`` is also composed, by repeated
     squaring.  The critical-section bits and window counts are held as one
     contiguous row per vertex, and the fewest entries are a running
-    minimum over the rows.  The kernel pass sums each successor's index one
-    vertex column at a time.  The scan relies on the legitimate set being closed under
-    the synchronous step, and raises FalsificationError with a legitimate
-    configuration and its successor where it is not.
+    minimum over the rows.  The scan relies on the legitimate set being
+    closed under the synchronous step, and raises FalsificationError with a
+    legitimate configuration and its successor where it is not.
     """
     protocol.check_graph(g)
     if liveness_window is not None and liveness_window < 0:
@@ -619,16 +614,17 @@ def worst_case_unfair(
     representatives, and ``edges`` the activation choices of the whole
     space, each representative's times its orbit's size.
 
-    One pass of the protocol's batch kernel over the representatives
-    evaluates every guard and action once, and stores each vertex's index
-    delta.  States are grouped by enabled mask, and `_subset_successors`
-    builds a group's successors one activation subset at a time, in the
-    binary-counting order of `enumerate_choices`, each from a smaller
-    subset's plus one vertex's deltas; the group's canonical forms are
-    then taken in one call over the whole successor matrix and located
-    among the representatives.  A state's distance is its longest path to
-    legitimacy: 0 on the legitimate set, and otherwise one past its
-    farthest successor's.
+    One pass of the protocol's batch kernel over the representatives, one
+    `StateSpace.batches` slice per call, evaluates every guard and action
+    once, stores each vertex's index delta, and sums ``edges``.  States
+    are grouped by enabled mask, and `_subset_successors` builds a group's
+    successors one activation subset at a time, in the binary-counting
+    order of `enumerate_choices`, each from a smaller subset's plus one
+    vertex's deltas.  The successor matrix's buffer is then mapped to the
+    representatives' positions one slice of `CHUNK_ROWS` at a time, with
+    one canonical-form call per slice.  A state's distance is its longest
+    path to legitimacy: 0 on the legitimate set, and otherwise one past
+    its farthest successor's.
 
     Distances are peeled level by level over the core only: the states
     that some non-legitimate state steps to.  Level k holds the core
@@ -659,7 +655,6 @@ def worst_case_unfair(
     protocol.check_graph(g)
     space = StateSpace.of(protocol, g, state_budget)
     n, config_at = g.n, space.config_at
-    w32 = np.asarray(space.weight, dtype=np.int32)
 
     # The representatives, each the smallest index in its orbit, in order:
     # every index (None) under the trivial group.  Distances, masks and
@@ -675,19 +670,22 @@ def worst_case_unfair(
         return pos if reps is None else reps[pos]
 
     def to_positions(idx: np.ndarray) -> None:
-        """Replace each int32 index in ``idx`` by its orbit's position.
-        Where the representatives are a prefix of the indices, an index in
-        it is its own orbit's position, and only the others are mapped."""
+        """Replace each int32 index in ``idx`` by its orbit's position, one
+        slice of `CHUNK_ROWS` at a time.  Where the representatives are a
+        prefix of the indices, an index in it is its own orbit's position,
+        and only the others are mapped."""
         if reps is None:
             return
         prefix = reps[-1] == orbits - 1
-        far = np.flatnonzero(idx >= orbits) if prefix else slice(None)
-        canon = space.index(group.canonical(space.configs(idx[far])))
-        idx[far] = canon if prefix else np.searchsorted(reps, canon)
+        for here in _slices(len(idx)):
+            part = idx[here]
+            far = np.flatnonzero(part >= orbits) if prefix else slice(None)
+            canon = space.index(group.canonical(space.configs(part[far])))
+            part[far] = canon if prefix else np.searchsorted(reps, canon)
 
-    # Kernel pass over the representatives: legitimacy, enabled mask and
-    # per-vertex index delta.  The domain is a range, so a value's index
-    # moves by its value's change.  An enabled mask fits in n bits.
+    # Kernel pass over the representatives: legitimacy, enabled mask,
+    # per-vertex index delta, and the activation choices of the states
+    # each representative stands for.  An enabled mask fits in n bits.
     mtype = _int_type(2**n - 1)
     done = np.empty(orbits, dtype=bool)
     mask_of = np.empty(orbits, dtype=mtype)
@@ -695,11 +693,14 @@ def worst_case_unfair(
     # contiguously.
     delta_of = np.empty((n, orbits), dtype=np.int32)
     bits = 2 ** np.arange(n, dtype=mtype)
+    edges = 0
     for here, R, b in space.batches(protocol, g, reps):
         done[here] = b.legit
         mask_of[here] = b.enabled @ bits
-        for v in range(n):
-            np.multiply(b.nxt[:, v] - R[:, v], w32[v], out=delta_of[v, here])
+        delta_of[:, here] = space.deltas(R, b.nxt)
+        choices = np.where(b.legit, 0, (1 << b.enabled.sum(axis=1)) - 1)
+        size = 1 if group is None else group.orbit_sizes(R)
+        edges += int((choices * size).sum())
         stuck = np.flatnonzero(~b.legit & (mask_of[here] == 0))
         if len(stuck):
             cfg = config_at(int(rep(here.start + stuck[0])))
@@ -711,27 +712,19 @@ def worst_case_unfair(
     # Successors, grouped by enabled mask: row r of a group's matrix holds
     # the positions of its r-th state's successors, one column per
     # activation subset in the canonical order.  They are built as indices
-    # from the representative's own and mapped to positions in one call
-    # over the matrix's column-major buffer.
+    # from the representative's own and mapped to positions along the
+    # matrix's column-major buffer.
     live = np.flatnonzero(~done).astype(np.int32)
     live_masks = mask_of[live]
     groups = []
-    edges = 0
     for m in np.unique(live_masks).tolist():
         states = live[live_masks == m]
         verts = [v for v in range(n) if m >> v & 1]
         # The columns' subsets; rejects an enabled set past the branching cap.
         enumerate_choices(verts)
         deltas = [delta_of[v][states] for v in verts]
-        idx = rep(states)
-        succ = _subset_successors(idx, deltas)
-        # Each state stands for its orbit's configurations.
-        if group is None:
-            edges += succ.size
-        else:
-            size = group.orbit_sizes(space.configs(idx))
-            edges += succ.shape[1] * int(size.sum())
-            to_positions(succ.reshape(-1, order="F"))
+        succ = _subset_successors(rep(states), deltas)
+        to_positions(succ.reshape(-1, order="F"))
         groups.append((states, succ))
     del delta_of, mask_of, live, live_masks
 
@@ -790,13 +783,12 @@ def worst_case_unfair(
         # configurations, not orbits: one kernel row per step, reading
         # whether a successor has finished through its orbit's position.
         def first_unfinished(i: int) -> int:
-            R = space.configs(np.array([i], dtype=np.int32))
+            idx = np.array([i], dtype=np.int32)
+            R = space.configs(idx)
             b = protocol.batch(R, g)
-            deltas = [
-                (b.nxt[:, v] - R[:, v]) * w32[v]
-                for v in range(n) if b.enabled[0, v]
-            ]
-            succ = _subset_successors(np.array([i], dtype=np.int32), deltas)[0]
+            d = space.deltas(R, b.nxt)
+            deltas = [d[v] for v in range(n) if b.enabled[0, v]]
+            succ = _subset_successors(idx, deltas)[0]
             at = succ.copy()
             to_positions(at)
             return int(succ[done[at].argmin()])

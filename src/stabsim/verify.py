@@ -500,10 +500,10 @@ def policy_ensembles(
     gives on its block alone.
     """
     size, extra = divmod(len(inits), len(ENSEMBLE_POLICIES))
-    if extra:
+    if extra or size % len(seeds):
         raise ValueError(
             f"{len(inits)} rows do not split into {len(ENSEMBLE_POLICIES)} "
-            "equal policy blocks"
+            f"equal policy blocks of {len(seeds)} equal seed streams"
         )
     starts = (np.arange(len(ENSEMBLE_POLICIES) + 1) * size).tolist()
     selects = []

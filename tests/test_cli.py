@@ -723,6 +723,17 @@ def test_sweep_exhaustive_over_budget_exits_2(tmp_path, capsys):
     assert "needs 64 runs, budget is 63" in capsys.readouterr().err
 
 
+def test_sweep_exhaustive_budget_counts_every_seed(tmp_path, capsys):
+    # 100 configurations under 10 seeds each are 1,000 runs.
+    rc = main([
+        "sweep", "--graph", "path:2", "--init", "exhaustive", "--seeds", "10",
+        "--budget", "100", "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert "needs 1000 runs, budget is 100" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_init_must_be_exactly_exhaustive(tmp_path, capsys):
     rc = main([
         "sweep", "--graph", "path:2", "--protocol", "ssme", "--init",

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 import weakref
 from itertools import combinations, permutations, product
 
@@ -297,38 +298,60 @@ class TestStateSpace:
             assert (b.nxt == p.batch(R, g).nxt).all()
 
     @pytest.mark.parametrize(
-        "solve",
+        "solve,calls",
         [
-            lambda p, g: sync_worst_case(p, g, "exhaustive"),
-            lambda p, g: sync_worst_case(p, g, "exhaustive", liveness_window=4),
-            worst_case_unfair,
+            # 100 configurations.
+            (lambda p, g: sync_worst_case(p, g, "exhaustive"), 7),
+            (lambda p, g: sync_worst_case(p, g, "exhaustive", liveness_window=4), 7),
+            # 55 representatives under the swap of path:2's two vertices.
+            (worst_case_unfair, 4),
         ],
         ids=["sync", "sync-window", "unfair"],
     )
-    def test_kernel_pass_holds_one_chunk(self, solve, monkeypatch):
+    def test_kernel_pass_holds_one_chunk(self, solve, calls, monkeypatch):
         monkeypatch.setattr(search, "CHUNK_ROWS", 16)
         g = generate("path:2")
         p = _OneChunkAlive(SsmeProtocol.for_graph(g))
         solve(p, g)
-        assert p.calls == 7
+        assert len(p.rows) == calls
+
+    def test_orbit_walk_fills_every_chunk(self, monkeypatch):
+        # ssme complete:5 has 118,755 representatives: four kernel calls,
+        # all full but the last, and the successors' orbits are taken one
+        # slice of at most CHUNK_ROWS rows at a time.
+        canonical_rows = []
+        canonical = VertexPermutations.canonical
+
+        def counted(group, R):
+            canonical_rows.append(len(R))
+            return canonical(group, R)
+
+        monkeypatch.setattr(VertexPermutations, "canonical", counted)
+        g = generate("complete:5")
+        p = _OneChunkAlive(SsmeProtocol.for_graph(g))
+        worst_case_unfair(p, g, state_budget=10**7)
+        rows = search.CHUNK_ROWS
+        assert p.rows == [rows] * 3 + [118_755 - 3 * rows]
+        assert 0 < max(canonical_rows) <= rows
 
 
 class _OneChunkAlive:
     """A protocol whose batch kernel checks, on each call, that the ``R``
-    and ``nxt`` of every earlier call have been freed."""
+    and ``nxt`` of every earlier call have been freed, and records each
+    call's row count."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.calls = 0
+        self.rows = []
         self.refs = []
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
     def batch(self, R, g):
-        assert all(ref() is None for ref in self.refs), f"call {self.calls}"
+        assert all(ref() is None for ref in self.refs), f"call {len(self.rows)}"
         b = self.inner.batch(R, g)
-        self.calls += 1
+        self.rows.append(len(R))
         self.refs += [weakref.ref(R), weakref.ref(b.nxt)]
         return b
 
@@ -573,8 +596,13 @@ class TestUnfairWorstCase:
         res = worst_case_unfair(p, g, state_budget=10_000)
         assert (res.max_steps, res.witness, res.states) == _oracle_unfair(p, g)
 
+    @pytest.mark.parametrize("chunk_rows", [7, None])
     @pytest.mark.parametrize("proto,spec", [("ssme", "path:2"), ("dijkstra", "ring:3")])
-    def test_edges_count_every_activation_choice(self, proto, spec):
+    def test_edges_count_every_activation_choice(
+        self, proto, spec, chunk_rows, monkeypatch
+    ):
+        if chunk_rows is not None:
+            monkeypatch.setattr(search, "CHUNK_ROWS", chunk_rows)
         g = generate(spec)
         p = make_protocol(proto, g)
         want = 0
@@ -914,8 +942,11 @@ class TestSymmetry:
         sizes = [len(set(orbit[:, i].tolist())) for i in reps]
         assert group.orbit_sizes(R[reps]).tolist() == sizes
 
+    @pytest.mark.parametrize("chunk_rows", [7, None])
     @pytest.mark.parametrize("case", ORBIT_CASES)
-    def test_orbit_solve_equals_the_plain_solve(self, case):
+    def test_orbit_solve_equals_the_plain_solve(self, case, chunk_rows, monkeypatch):
+        if chunk_rows is not None:
+            monkeypatch.setattr(search, "CHUNK_ROWS", chunk_rows)
         p, plain, g = _orbit_case(case)
         assert _solve(p, g) == _solve(plain, g)
 
@@ -958,6 +989,21 @@ class TestSymmetry:
         res = worst_case_unfair(p, g, state_budget=10**6)
         assert res.orbits == orbits
         assert res.states == len(p.state_domain()) ** g.n
+
+    def test_orbit_solve_peak_memory(self):
+        # The ssme complete:5 solve allocates no more than 32 MB at its
+        # peak: no array spans a mask group's whole successor buffer
+        # decoded as configurations.
+        g = generate("complete:5")
+        p = SsmeProtocol.for_graph(g)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            worst_case_unfair(p, g, state_budget=10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32_000_000
 
 
 class TestWitness:

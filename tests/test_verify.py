@@ -606,6 +606,12 @@ def test_policy_ensembles_needs_equal_policy_blocks():
             p, g, np.zeros((7, 2), dtype=np.int32),
             seed=0, seeds=(0,), max_steps=3, tail=0,
         ))
+    # 35 rows make blocks of 7, which three seed streams do not split.
+    with pytest.raises(ValueError, match="35 rows do not split into 5 .* of 3 "):
+        list(verify.policy_ensembles(
+            p, g, np.zeros((35, 2), dtype=np.int32),
+            seed=0, seeds=(0, 1, 2), max_steps=3, tail=0,
+        ))
 
 
 def test_streams_draw_over_a_subset_of_streams():
