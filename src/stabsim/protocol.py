@@ -102,7 +102,14 @@ class Batch(NamedTuple):
     it is disabled), so activating the mask ``act`` gives
     ``np.where(act, nxt, R)``.  ``hits`` marks the moves `CentralAdversarial`
     keeps alive: reset-enabled vertices, or enabled ones for a protocol
-    without a reset rule.
+    without a reset rule.  ``tally`` marks the vertices that legitimacy
+    counts: a row is ``legit`` exactly when it holds the protocol's
+    ``legit_tally`` of them (`tallied`).
+
+    Locality: column v of ``nxt``, ``enabled``, ``priv``, ``hits`` and
+    ``tally`` reads only the columns of ``R`` in v's closed neighbourhood,
+    v and its neighbours.  The exhaustive synchronous scan relies on it to
+    evaluate each vertex over its neighbourhood's values alone.
     """
 
     nxt: np.ndarray
@@ -110,6 +117,7 @@ class Batch(NamedTuple):
     priv: np.ndarray
     legit: np.ndarray
     hits: np.ndarray
+    tally: np.ndarray
 
 
 def rows_with(mask: np.ndarray, least: int) -> np.ndarray:
@@ -127,6 +135,14 @@ def rows_with(mask: np.ndarray, least: int) -> np.ndarray:
             twice |= seen & col
         seen |= col
     return seen if least == 1 else twice
+
+
+def tallied(tally: np.ndarray, want: int) -> np.ndarray:
+    """The rows of a rows x vertices bool ``tally`` with exactly ``want``
+    set entries: the legitimate rows, for a `Batch.tally` and its
+    protocol's ``legit_tally``."""
+    n = tally.shape[1]
+    return tally.sum(axis=1, dtype=np.min_scalar_type(n)) == want
 
 
 class ValueShift(NamedTuple):
@@ -238,15 +254,30 @@ class SsmeProtocol:
 
     name = "ssme"
     reset_rule = RULE_RESET
+    # Legitimate: no vertex fails to be all correct with r_v >= 0.
+    legit_tally = 0
 
-    def __init__(self, n: int, diam: int):
+    def __init__(
+        self,
+        n: int,
+        diam: int,
+        *,
+        params: ClockParams | None = None,
+        thresholds: Sequence[int] | None = None,
+    ):
+        """The paper's clock and thresholds for ``n`` vertices and diameter
+        ``diam``; ``params`` and ``thresholds`` replace them, for variants
+        that test which constants the protocol needs."""
         self.n = n
         self.diam = diam
-        self.params: ClockParams = ssme_params(n, diam)
+        self.params: ClockParams = (
+            ssme_params(n, diam) if params is None else params
+        )
         self.alpha = self.params.alpha
         self.ring = self.params.ring
         self.thresholds: tuple[int, ...] = tuple(
-            2 * n + 2 * diam * v for v in range(n)
+            (2 * n + 2 * diam * v for v in range(n))
+            if thresholds is None else thresholds
         )
 
     @classmethod
@@ -365,10 +396,13 @@ class SsmeProtocol:
         tick = (acc & (_NA | _CA)) != 0
         # RA: not all correct, and r_v > 0.
         reset = (acc & (_ALLC | _POS)) == _POS
-        # Every vertex all correct with r_v >= 0.
-        legit = ((acc & (_ALLC | _STAB)) == _ALLC | _STAB).all(axis=0)
+        # The vertices that are not all correct with r_v >= 0.
+        tally = ((acc & (_ALLC | _STAB)) != _ALLC | _STAB).T
         nxt = np.where(reset, -self.alpha, np.where(tick, ticked, Rt))
-        return Batch(nxt.T, (tick | reset).T, (Rt == thresholds).T, legit, reset.T)
+        return Batch(
+            nxt.T, (tick | reset).T, (Rt == thresholds).T,
+            tallied(tally, self.legit_tally), reset.T, tally,
+        )
 
     def sync_step_bound(self, g: Graph) -> int:
         # Synchronous runs settle into unison within 2n + diam steps.
@@ -389,6 +423,8 @@ class DijkstraProtocol:
 
     name = "dijkstra"
     reset_rule = None
+    # Legitimate: exactly one token holder.
+    legit_tally = 1
 
     def __init__(self, n: int, k_states: int | None = None):
         if n < 2:
@@ -465,10 +501,9 @@ class DijkstraProtocol:
         enabled[:, 0] = ~enabled[:, 0]
         nxt = np.where(enabled, prev, R)
         nxt[:, 0] = np.where(enabled[:, 0], (R[:, 0] + 1) % self.k, R[:, 0])
-        tokens = np.zeros(len(R), dtype=np.int32)
-        for v in range(self.n):
-            tokens += enabled[:, v]
-        return Batch(nxt, enabled, enabled, tokens == 1, enabled)
+        # A vertex holds the token exactly when it is enabled.
+        legit = tallied(enabled, self.legit_tally)
+        return Batch(nxt, enabled, enabled, legit, enabled, enabled)
 
     def sync_step_bound(self, g: Graph) -> int:
         # Exhaustive synchronous worst case is 2n-3 for n = 3..5, under this.

@@ -5,20 +5,24 @@ kernel (`batch`), which evaluates guards and actions for a whole matrix of
 configurations at once.  Both exhaustive solvers read one `StateSpace`, the
 one holder of the mixed-radix index weights: it indexes every
 configuration, rejects a space past an int32 index or the caller's budget,
-and walks positions, among every index or the orbit representatives, in
-slices of `CHUNK_ROWS`, one kernel call each.
+and walks positions, among every index, the orbit representatives or the
+configurations of a few vertices, in slices of `CHUNK_ROWS`, one kernel
+call each.
 
 * `sync_worst_case` measures the worst mutual-exclusion convergence index
   over many initial configurations under the synchronous scheduler.  There
   every configuration has exactly one successor, so the exhaustive mode
-  evaluates the kernel once per configuration, stores the successor as a
-  mixed-radix index, and solves every run at once on that functional
-  graph.  Levels are peeled back from the legitimate set over the core:
-  the configurations with a predecessor, plus the legitimate set.  Every
-  other configuration takes its fields from its successor's in one pass
-  after the peel.  Only the exhaustive mode takes a liveness window.  The
-  sample mode has no state graph; it steps its runs as the rows of
-  `engine.ensemble_runs`.
+  stores each configuration's successor as a mixed-radix index and solves
+  every run at once on that functional graph.  A vertex's columns of the
+  kernel read only its closed neighbourhood, so where that is cheaper the
+  kernel runs once per vertex over its neighbourhood's configurations, and
+  the whole-space arrays are sums and counts of those small tables,
+  broadcast over the index.  Levels are peeled back from the legitimate
+  set over the core: the configurations with a predecessor, plus the
+  legitimate set.  Every other configuration takes its fields from its
+  successor's in one pass after the peel.  Only the exhaustive mode takes
+  a liveness window.  The sample mode has no state graph; it steps its
+  runs as the rows of `engine.ensemble_runs`.
   `_sync_scan_scalar` states the same scan through `run` traces: it is the
   reference the tests compare against, and it validates the witness below.
   `sync_worst_bound` is the one place that picks the mode from the size of
@@ -74,7 +78,7 @@ from .engine import (
     run,
 )
 from .graph import Graph
-from .protocol import SsmeProtocol, rows_with
+from .protocol import SsmeProtocol
 
 # Default budgets of the exhaustive synchronous scan and the unconstrained
 # solver, in configurations.
@@ -203,19 +207,31 @@ class StateSpace:
         index moves by its value's change."""
         return (nxt - R).T * np.array(self.weight, dtype=np.int32)[:, None]
 
-    def batches(self, protocol, g: Graph, at: np.ndarray | None = None):
+    def batches(
+        self, protocol, g: Graph, at: np.ndarray | None = None,
+        cols: list[int] | None = None,
+    ):
         """``(here, R, protocol.batch(R, g))`` for each slice ``here`` of
         `CHUNK_ROWS` positions, over every configuration or over the sorted
         int32 indices ``at`` only: every kernel call but the last is full.
         Row r of R is the configuration at position ``here.start + r`` of
-        the indices covered: of the space, or of ``at``.  One chunk is
-        alive at a time when the caller drops its ``R`` and batch before
+        the indices covered: of the space, or of ``at``.  With ``cols``, a
+        sorted list of vertices, the positions are those of the space of
+        ``cols`` alone, every other column held at ``domain[0]``.  One chunk
+        is alive at a time when the caller drops its ``R`` and batch before
         asking for the next one."""
-        for here in _slices(self.total if at is None else len(at)):
-            R = self.configs(
+        walk = self if cols is None else StateSpace(self.domain, len(cols))
+        for here in _slices(walk.total if at is None else len(at)):
+            R = walk.configs(
                 np.arange(here.start, here.stop, dtype=np.int32)
                 if at is None else at[here]
             )
+            if cols is not None:
+                part, R = R, np.full(
+                    (len(R), self.n), self.domain[0], dtype=np.int32, order="F"
+                )
+                R[:, cols] = part
+                del part
             yield here, R, protocol.batch(R, g)
             del R
 
@@ -246,33 +262,125 @@ def _power(f: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _vertex_columns(b, v: int, space: StateSpace, window: bool) -> tuple:
+    """Vertex v's columns of the fields the synchronous scan reads from the
+    batch ``b``: its value's index term in the successor, privileged,
+    tallied, and with a window, enabled and its critical-section bit."""
+    lo, w = space.domain[0], np.int32(space.weight[v])
+    cols = ((b.nxt[:, v] - lo) * w, b.priv[:, v], b.tally[:, v])
+    if window:
+        cols += (b.enabled[:, v], b.priv[:, v] & b.enabled[:, v])
+    return cols
+
+
+def _fill(fields: tuple, here: slice, shape: tuple, cols: list, legit_tally: int):
+    """Write the synchronous scan's fields at the positions ``here``, whose
+    configurations form an array of ``shape``, from each vertex's
+    `_vertex_columns` broadcast to that shape.  Three counts go through one
+    int8 array: privileged vertices (unsafe at 2 or more), tallied ones
+    (legitimate at ``legit_tally``) and, with a window, enabled ones (a
+    legitimate configuration with none is stuck)."""
+    succ, legit, unsafe, cs, stuck = fields
+
+    def at(a):
+        return a[here].reshape(shape)
+
+    nxt = at(succ)
+    np.copyto(nxt, cols[0][0])
+    for c in cols[1:]:
+        nxt += c[0]
+    count = np.zeros(shape, dtype=np.int8)
+    for c in cols:
+        count += c[1]
+    np.greater_equal(count, 2, out=at(unsafe))
+    count[...] = 0
+    for c in cols:
+        count += c[2]
+    ok = at(legit)
+    np.equal(count, legit_tally, out=ok)
+    if cs is not None:
+        count[...] = 0
+        for v, c in enumerate(cols):
+            count += c[3]
+            np.copyto(at(cs[v]), c[4])
+        stuck.append(np.flatnonzero(ok & (count == 0)) + here.start)
+
+
+def _sync_kernel_pass(
+    protocol, g: Graph, space: StateSpace, window: bool
+) -> tuple:
+    """The arrays the synchronous scan solves on, one entry per
+    configuration: the successor's int32 index, legitimate, unsafe (two or
+    more privileged vertices) and, with a window, the critical-section
+    bits, one row per vertex, and the indices of the legitimate
+    configurations where no vertex is enabled (stuck).
+
+    By `Batch`'s locality, vertex v's columns depend only on the values of
+    its closed neighbourhood N[v].  Where the D^|N[v]| neighbourhood
+    configurations, summed over the vertices, are fewer than the D^n of the
+    space, the kernel runs once per vertex over N[v]'s configurations,
+    every other vertex at ``domain[0]``, and keeps v's columns as small
+    tables.  Each field is then built by broadcasting the tables over the
+    ``(D,) * n`` view of the index, one slab of leading digits, at most
+    `CHUNK_ROWS` configurations, at a time: the successor index is the sum
+    of each vertex's term, and the three counts add one table per vertex.
+    Otherwise (complete graphs, and a few vertices on a short path or ring)
+    one group of every vertex walks the space itself, and each chunk's
+    columns are written straight into the fields."""
+    n, total, D = g.n, space.total, len(space.domain)
+    succ = np.empty(total, dtype=np.int32)
+    legit = np.empty(total, dtype=bool)
+    unsafe = np.empty(total, dtype=bool)
+    cs = np.empty((n, total), dtype=bool) if window else None
+    stuck = [np.empty(0, dtype=np.int64)]
+    fields = (succ, legit, unsafe, cs, stuck)
+    target = protocol.legit_tally
+    closed = [sorted({v, *g.adj[v]}) for v in range(n)]
+    if sum([D ** len(c) for c in closed]) >= total:
+        for here, R, b in space.batches(protocol, g):
+            columns = [_vertex_columns(b, v, space, window) for v in range(n)]
+            _fill(fields, here, (len(R),), columns, target)
+            del R, b, columns
+        return succ, legit, unsafe, cs, np.concatenate(stuck)
+
+    # Vertex v's tables span the axes of N[v] and are flat along the rest.
+    tables = []
+    for v, cols in enumerate(closed):
+        shape = [D if u in cols else 1 for u in range(n)]
+        for here, R, b in space.batches(protocol, g, cols=cols):
+            columns = _vertex_columns(b, v, space, window)
+            if not here.start:
+                tables.append([np.empty(shape, dtype=c.dtype) for c in columns])
+            for t, c in zip(tables[v], columns):
+                t.reshape(-1)[here] = c
+            del R, b, columns
+    lead = min([s for s in range(n + 1) if D ** (n - s) <= CHUNK_ROWS])
+    size, shape = D ** (n - lead), (D,) * (n - lead)
+    for p in range(D**lead):
+        digits = [p // D ** (lead - 1 - a) % D for a in range(lead)]
+        columns = []
+        for cols, table in zip(closed, tables):
+            # The slab's leading digits, on the axes the tables span.
+            at = tuple([d if a in cols else 0 for a, d in enumerate(digits)])
+            columns.append([t[at] for t in table])
+        _fill(fields, slice(p * size, (p + 1) * size), shape, columns, target)
+    return succ, legit, unsafe, cs, np.concatenate(stuck)
+
+
 def _sync_scan_exhaustive(
     protocol, g: Graph, space: StateSpace, liveness_window: int | None
 ) -> SyncScanResult:
     """`sync_worst_case` over every configuration, solved on the
-    synchronous successor function."""
+    synchronous successor function that `_sync_kernel_pass` stores, with
+    its flags."""
     n, total, config_at = g.n, space.total, space.config_at
     cap = protocol.sync_step_bound(g)
     tail = liveness_window or 0
 
     # Kernel pass: the successor's index, and the flags the fields read.
-    succ = np.empty(total, dtype=np.int32)
-    legit = np.empty(total, dtype=bool)
-    unsafe = np.empty(total, dtype=bool)
-    # Critical-section bits, one row per vertex.
-    cs = None if liveness_window is None else np.empty((n, total), dtype=bool)
-    # Legitimate configurations where no vertex is enabled.
-    stuck = [np.empty(0, dtype=np.int64)]
-    for here, R, b in space.batches(protocol, g):
-        succ[here] = space.index(b.nxt)
-        legit[here] = b.legit
-        unsafe[here] = rows_with(b.priv, 2)
-        if cs is not None:
-            cs[:, here] = (b.priv & b.enabled).T
-            stuck.append(
-                np.flatnonzero(b.legit & ~rows_with(b.enabled, 1)) + here.start
-            )
-        del R, b
+    succ, legit, unsafe, cs, stuck = _sync_kernel_pass(
+        protocol, g, space, liveness_window is not None
+    )
     top = np.flatnonzero(legit)
     gone = top[~legit[succ[top]]]
     if len(gone):
@@ -291,7 +399,6 @@ def _sync_scan_exhaustive(
     alive = np.ones(len(top), dtype=bool)
     last = np.full(len(top), -1, dtype=np.int32)
     after = np.zeros(len(top), dtype=np.int32)
-    stuck = np.concatenate(stuck)
     if cs is not None:
         full = np.zeros((n, len(top)), dtype=np.int32)  # window from 0
         since = np.zeros((n, len(top)), dtype=np.int32)  # from the last unsafe
@@ -447,6 +554,13 @@ def sync_worst_case(
     window at step 0; its per-vertex counts slide along its successor's as
     ``S(i) = cs(i) + S(succ i) - cs(succ^window i)``.  Every other run
     shares its successor's window.
+
+    The kernel pass, `_sync_kernel_pass`, reads each vertex's columns of
+    the kernel once per configuration of its closed neighbourhood, where
+    those are fewer in sum than the configurations of the space (on ssme
+    ring:4, 4 x 27^3 = 78,732 kernel rows for 531,441 configurations), and
+    builds the successor index and the flags by broadcasting them over the
+    index; otherwise it runs the kernel over the space itself.
 
     Levels are peeled over the core only: the configurations that are
     some configuration's successor, plus the legitimate set.  The core is
@@ -631,7 +745,11 @@ def worst_case_unfair(
     states whose successors all lie in levels below k.  Every other
     state is no state's successor, so no distance waits on it; after the
     peel, each such state takes one past its farthest successor's in one
-    pass over its group's columns.
+    pass over its group's columns.  Only the core's rows are held through
+    the peel: the groups are built one at a time, in descending mask
+    order, to mark the core, and each keeps the rows marked so far, nearly
+    the whole core; the rest of the core is built again before the peel,
+    and the other rows after it, again one group at a time.
 
     In the peel, each unfinished state watches one successor: every
     successor before it, in the canonical subset order, is finished.  A
@@ -709,36 +827,54 @@ def worst_case_unfair(
             )
         del R, b
 
-    # Successors, grouped by enabled mask: row r of a group's matrix holds
-    # the positions of its r-th state's successors, one column per
-    # activation subset in the canonical order.  They are built as indices
-    # from the representative's own and mapped to positions along the
-    # matrix's column-major buffer.
+    # The live states, grouped by enabled mask, with the mask's vertices,
+    # in descending mask order (see the core below).
     live = np.flatnonzero(~done).astype(np.int32)
     live_masks = mask_of[live]
     groups = []
-    for m in np.unique(live_masks).tolist():
-        states = live[live_masks == m]
+    for m in np.unique(live_masks).tolist()[::-1]:
         verts = [v for v in range(n) if m >> v & 1]
         # The columns' subsets; rejects an enabled set past the branching cap.
         enumerate_choices(verts)
+        groups.append((live[live_masks == m], verts))
+    del mask_of, live, live_masks
+
+    def successors(states: np.ndarray, verts: list[int]) -> np.ndarray:
+        """Row r holds the positions of the r-th state's successors, one
+        column per activation subset in the canonical order: built as
+        indices from the representative's own and mapped to positions
+        along the matrix's column-major buffer."""
         deltas = [delta_of[v][states] for v in verts]
         succ = _subset_successors(rep(states), deltas)
         to_positions(succ.reshape(-1, order="F"))
-        groups.append((states, succ))
-    del delta_of, mask_of, live, live_masks
+        return succ
 
-    # The core: every state some live state steps to.  Only its rows are
-    # peeled, each watching its first column to start with; a row outside
-    # it is no state's successor, so it finishes after the peel.
+    # The core: every state some live state steps to.  Each group's
+    # successors are built to mark it, one group at a time, and only the
+    # rows already marked, which this group or an earlier one steps to,
+    # are kept for the peel, each watching its first column to start with.
+    # In descending mask order that is nearly every core row (all of them
+    # on ssme complete:4 and complete:5 and the token ring at n = 6, all but
+    # about a hundred of 87,217 on ssme ring:4); a core row marked later is
+    # built again after the pass.  A row outside the core is no state's
+    # successor, so it finishes after the peel.
     in_core = np.zeros(orbits, dtype=bool)
-    for _, succ in groups:
+    peel, kept = [], []
+    for states, verts in groups:
+        succ = successors(states, verts)
         in_core[succ] = True
-    peel = []
-    for states, succ in groups:
-        rows = np.flatnonzero(in_core[states])
-        if len(rows):
-            peel.append((states, succ, rows, succ[rows, 0]))
+        kept.append(in_core[states])
+        peel.append((states[kept[-1]], succ[kept[-1]]))
+        del succ
+    for (states, verts), old in zip(groups, kept):
+        late = states[in_core[states] & ~old]
+        if len(late):
+            peel.append((late, successors(late, verts)))
+    del kept
+    peel = [
+        (core, succ, np.arange(len(core)), succ[:, 0])
+        for core, succ in peel if len(core)
+    ]
     # An unfinished state's distance lies past every finished one's.
     unfinished = np.iinfo(np.int32).max
     dist = np.where(done, 0, unfinished).astype(np.int32)
@@ -764,18 +900,23 @@ def worst_case_unfair(
             done[states[rows[f]]] = True
             peel[i] = (states, succ, rows[~f], watch[~f])
         peel = [grp for grp in peel if len(grp[2])]
+    del peel
 
     # A row outside the core finishes one step past its farthest successor,
-    # once all of them have.  The farthest is a running maximum over the
+    # once all of them have.  Its group's successors are built here, one
+    # group at a time, and the farthest is a running maximum over the
     # columns.
-    for states, succ in groups:
-        rows = np.flatnonzero(~in_core[states])
-        last = dist[succ[rows, 0]]
+    for states, verts in groups:
+        rest = states[~in_core[states]]
+        succ = successors(rest, verts)
+        last = dist[succ[:, 0]]
         for j in range(1, succ.shape[1]):
-            np.maximum(last, dist[succ[rows, j]], out=last)
+            np.maximum(last, dist[succ[:, j]], out=last)
         f = last < unfinished
-        dist[states[rows[f]]] = last[f] + 1
-        done[states[rows[f]]] = True
+        dist[rest[f]] = last[f] + 1
+        done[rest[f]] = True
+        del succ
+    del delta_of
 
     if not done.all():
         # Follow each unfinished configuration's first unfinished successor

@@ -381,11 +381,10 @@ class TestDeterminism:
 
 
 class OneThreshold(SsmeProtocol):
-    """Clock protocol whose vertices all share vertex 0's threshold."""
+    """Clock protocol whose vertices all share vertex 0's threshold, 2n."""
 
     def __init__(self, n, diam):
-        super().__init__(n, diam)
-        self.thresholds = (self.thresholds[0],) * n
+        super().__init__(n, diam, thresholds=(2 * n,) * n)
 
 
 class TestRunStatsAgreesWithRun:

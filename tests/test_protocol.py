@@ -137,6 +137,54 @@ class TestDijkstra:
             make_protocol("dijkstra", g)
 
 
+def _assert_local(p, g, seed, rows=2000):
+    """Column v of each per-vertex `Batch` field is unchanged when every
+    column outside v's closed neighbourhood is redrawn.  Each row takes its
+    values from two of the domain's, so that rows where neighbours agree,
+    which the guards single out, are common; the redrawn columns are
+    uniform."""
+    rng = np.random.default_rng(seed)
+    domain = p.state_domain()
+    lo, hi = domain[0], domain[-1] + 1
+    pairs = rng.integers(lo, hi, size=(rows, 2))
+    pick = rng.integers(0, 2, size=(rows, g.n))
+    R = np.take_along_axis(pairs, pick, axis=1).astype(np.int32)
+    b = p.batch(R, g)
+    for v in range(g.n):
+        far = [u for u in range(g.n) if u != v and u not in g.adj[v]]
+        moved = R.copy()
+        moved[:, far] = rng.integers(lo, hi, size=(rows, len(far)))
+        m = p.batch(moved, g)
+        for field in ("nxt", "enabled", "priv", "hits", "tally"):
+            assert np.array_equal(
+                getattr(m, field)[:, v], getattr(b, field)[:, v]
+            ), (field, v)
+
+
+@pytest.mark.parametrize(
+    "proto,spec",
+    [
+        ("ssme", "ring:5"),
+        ("ssme", "path:4"),
+        ("ssme", "grid:3x3"),
+        ("dijkstra", "ring:5"),
+    ],
+)
+def test_batch_columns_read_only_the_closed_neighbourhood(proto, spec):
+    g = generate(spec)
+    _assert_local(make_protocol(proto, g), g, seed=sum(map(ord, spec)))
+
+
+def test_locality_check_has_teeth():
+    # Frozen's freeze reads every vertex: on path:3, redrawing vertex 2
+    # wakes vertex 0 on an all-bottom row.
+    from test_search import Frozen
+
+    g = generate("path:3")
+    with pytest.raises(AssertionError):
+        _assert_local(Frozen.for_graph(g), g, seed=3)
+
+
 def test_make_protocol():
     g = generate("ring:4")
     assert make_protocol("ssme", g).name == "ssme"
@@ -173,6 +221,7 @@ def _assert_batch_row(p, g, cfg, b, i):
         p.privileged_vertices(cfg, g)
     ), cfg
     assert bool(b.legit[i]) == p.is_legitimate(cfg, g), cfg
+    assert b.legit[i] == (b.tally[i].sum() == p.legit_tally), cfg
     # The moves `CentralAdversarial` counts.
     target = p.reset_rule
     assert b.hits[i].tolist() == [

@@ -1,3 +1,4 @@
+import copy
 import functools
 import tracemalloc
 import weakref
@@ -10,6 +11,7 @@ from stabsim import generate, search
 from stabsim.clock import ClockParams
 from stabsim.engine import FalsificationError, run, step
 from stabsim.daemon import SynchronousDaemon, enumerate_choices
+from stabsim.graph import parse_graph
 from stabsim.protocol import (
     Batch,
     DijkstraProtocol,
@@ -17,6 +19,7 @@ from stabsim.protocol import (
     ValueShift,
     VertexPermutations,
     make_protocol,
+    rows_with,
 )
 from stabsim.search import (
     StateSpace,
@@ -132,7 +135,7 @@ class TestSyncWorstCase:
         rng = np.random.default_rng(5)
         rows = rng.integers(-p.alpha, p.ring, size=(100, 4), dtype=np.int32)
         for depth in range(4):
-            nxt, enabled, priv, legit, _hits = p.batch(rows, g)
+            nxt, enabled, priv, legit, _hits, _tally = p.batch(rows, g)
             for i in range(rows.shape[0]):
                 cfg = tuple(int(x) for x in rows[i])
                 expected_enabled = set(
@@ -202,7 +205,7 @@ class TestSyncWorstCase:
         # the count depends on where each run ends, and a run's window can
         # open after its first legitimate configuration.
         g = generate("path:2")
-        p = OneThreshold.for_graph(g)
+        p = one_threshold(g)
         w = None if window is None else 2 * p.ring
         if chunk_rows is not None:
             monkeypatch.setattr(search, "CHUNK_ROWS", chunk_rows)
@@ -258,6 +261,17 @@ class TestSyncWorstCase:
             sync_worst_case(Leaky(), g, "exhaustive")
         assert exc.value.artifact == [(0, 0), (1, 1)]
 
+    def test_threshold_at_zero_breaks_ring4(self):
+        # A broken variant past the scalar oracle's reach: with vertex 0's
+        # threshold at 0, two vertices are still privileged together one
+        # step later than ceil(diam/2) = 1.
+        g = generate("ring:4")
+        p = SsmeProtocol(4, 2, thresholds=(0, 4, 8, 12))
+        scan = sync_worst_case(p, g, "exhaustive")
+        assert (scan.max_convergence_me, scan.witness_me) == (2, (0, 7, 7, 7))
+        rerun = _sync_scan_scalar(p, g, [scan.witness_me], None)
+        assert rerun.max_convergence_me == 2
+
     def test_int32_index_limit(self):
         # 2000**3 configurations: rejected before anything is allocated.
         g = generate("ring:3")
@@ -267,6 +281,120 @@ class TestSyncWorstCase:
         g = generate("path:6")
         with pytest.raises(ValueError, match="int32"):
             sync_worst_case(SsmeProtocol.for_graph(g), g, "exhaustive")
+
+
+def _whole_walk_pass(protocol, g, space, window):
+    """The synchronous scan's kernel pass as one `StateSpace.batches` walk
+    over the whole space, reading the kernel's own ``legit``: the
+    reference the per-vertex split pass is held to."""
+    n, total = g.n, space.total
+    succ = np.empty(total, dtype=np.int32)
+    legit = np.empty(total, dtype=bool)
+    unsafe = np.empty(total, dtype=bool)
+    cs = np.empty((n, total), dtype=bool) if window else None
+    stuck = [np.empty(0, dtype=np.int64)]
+    for here, R, b in space.batches(protocol, g):
+        succ[here] = space.index(b.nxt)
+        legit[here] = b.legit
+        unsafe[here] = rows_with(b.priv, 2)
+        if window:
+            cs[:, here] = (b.priv & b.enabled).T
+            stuck.append(
+                np.flatnonzero(b.legit & ~rows_with(b.enabled, 1)) + here.start
+            )
+        del R, b
+    return succ, legit, unsafe, cs, np.concatenate(stuck)
+
+
+# The spider with legs 1-2, 3 and 4 at vertex 0: no vertex sees every
+# other, so the scan splits.  The paper's clock gives it 43^5 = 147 M
+# configurations; `small_clock` gives 6^5.
+SPIDER = "5 4\n0 1\n1 2\n0 3\n0 4\n"
+
+
+def _split_case(name):
+    if name == "small-clock spider":
+        g = parse_graph(SPIDER)
+        return small_clock(g), g
+    proto, spec = name.split()
+    g = generate(spec)
+    return make_protocol(proto, g), g
+
+
+SPLIT_CASES = [
+    "ssme ring:4", "ssme path:4", "small-clock spider",
+    "dijkstra ring:4", "dijkstra ring:5",
+]
+
+
+class TestSplitPass:
+    @pytest.mark.parametrize("window", [False, True])
+    @pytest.mark.parametrize(
+        "case,chunk_rows",
+        [(case, None) for case in SPLIT_CASES]
+        + [(case, 7) for case in SPLIT_CASES[2:]],
+    )
+    def test_split_pass_equals_the_whole_walk(
+        self, case, chunk_rows, window, monkeypatch
+    ):
+        p, g = _split_case(case)
+        space = StateSpace.of(p, g, 10**7)
+        D = len(space.domain)
+        assert sum(D ** (1 + len(g.adj[v])) for v in range(g.n)) < space.total
+        want = _whole_walk_pass(p, g, space, window)
+        if chunk_rows is not None:
+            monkeypatch.setattr(search, "CHUNK_ROWS", chunk_rows)
+        got = search._sync_kernel_pass(p, g, space, window)
+        names = ("succ", "legit", "unsafe", "cs", "stuck")
+        for name, a, b in zip(names, got, want):
+            if name == "stuck":
+                a, b = np.sort(a), np.sort(b)
+            assert (a is None and b is None) or np.array_equal(a, b), name
+        # Legitimate and unsafe configurations both occur.
+        assert want[1].any() and want[2].any()
+
+    @pytest.mark.parametrize("window", [None, "2K"])
+    def test_scan_equals_the_scan_on_the_whole_walk(self, window, monkeypatch):
+        g = generate("ring:4")
+        p = SsmeProtocol.for_graph(g)
+        w = None if window is None else 2 * p.ring
+        split = sync_worst_case(p, g, "exhaustive", liveness_window=w)
+        monkeypatch.setattr(search, "_sync_kernel_pass", _whole_walk_pass)
+        assert split == sync_worst_case(p, g, "exhaustive", liveness_window=w)
+
+    @pytest.mark.parametrize(
+        "spec,rows",
+        [
+            # One call per vertex over its 27^3 neighbourhood values.
+            ("ring:4", [19_683] * 4),
+            # Every vertex sees every other: the space itself, 20^4.
+            ("complete:4", [32_768] * 4 + [160_000 - 4 * 32_768]),
+        ],
+    )
+    def test_kernel_rows_per_scan(self, spec, rows):
+        g = generate(spec)
+        p = _OneChunkAlive(SsmeProtocol.for_graph(g))
+        sync_worst_case(p, g, "exhaustive", liveness_window=2 * p.ring)
+        assert p.rows == rows
+
+    @pytest.mark.parametrize(
+        "window,mib",
+        # The tracemalloc peaks of the whole-space walk, 6.63 and 10.71 MiB,
+        # rounded up to a tenth of a MiB.
+        [(None, 6.7), ("2K", 10.8)],
+    )
+    def test_scan_peak_memory(self, window, mib):
+        g = generate("ring:4")
+        p = SsmeProtocol.for_graph(g)
+        w = None if window is None else 2 * p.ring
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            sync_worst_case(p, g, "exhaustive", liveness_window=w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20
 
 
 STATE_SPACE_CASES = [("ssme", "path:2"), ("dijkstra", "ring:3")]
@@ -369,7 +497,7 @@ def _differential_case(name, spec, window):
         "frozen": Frozen.for_graph,
         "hasty": Hasty.for_graph,
         "toggler": lambda g: SyncToggler(),
-        "small-clock": SmallClock.for_graph,
+        "small-clock": small_clock,
     }[name]
     p = make(g)
     if window is None or isinstance(window, int):
@@ -384,18 +512,19 @@ def _cached_scalar(name, spec, window):
     return _exhaustive_scalar(p, g, w)
 
 
-class OneThreshold(SsmeProtocol):
-    """Clock protocol whose vertices all share vertex 0's threshold."""
+def one_threshold(g):
+    """The clock protocol on ``g`` whose vertices all share vertex 0's
+    threshold, 2n."""
+    return SsmeProtocol(g.n, g.diam, thresholds=(2 * g.n,) * g.n)
+
+
+class Frozen(SsmeProtocol):
+    """`one_threshold`'s protocol with two terminal configurations: every
+    vertex at the stem's bottom (not legitimate), and every vertex on the
+    shared threshold (legitimate and unsafe)."""
 
     def __init__(self, n, diam):
-        super().__init__(n, diam)
-        self.thresholds = (self.thresholds[0],) * n
-
-
-class Frozen(OneThreshold):
-    """OneThreshold with two terminal configurations: every vertex at the
-    stem's bottom (not legitimate), and every vertex on the shared
-    threshold (legitimate and unsafe)."""
+        super().__init__(n, diam, thresholds=(2 * n,) * n)
 
     def _frozen(self, R):
         return (R == -self.alpha).all(axis=1) | (R == self.thresholds[0]).all(axis=1)
@@ -415,25 +544,20 @@ class Frozen(OneThreshold):
         )
 
 
-class SmallClock(SsmeProtocol):
-    """Clock protocol on cherry(1, 5) with thresholds 0..n-1: 6^4 = 1,296
-    configurations on complete:4, where some runs outside the legitimate
-    set are ME-safe from their start and so slide their liveness window."""
-
-    def __init__(self, n, diam):
-        super().__init__(n, diam)
-        self.params = ClockParams(1, 5)
-        self.alpha, self.ring = self.params.alpha, self.params.ring
-        self.thresholds = tuple(range(n))
+def small_clock(g):
+    """The clock protocol on cherry(1, 5) with thresholds 0..n-1: 6^4 =
+    1,296 configurations on complete:4, where some runs outside the
+    legitimate set are ME-safe from their start and so slide their liveness
+    window."""
+    return SsmeProtocol(
+        g.n, g.diam, params=ClockParams(1, 5), thresholds=range(g.n)
+    )
 
 
-class Spread(SsmeProtocol):
+def spread(g):
     """ring:6's clock with thresholds 0, 18, ..., 42: the paper's ring:6
     witness ``(11, 11, 29, 29, 29, 11)`` is ME-safe from its start here."""
-
-    def __init__(self, n, diam):
-        super().__init__(n, diam)
-        self.thresholds = (0, 18, 24, 30, 36, 42)
+    return SsmeProtocol(g.n, g.diam, thresholds=(0, 18, 24, 30, 36, 42))
 
 
 class Hasty(SsmeProtocol):
@@ -495,10 +619,13 @@ class Toggler:
 
     name = "toggler"
     reset_rule = None
+    legit_tally = 0
 
     def batch(self, R, g):
         every = np.ones(R.shape, dtype=bool)
-        return Batch(1 - R, every, ~every, np.zeros(len(R), dtype=bool), every)
+        return Batch(
+            1 - R, every, ~every, np.zeros(len(R), dtype=bool), every, every
+        )
 
     def check_graph(self, g):
         pass
@@ -529,7 +656,9 @@ class Leaky(SyncToggler):
     its successor does not."""
 
     def batch(self, R, g):
-        return super().batch(R, g)._replace(legit=(R == 0).all(axis=1))
+        return super().batch(R, g)._replace(
+            legit=(R == 0).all(axis=1), tally=R != 0
+        )
 
 
 class Climber(Toggler):
@@ -548,7 +677,11 @@ class Climber(Toggler):
         enabled[:, 1:] = R[:, :1] == 0
         nxt = np.where(enabled, R + 1, R)
         nxt[:, 1:] %= 3
-        return Batch(nxt, enabled, np.zeros_like(enabled), R[:, 0] == 2, enabled)
+        tally = np.zeros_like(enabled)
+        tally[:, 0] = R[:, 0] != 2
+        return Batch(
+            nxt, enabled, np.zeros_like(enabled), R[:, 0] == 2, enabled, tally
+        )
 
     def enabled_rule(self, v, config, g):
         return "C" if (config[0] < 2 if v == 0 else config[0] == 0) else None
@@ -734,6 +867,7 @@ class TestUnfairWorstCase:
         class Stuck:
             name = "stuck"
             reset_rule = None
+            legit_tally = 0
 
             def check_graph(self, g):
                 pass
@@ -755,7 +889,7 @@ class TestUnfairWorstCase:
 
             def batch(self, R, g):
                 none = np.zeros(R.shape, dtype=bool)
-                return Batch(R.copy(), none, none, none[:, 0], none)
+                return Batch(R.copy(), none, none, none[:, 0], none, ~none)
 
         g = generate("path:1")
         with pytest.raises(FalsificationError, match="stuck") as exc:
@@ -769,17 +903,23 @@ class TestUnfairWorstCase:
                 return config[0] == 0
 
             def batch(self, R, g):
-                return super().batch(R, g)._replace(legit=R[:, 0] == 0)
+                tally = np.zeros(R.shape, dtype=bool)
+                tally[:, 0] = R[:, 0] != 0
+                return super().batch(R, g)._replace(
+                    legit=R[:, 0] == 0, tally=tally
+                )
 
         with pytest.raises(FalsificationError, match="stuck") as exc:
             worst_case_unfair(StuckPastZero(), generate("path:2"), state_budget=10)
         assert exc.value.artifact == (1, 0)
 
 
-def _plain(cls):
-    """``cls`` declaring no symmetry: its unconstrained solve walks every
-    configuration, the reference an orbit solve is held to."""
-    return type(f"Plain{cls.__name__}", (cls,), {"symmetry": lambda self, g: None})
+def _plain(p):
+    """A copy of ``p`` declaring no symmetry: its unconstrained solve walks
+    every configuration, the reference an orbit solve is held to."""
+    plain = copy.copy(p)
+    plain.symmetry = lambda g: None
+    return plain
 
 
 class ShortRing(DijkstraProtocol):
@@ -811,7 +951,7 @@ class Relay(Toggler):
         enabled &= ~legit[:, None]
         return Batch(
             np.where(enabled, nxt, R).astype(np.int32), enabled,
-            np.zeros_like(enabled), legit, enabled,
+            np.zeros_like(enabled), legit, enabled, R != 2,
         )
 
     def enabled_rule(self, v, config, g):
@@ -864,10 +1004,10 @@ def _solve(p, g):
 # without the group as well: the clock protocols on complete graphs, and
 # the token ring at K = n + 1 and n + 2.
 CLOCKS = {
-    "ssme": SsmeProtocol,
-    "small-clock": SmallClock,
-    "one-threshold": OneThreshold,
-    "frozen": Frozen,
+    "ssme": SsmeProtocol.for_graph,
+    "small-clock": small_clock,
+    "one-threshold": one_threshold,
+    "frozen": Frozen.for_graph,
 }
 ORBIT_CASES = [
     *(f"{name} complete:{n}" for name in CLOCKS for n in (2, 3, 4)),
@@ -881,9 +1021,10 @@ def _orbit_case(case):
     name, spec, *k = case.split()
     g = generate(spec)
     if name in CLOCKS:
-        return CLOCKS[name].for_graph(g), _plain(CLOCKS[name]).for_graph(g), g
-    k = int(k[0][2:])
-    return DijkstraProtocol(g.n, k), _plain(DijkstraProtocol)(g.n, k), g
+        p = CLOCKS[name](g)
+    else:
+        p = DijkstraProtocol(g.n, int(k[0][2:]))
+    return p, _plain(p), g
 
 
 class TestSymmetry:
@@ -916,7 +1057,7 @@ class TestSymmetry:
         [
             (SsmeProtocol(2, 1), "complete:2"),
             (SsmeProtocol(3, 1), "complete:3"),
-            (SmallClock(4, 1), "complete:4"),
+            (small_clock(generate("complete:4")), "complete:4"),
             (DijkstraProtocol(3, 5), "ring:3"),
             (DijkstraProtocol(4), "ring:4"),
         ],
@@ -961,10 +1102,10 @@ class TestSymmetry:
     @pytest.mark.parametrize(
         "p,plain,spec",
         [
-            (ShortRing(4, 3), _plain(ShortRing)(4, 3), "ring:4"),
-            (ShortRing(5, 2), _plain(ShortRing)(5, 2), "ring:5"),
-            (Relay(), _plain(Relay)(), "complete:3"),
-            (Relay(), _plain(Relay)(), "complete:4"),
+            (ShortRing(4, 3), _plain(ShortRing(4, 3)), "ring:4"),
+            (ShortRing(5, 2), _plain(ShortRing(5, 2)), "ring:5"),
+            (Relay(), _plain(Relay()), "complete:3"),
+            (Relay(), _plain(Relay()), "complete:4"),
         ],
         ids=["token-ring-4-k3", "token-ring-5-k2", "relay-3", "relay-4"],
     )
@@ -1069,10 +1210,10 @@ class TestSyncWorstBound:
         "make, spec, config_budget",
         [
             (SsmeProtocol.for_graph, "ring:6", search.DEFAULT_CONFIG_BUDGET),
-            (Spread.for_graph, "ring:6", search.DEFAULT_CONFIG_BUDGET),
+            (spread, "ring:6", search.DEFAULT_CONFIG_BUDGET),
             # The paper's complete:4 witness (8, 10, 0, 0) lies outside
-            # SmallClock's domain -1..4.
-            (SmallClock.for_graph, "complete:4", 0),
+            # small_clock's domain -1..4.
+            (small_clock, "complete:4", 0),
         ],
         ids=["ssme", "spread", "small-clock"],
     )

@@ -58,8 +58,8 @@ def test_guard_suite_reads_the_protocols_thresholds(monkeypatch, capsys):
     # Thresholds only diam apart are not pairwise > diam apart.
     class Crowded(SsmeProtocol):
         def __init__(self, n, diam):
-            super().__init__(n, diam)
-            self.thresholds = tuple(2 * n + diam * v for v in range(n))
+            thresholds = [2 * n + diam * v for v in range(n)]
+            super().__init__(n, diam, thresholds=thresholds)
 
     monkeypatch.setattr(verify, "SsmeProtocol", Crowded)
     failed = [res for res in guard_checks() if not res.ok]
@@ -81,8 +81,7 @@ def test_closure_suite_walks_every_legitimate_configuration(monkeypatch):
     # let two vertices be privileged in 16 of them.
     class Adjacent(SsmeProtocol):
         def __init__(self, n, diam):
-            super().__init__(n, diam)
-            self.thresholds = (8, 9, 10, 11)
+            super().__init__(n, diam, thresholds=(8, 9, 10, 11))
 
     monkeypatch.setattr(verify, "SsmeProtocol", Adjacent)
     closed, safe = closure_checks(generate("ring:4"))
@@ -119,8 +118,7 @@ class ZeroThreshold(SsmeProtocol):
     """The paper's path:3 clock with a privilege threshold at 0."""
 
     def __init__(self, n, diam):
-        super().__init__(n, diam)
-        self.thresholds = (0, 4, 8)
+        super().__init__(n, diam, thresholds=(0, 4, 8))
 
 
 class ShortStem(SsmeProtocol):
@@ -128,10 +126,9 @@ class ShortStem(SsmeProtocol):
     1, 5, 9, 13."""
 
     def __init__(self, n, diam):
-        super().__init__(n, diam)
-        self.params = ClockParams(1, 17)
-        self.alpha, self.ring = self.params.alpha, self.params.ring
-        self.thresholds = (1, 5, 9, 13)
+        super().__init__(
+            n, diam, params=ClockParams(1, 17), thresholds=(1, 5, 9, 13)
+        )
 
 
 def test_bounds_suite_fails_a_threshold_at_zero(monkeypatch):
@@ -194,11 +191,10 @@ TAIL = 12
 
 
 class OneThreshold(SsmeProtocol):
-    """Clock protocol whose vertices all share vertex 0's threshold."""
+    """Clock protocol whose vertices all share vertex 0's threshold, 2n."""
 
     def __init__(self, n, diam):
-        super().__init__(n, diam)
-        self.thresholds = (self.thresholds[0],) * n
+        super().__init__(n, diam, thresholds=(2 * n,) * n)
 
 
 def _initials(p, g, count, seed):
@@ -670,14 +666,22 @@ class Countdown:
     terminal at its largest value.  With ``settle``, a row is legitimate
     once vertex 0 reads 0."""
 
+    legit_tally = 0
+
     def __init__(self, settle=False):
         self.settle = settle
 
     def batch(self, R, g):
         enabled = R > 0
-        legit = R[:, 0] == 0 if self.settle else np.zeros(len(R), dtype=bool)
         none = np.zeros_like(enabled)
-        return Batch(np.where(enabled, R - 1, R), enabled, none, legit, enabled)
+        if self.settle:
+            legit, tally = R[:, 0] == 0, none.copy()
+            tally[:, 0] = ~legit
+        else:
+            legit, tally = none[:, 0], ~none
+        return Batch(
+            np.where(enabled, R - 1, R), enabled, none, legit, enabled, tally
+        )
 
 
 def _everyone(rows, R, b):
