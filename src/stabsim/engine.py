@@ -31,7 +31,7 @@ import numpy as np
 from .clock import ClockParams
 from .daemon import StepContext
 from .graph import Graph
-from .protocol import is_unison_legitimate, rows_with
+from .protocol import is_unison_legitimate, rows_with, tallied
 
 Config = tuple[int, ...]
 
@@ -458,8 +458,9 @@ def ensemble_runs(
         last_unsafe[unsafe] = t
         violations += unsafe
         unsafe_after += unsafe & (legit_at >= 0)
-        last_illegit[~b.legit] = t
-        legit_at[b.legit & (legit_at < 0)] = t
+        legit = tallied(b.tally, proto.legit_tally)
+        last_illegit[~legit] = t
+        legit_at[legit & (legit_at < 0)] = t
         why = np.where(rows_with(b.enabled, 1), -1, _TERMINAL).astype(np.int8)
         if t >= max_steps:
             why[:] = _MAX_STEPS

@@ -24,7 +24,7 @@ predicates (`is_stab`, `is_init`, `increment`, `locally_comparable`,
 `leq_local`), so no clock formula is restated in numpy.
 
 A protocol may also declare a symmetry of its kernel, `symmetry(g)`: a
-group acting on value matrices that maps ``legit``, ``enabled`` and
+group acting on value matrices that maps legitimacy, ``enabled`` and
 ``nxt`` onto themselves, so that the unconstrained solver needs one
 configuration per orbit.  The token ring's is `ValueShift`; the clock
 protocol's, on a complete graph, is `VertexPermutations`, since only
@@ -96,26 +96,26 @@ def ssme_guards(
 
 
 class Batch(NamedTuple):
-    """A protocol's view of a rows x vertices matrix of configurations.
+    """A protocol's per-vertex view of a rows x vertices matrix of
+    configurations: every field is a rows x vertices matrix.
 
     ``nxt`` holds every vertex's value after it moves (its own value where
     it is disabled), so activating the mask ``act`` gives
     ``np.where(act, nxt, R)``.  ``hits`` marks the moves `CentralAdversarial`
     keeps alive: reset-enabled vertices, or enabled ones for a protocol
     without a reset rule.  ``tally`` marks the vertices that legitimacy
-    counts: a row is ``legit`` exactly when it holds the protocol's
-    ``legit_tally`` of them (`tallied`).
+    counts: a row is legitimate exactly when it holds the protocol's
+    ``legit_tally`` of them, ``tallied(b.tally, protocol.legit_tally)``.
 
-    Locality: column v of ``nxt``, ``enabled``, ``priv``, ``hits`` and
-    ``tally`` reads only the columns of ``R`` in v's closed neighbourhood,
-    v and its neighbours.  The exhaustive synchronous scan relies on it to
-    evaluate each vertex over its neighbourhood's values alone.
+    Locality: column v of every field reads only the columns of ``R`` in
+    v's closed neighbourhood, v and its neighbours.  The exhaustive
+    synchronous scan relies on it to evaluate each vertex over its
+    neighbourhood's values alone.
     """
 
     nxt: np.ndarray
     enabled: np.ndarray
     priv: np.ndarray
-    legit: np.ndarray
     hits: np.ndarray
     tally: np.ndarray
 
@@ -318,7 +318,7 @@ class SsmeProtocol:
     def symmetry(self, g: Graph) -> VertexPermutations | None:
         """The vertex permutations when ``g`` is complete, and otherwise
         none.  Only privilege reads vertex ids, so every automorphism of
-        ``g`` maps ``legit``, ``enabled`` and ``nxt`` onto themselves."""
+        ``g`` maps legitimacy, ``enabled`` and ``nxt`` onto themselves."""
         if g.m == g.n * (g.n - 1) // 2:
             return VertexPermutations(len(self.state_domain()))
         return None
@@ -399,10 +399,7 @@ class SsmeProtocol:
         # The vertices that are not all correct with r_v >= 0.
         tally = ((acc & (_ALLC | _STAB)) != _ALLC | _STAB).T
         nxt = np.where(reset, -self.alpha, np.where(tick, ticked, Rt))
-        return Batch(
-            nxt.T, (tick | reset).T, (Rt == thresholds).T,
-            tallied(tally, self.legit_tally), reset.T, tally,
-        )
+        return Batch(nxt.T, (tick | reset).T, (Rt == thresholds).T, reset.T, tally)
 
     def sync_step_bound(self, g: Graph) -> int:
         # Synchronous runs settle into unison within 2n + diam steps.
@@ -502,8 +499,7 @@ class DijkstraProtocol:
         nxt = np.where(enabled, prev, R)
         nxt[:, 0] = np.where(enabled[:, 0], (R[:, 0] + 1) % self.k, R[:, 0])
         # A vertex holds the token exactly when it is enabled.
-        legit = tallied(enabled, self.legit_tally)
-        return Batch(nxt, enabled, enabled, legit, enabled, enabled)
+        return Batch(nxt, enabled, enabled, enabled, enabled)
 
     def sync_step_bound(self, g: Graph) -> int:
         # Exhaustive synchronous worst case is 2n-3 for n = 3..5, under this.

@@ -32,9 +32,9 @@ call each.
   configuration to the first legitimate one over the full nondeterministic
   transition relation (every non-empty activation subset).  It solves one
   representative per orbit of the protocol's declared `symmetry`, the
-  smallest index in the orbit: the relation reads only `legit`, `enabled`
-  and `nxt`, which the symmetry maps onto themselves, so every state of an
-  orbit has the same distance.  Guards and actions are evaluated once per
+  smallest index in the orbit: the relation reads only legitimacy,
+  `enabled` and `nxt`, which the symmetry maps onto themselves, so every
+  state of an orbit has the same distance.  Guards and actions are evaluated once per
   representative, each activation subset's successors are built once as
   an earlier subset's plus one vertex's mixed-radix index delta and mapped
   to their orbits' representatives one slice of `CHUNK_ROWS` at a time,
@@ -78,7 +78,7 @@ from .engine import (
     run,
 )
 from .graph import Graph
-from .protocol import SsmeProtocol
+from .protocol import SsmeProtocol, tallied
 
 # Default budgets of the exhaustive synchronous scan and the unconstrained
 # solver, in configurations.
@@ -193,12 +193,17 @@ class StateSpace:
         R[:, 0] = idx + lo
         return R
 
+    def term(self, values: np.ndarray, v: int) -> np.ndarray:
+        """Vertex v's int32 term in the index of configurations whose
+        column v holds the int32 ``values``."""
+        return (values - self.domain[0]) * np.int32(self.weight[v])
+
     def index(self, R: np.ndarray) -> np.ndarray:
-        """The int32 index of each configuration row of ``R``."""
-        lo, w = self.domain[0], self.weight
-        out = (R[:, 0] - lo) * np.int32(w[0])
+        """The int32 index of each configuration row of ``R``: the sum of
+        its vertices' `term`."""
+        out = self.term(R[:, 0], 0)
         for v in range(1, self.n):
-            out += (R[:, v] - lo) * np.int32(w[v])
+            out += self.term(R[:, v], v)
         return out
 
     def deltas(self, R: np.ndarray, nxt: np.ndarray) -> np.ndarray:
@@ -249,25 +254,11 @@ def _int_type(top: int) -> np.dtype:
     return np.min_scalar_type(-top - 1)
 
 
-def _power(f: np.ndarray, k: int) -> np.ndarray:
-    """The index map ``f`` composed with itself ``k`` times, by repeated
-    squaring; the identity when ``k`` is 0."""
-    out = np.arange(len(f), dtype=f.dtype)
-    while k:
-        if k & 1:
-            out = f[out]
-        k >>= 1
-        if k:
-            f = f[f]
-    return out
-
-
 def _vertex_columns(b, v: int, space: StateSpace, window: bool) -> tuple:
     """Vertex v's columns of the fields the synchronous scan reads from the
     batch ``b``: its value's index term in the successor, privileged,
     tallied, and with a window, enabled and its critical-section bit."""
-    lo, w = space.domain[0], np.int32(space.weight[v])
-    cols = ((b.nxt[:, v] - lo) * w, b.priv[:, v], b.tally[:, v])
+    cols = (space.term(b.nxt[:, v], v), b.priv[:, v], b.tally[:, v])
     if window:
         cols += (b.enabled[:, v], b.priv[:, v] & b.enabled[:, v])
     return cols
@@ -316,17 +307,18 @@ def _sync_kernel_pass(
     configurations where no vertex is enabled (stuck).
 
     By `Batch`'s locality, vertex v's columns depend only on the values of
-    its closed neighbourhood N[v].  Where the D^|N[v]| neighbourhood
-    configurations, summed over the vertices, are fewer than the D^n of the
-    space, the kernel runs once per vertex over N[v]'s configurations,
-    every other vertex at ``domain[0]``, and keeps v's columns as small
-    tables.  Each field is then built by broadcasting the tables over the
-    ``(D,) * n`` view of the index, one slab of leading digits, at most
-    `CHUNK_ROWS` configurations, at a time: the successor index is the sum
-    of each vertex's term, and the three counts add one table per vertex.
-    Otherwise (complete graphs, and a few vertices on a short path or ring)
-    one group of every vertex walks the space itself, and each chunk's
-    columns are written straight into the fields."""
+    its closed neighbourhood N[v].  Where walking the D^|N[v]|
+    neighbourhood configurations of every vertex, in `CHUNK_ROWS` slices,
+    takes fewer kernel calls than walking the D^n of the space, the kernel
+    runs once per vertex over N[v]'s configurations, every other vertex at
+    ``domain[0]``, and keeps v's columns as small tables.  Each field is
+    then built by broadcasting the tables over the ``(D,) * n`` view of the
+    index, one slab of leading digits, at most `CHUNK_ROWS` configurations,
+    at a time: the successor index is the sum of each vertex's term, and
+    the three counts add one table per vertex.  Otherwise (complete graphs,
+    and spaces of a chunk or two, such as the token ring's) one group of
+    every vertex walks the space itself, and each chunk's columns are
+    written straight into the fields."""
     n, total, D = g.n, space.total, len(space.domain)
     succ = np.empty(total, dtype=np.int32)
     legit = np.empty(total, dtype=bool)
@@ -336,7 +328,9 @@ def _sync_kernel_pass(
     fields = (succ, legit, unsafe, cs, stuck)
     target = protocol.legit_tally
     closed = [sorted({v, *g.adj[v]}) for v in range(n)]
-    if sum([D ** len(c) for c in closed]) >= total:
+    # Kernel calls of each vertex's walk, against one walk of the space.
+    calls = [-(-D ** len(c) // CHUNK_ROWS) for c in closed]
+    if sum(calls) >= -(-total // CHUNK_ROWS):
         for here, R, b in space.batches(protocol, g):
             columns = [_vertex_columns(b, v, space, window) for v in range(n)]
             _fill(fields, here, (len(R),), columns, target)
@@ -440,7 +434,10 @@ def _sync_scan_exhaustive(
         del full, since
         # succ^(tail - 1) and succ^tail of each core configuration.
         if tail:
-            back = core[_power(nxt, tail - 1)]
+            at = np.arange(len(core), dtype=np.int32)
+            for _ in range(tail - 1):
+                at = nxt[at]
+            back = core[at]
             ahead = succ[back]
         else:
             ahead = core
@@ -557,10 +554,11 @@ def sync_worst_case(
 
     The kernel pass, `_sync_kernel_pass`, reads each vertex's columns of
     the kernel once per configuration of its closed neighbourhood, where
-    those are fewer in sum than the configurations of the space (on ssme
-    ring:4, 4 x 27^3 = 78,732 kernel rows for 531,441 configurations), and
-    builds the successor index and the flags by broadcasting them over the
-    index; otherwise it runs the kernel over the space itself.
+    that takes fewer kernel calls than the configurations of the space (on
+    ssme ring:4, 4 x 27^3 = 78,732 kernel rows in 4 calls, against 531,441
+    configurations in 17), and builds the successor index and the flags by
+    broadcasting them over the index; otherwise it runs the kernel over the
+    space itself.
 
     Levels are peeled over the core only: the configurations that are
     some configuration's successor, plus the legitimate set.  The core is
@@ -569,8 +567,8 @@ def sync_worst_case(
     Every other configuration has no predecessor, so no run's fields wait
     on its own; after the peel it takes its fields from its successor's by
     the same rule, in one pass over the space.  Window counts are kept for
-    the core only, where ``succ^window`` is also composed, by repeated
-    squaring.  The critical-section bits and window counts are held as one
+    the core only, where ``succ^window`` is also composed, one step at a
+    time.  The critical-section bits and window counts are held as one
     contiguous row per vertex, and the fewest entries are a running
     minimum over the rows.  The scan relies on the legitimate set being
     closed under the synchronous step, and raises FalsificationError with a
@@ -716,7 +714,7 @@ def worst_case_unfair(
     or past an int32 index.
 
     The solve runs on the orbits of ``protocol.symmetry(g)``: a group of
-    maps on value matrices that carry the protocol's ``legit``,
+    maps on value matrices that carry the protocol's legitimacy,
     ``enabled`` and ``nxt`` onto themselves (`protocol.ValueShift` for the
     token ring, `protocol.VertexPermutations` for the clock protocol on a
     complete graph).  A protocol without the method, or returning None,
@@ -813,13 +811,13 @@ def worst_case_unfair(
     bits = 2 ** np.arange(n, dtype=mtype)
     edges = 0
     for here, R, b in space.batches(protocol, g, reps):
-        done[here] = b.legit
+        legit = done[here] = tallied(b.tally, protocol.legit_tally)
         mask_of[here] = b.enabled @ bits
         delta_of[:, here] = space.deltas(R, b.nxt)
-        choices = np.where(b.legit, 0, (1 << b.enabled.sum(axis=1)) - 1)
+        choices = np.where(legit, 0, (1 << b.enabled.sum(axis=1)) - 1)
         size = 1 if group is None else group.orbit_sizes(R)
         edges += int((choices * size).sum())
-        stuck = np.flatnonzero(~b.legit & (mask_of[here] == 0))
+        stuck = np.flatnonzero(~legit & (mask_of[here] == 0))
         if len(stuck):
             cfg = config_at(int(rep(here.start + stuck[0])))
             raise FalsificationError(

@@ -14,10 +14,12 @@ from stabsim.protocol import (
     RULE_NORMAL,
     RULE_RESET,
     SSME_RULES,
+    Batch,
     DijkstraProtocol,
     SsmeProtocol,
     make_protocol,
     ssme_guards,
+    tallied,
 )
 
 
@@ -155,7 +157,7 @@ def _assert_local(p, g, seed, rows=2000):
         moved = R.copy()
         moved[:, far] = rng.integers(lo, hi, size=(rows, len(far)))
         m = p.batch(moved, g)
-        for field in ("nxt", "enabled", "priv", "hits", "tally"):
+        for field in Batch._fields:
             assert np.array_equal(
                 getattr(m, field)[:, v], getattr(b, field)[:, v]
             ), (field, v)
@@ -220,8 +222,8 @@ def _assert_batch_row(p, g, cfg, b, i):
     assert tuple(np.flatnonzero(b.priv[i]).tolist()) == (
         p.privileged_vertices(cfg, g)
     ), cfg
-    assert bool(b.legit[i]) == p.is_legitimate(cfg, g), cfg
-    assert b.legit[i] == (b.tally[i].sum() == p.legit_tally), cfg
+    legit = tallied(b.tally[i : i + 1], p.legit_tally)[0]
+    assert legit == p.is_legitimate(cfg, g), cfg
     # The moves `CentralAdversarial` counts.
     target = p.reset_rule
     assert b.hits[i].tolist() == [
@@ -312,7 +314,8 @@ def test_batch_matches_scalar_rules_at_the_boundaries(spec):
     b = p.batch(R, g)
     rules = {p.enabled_rule(v, tuple(row.tolist()), g) for row in R for v in range(g.n)}
     assert rules == {None, *SSME_RULES}
-    assert b.legit.any() and not b.legit.all()
+    legit = tallied(b.tally, p.legit_tally)
+    assert legit.any() and not legit.all()
     for i, row in enumerate(R):
         _assert_batch_row(p, g, tuple(row.tolist()), b, i)
     for row_major, col_major in zip(b, p.batch(np.asfortranarray(R), g)):

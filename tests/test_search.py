@@ -20,6 +20,7 @@ from stabsim.protocol import (
     VertexPermutations,
     make_protocol,
     rows_with,
+    tallied,
 )
 from stabsim.search import (
     StateSpace,
@@ -135,7 +136,8 @@ class TestSyncWorstCase:
         rng = np.random.default_rng(5)
         rows = rng.integers(-p.alpha, p.ring, size=(100, 4), dtype=np.int32)
         for depth in range(4):
-            nxt, enabled, priv, legit, _hits, _tally = p.batch(rows, g)
+            nxt, enabled, priv, _hits, tally = p.batch(rows, g)
+            legit = tallied(tally, p.legit_tally)
             for i in range(rows.shape[0]):
                 cfg = tuple(int(x) for x in rows[i])
                 expected_enabled = set(
@@ -285,7 +287,7 @@ class TestSyncWorstCase:
 
 def _whole_walk_pass(protocol, g, space, window):
     """The synchronous scan's kernel pass as one `StateSpace.batches` walk
-    over the whole space, reading the kernel's own ``legit``: the
+    over the whole space, reading legitimacy through `tallied`: the
     reference the per-vertex split pass is held to."""
     n, total = g.n, space.total
     succ = np.empty(total, dtype=np.int32)
@@ -295,13 +297,11 @@ def _whole_walk_pass(protocol, g, space, window):
     stuck = [np.empty(0, dtype=np.int64)]
     for here, R, b in space.batches(protocol, g):
         succ[here] = space.index(b.nxt)
-        legit[here] = b.legit
+        ok = legit[here] = tallied(b.tally, protocol.legit_tally)
         unsafe[here] = rows_with(b.priv, 2)
         if window:
             cs[:, here] = (b.priv & b.enabled).T
-            stuck.append(
-                np.flatnonzero(b.legit & ~rows_with(b.enabled, 1)) + here.start
-            )
+            stuck.append(np.flatnonzero(ok & ~rows_with(b.enabled, 1)) + here.start)
         del R, b
     return succ, legit, unsafe, cs, np.concatenate(stuck)
 
@@ -340,11 +340,18 @@ class TestSplitPass:
         p, g = _split_case(case)
         space = StateSpace.of(p, g, 10**7)
         D = len(space.domain)
-        assert sum(D ** (1 + len(g.adj[v])) for v in range(g.n)) < space.total
+        split_rows = sum(D ** (1 + len(g.adj[v])) for v in range(g.n))
+        assert split_rows < space.total
         want = _whole_walk_pass(p, g, space, window)
         if chunk_rows is not None:
             monkeypatch.setattr(search, "CHUNK_ROWS", chunk_rows)
-        got = search._sync_kernel_pass(p, g, space, window)
+        counted = _OneChunkAlive(p)
+        got = search._sync_kernel_pass(counted, g, space, window)
+        # The split takes fewer kernel calls on the clock cases, and on
+        # every case at 7 rows per call; the small spaces otherwise fit one
+        # or two calls and are walked whole.
+        split = chunk_rows is not None or case.startswith("ssme")
+        assert sum(counted.rows) == (split_rows if split else space.total)
         names = ("succ", "legit", "unsafe", "cs", "stuck")
         for name, a, b in zip(names, got, want):
             if name == "stuck":
@@ -623,9 +630,7 @@ class Toggler:
 
     def batch(self, R, g):
         every = np.ones(R.shape, dtype=bool)
-        return Batch(
-            1 - R, every, ~every, np.zeros(len(R), dtype=bool), every, every
-        )
+        return Batch(1 - R, every, ~every, every, every)
 
     def check_graph(self, g):
         pass
@@ -656,9 +661,7 @@ class Leaky(SyncToggler):
     its successor does not."""
 
     def batch(self, R, g):
-        return super().batch(R, g)._replace(
-            legit=(R == 0).all(axis=1), tally=R != 0
-        )
+        return super().batch(R, g)._replace(tally=R != 0)
 
 
 class Climber(Toggler):
@@ -679,9 +682,7 @@ class Climber(Toggler):
         nxt[:, 1:] %= 3
         tally = np.zeros_like(enabled)
         tally[:, 0] = R[:, 0] != 2
-        return Batch(
-            nxt, enabled, np.zeros_like(enabled), R[:, 0] == 2, enabled, tally
-        )
+        return Batch(nxt, enabled, np.zeros_like(enabled), enabled, tally)
 
     def enabled_rule(self, v, config, g):
         return "C" if (config[0] < 2 if v == 0 else config[0] == 0) else None
@@ -889,7 +890,7 @@ class TestUnfairWorstCase:
 
             def batch(self, R, g):
                 none = np.zeros(R.shape, dtype=bool)
-                return Batch(R.copy(), none, none, none[:, 0], none, ~none)
+                return Batch(R.copy(), none, none, none, ~none)
 
         g = generate("path:1")
         with pytest.raises(FalsificationError, match="stuck") as exc:
@@ -905,9 +906,7 @@ class TestUnfairWorstCase:
             def batch(self, R, g):
                 tally = np.zeros(R.shape, dtype=bool)
                 tally[:, 0] = R[:, 0] != 0
-                return super().batch(R, g)._replace(
-                    legit=R[:, 0] == 0, tally=tally
-                )
+                return super().batch(R, g)._replace(tally=tally)
 
         with pytest.raises(FalsificationError, match="stuck") as exc:
             worst_case_unfair(StuckPastZero(), generate("path:2"), state_budget=10)
@@ -947,11 +946,10 @@ class Relay(Toggler):
         zeros = (R == 0).sum(axis=1, keepdims=True)
         enabled = R < 2
         nxt = np.where(R == 0, 1, np.where(R == 1, np.where(zeros > 0, 0, 2), R))
-        legit = (R == 2).all(axis=1)
-        enabled &= ~legit[:, None]
+        enabled &= ~(R == 2).all(axis=1, keepdims=True)
         return Batch(
             np.where(enabled, nxt, R).astype(np.int32), enabled,
-            np.zeros_like(enabled), legit, enabled, R != 2,
+            np.zeros_like(enabled), enabled, R != 2,
         )
 
     def enabled_rule(self, v, config, g):
@@ -979,17 +977,18 @@ def _generators(group, n):
 def _assert_equivariant(p, g):
     """Each generator of ``p.symmetry(g)`` maps the protocol's own ``batch``
     over the whole space onto itself: ``nxt`` and ``enabled`` move with
-    the configurations, and ``legit`` stays."""
+    the configurations, and legitimacy stays."""
     space = StateSpace.of(p, g, 10**6)
     R = space.configs(np.arange(space.total, dtype=np.int32))
     b = p.batch(R, g)
+    legit = tallied(b.tally, p.legit_tally)
     for move in _generators(p.symmetry(g), g.n):
         moved = p.batch(move(R), g)
         assert (moved.nxt == move(b.nxt)).all()
         # A value shift moves no vertex, so it leaves the enabled mask.
         on = b.enabled if isinstance(p.symmetry(g), ValueShift) else move(b.enabled)
         assert (moved.enabled == on).all()
-        assert (moved.legit == b.legit).all()
+        assert (tallied(moved.tally, p.legit_tally) == legit).all()
 
 
 def _solve(p, g):
@@ -1025,6 +1024,16 @@ def _orbit_case(case):
     else:
         p = DijkstraProtocol(g.n, int(k[0][2:]))
     return p, _plain(p), g
+
+
+def _chunk_rows(case):
+    """Kernel rows per call for the chunked solves of ``case``: 7, or 1,024
+    on spaces of 10^5 configurations or more (the token ring at n = 6, the
+    paper's clocks on complete:4), where 7-row calls take seconds and
+    1,024-row ones still make 9 to 32 per orbit solve and 115 to 256 per
+    plain one."""
+    p, _, g = _orbit_case(case)
+    return 7 if len(p.state_domain()) ** g.n < 10**5 else 1024
 
 
 class TestSymmetry:
@@ -1083,8 +1092,10 @@ class TestSymmetry:
         sizes = [len(set(orbit[:, i].tolist())) for i in reps]
         assert group.orbit_sizes(R[reps]).tolist() == sizes
 
-    @pytest.mark.parametrize("chunk_rows", [7, None])
-    @pytest.mark.parametrize("case", ORBIT_CASES)
+    @pytest.mark.parametrize(
+        "case,chunk_rows",
+        [(case, rows) for case in ORBIT_CASES for rows in (_chunk_rows(case), None)],
+    )
     def test_orbit_solve_equals_the_plain_solve(self, case, chunk_rows, monkeypatch):
         if chunk_rows is not None:
             monkeypatch.setattr(search, "CHUNK_ROWS", chunk_rows)

@@ -7,7 +7,7 @@ import pytest
 
 from stabsim import generate, verify
 from stabsim.cli import main
-from stabsim.clock import ClockParams
+from stabsim.clock import ClockParams, ssme_params
 from stabsim.daemon import (
     CentralAdversarial,
     CentralRoundRobin,
@@ -25,7 +25,7 @@ from stabsim.engine import (
     run_stats,
     step,
 )
-from stabsim.protocol import Batch, DijkstraProtocol, SsmeProtocol
+from stabsim.protocol import RULE_NORMAL, Batch, DijkstraProtocol, SsmeProtocol
 from stabsim.search import ssme_unfair_step_bound
 from stabsim.verify import (
     ENSEMBLE_POLICIES,
@@ -95,6 +95,23 @@ def test_closure_suite_walks_every_legitimate_configuration(monkeypatch):
     )
 
 
+def test_closure_suite_fails_a_move_out_of_the_legitimate_set(monkeypatch):
+    # Vertex 0's NA move resets its clock instead of ticking it.
+    class Unclosed(SsmeProtocol):
+        def apply(self, v, rule, config, g):
+            if v == 0 and rule == RULE_NORMAL:
+                return -self.alpha
+            return super().apply(v, rule, config, g)
+
+    monkeypatch.setattr(verify, "SsmeProtocol", Unclosed)
+    closed, safe = closure_checks(generate("path:2"))
+    assert str(closed) == (
+        "FAIL legitimate configurations are closed under every activation "
+        "choice: 16 counterexamples, first: ((0, 0), [0], (-2, 0))"
+    )
+    assert safe.ok, str(safe)
+
+
 def test_closure_suite_sampled_ring5():
     _assert_all_pass(closure_checks(generate("ring:5"), samples=300, seed=2))
 
@@ -104,9 +121,42 @@ def test_transient_suite_small():
         _assert_all_pass(transient_checks(generate(spec), samples=800, seed=1))
 
 
+def test_transient_suite_fails_a_threshold_on_the_stem(monkeypatch):
+    # Vertex 0 is privileged at the stem's bottom, right after a reset.
+    class StemThreshold(SsmeProtocol):
+        def __init__(self, n, diam):
+            rest = (2 * n + 2 * diam * v for v in range(1, n))
+            super().__init__(n, diam, thresholds=(-n, *rest))
+
+    monkeypatch.setattr(verify, "SsmeProtocol", StemThreshold)
+    results = transient_checks(generate("path:4"), samples=200, seed=1)
+    assert [res.ok for res in results] == [False, True, True, True]
+    assert str(results[0]) == (
+        "FAIL no repair rule fired before an early privilege: 173 "
+        "counterexamples, first: ((4, 0, 20, 25), 0, 1, 0, 'RA')"
+    )
+
+
 def test_indistinguishability_suite_small():
     _assert_all_pass(
         indistinguishability_checks(generate("ring:6"), pairs=150, seed=4)
+    )
+
+
+def test_indistinguishability_suite_fails_a_guard_that_reads_afar(monkeypatch):
+    # Vertex 0 waits while the vertex across ring:6 sits on the stem.
+    class Farsighted(SsmeProtocol):
+        def enabled_rule(self, v, config, g):
+            if v == 0 and config[self.n // 2] < 0:
+                return None
+            return super().enabled_rule(v, config, g)
+
+    monkeypatch.setattr(verify, "SsmeProtocol", Farsighted)
+    (res,) = indistinguishability_checks(generate("ring:6"), pairs=150, seed=4)
+    assert str(res) == (
+        "FAIL agreeing radius-k balls give identical k-step local histories: "
+        "2 counterexamples, first: "
+        "((12, 32, 29, -3, -1, 24), (12, 32, 29, 4, -1, 24), 0, 2)"
     )
 
 
@@ -129,6 +179,23 @@ class ShortStem(SsmeProtocol):
         super().__init__(
             n, diam, params=ClockParams(1, 17), thresholds=(1, 5, 9, 13)
         )
+
+
+def test_bounds_suite_fails_runs_that_miss_legitimacy(monkeypatch):
+    # A stem of 4n: a synchronous run from its bottom climbs 4n steps, past
+    # 2n + diam, while the unconstrained worst case stays in its bound.
+    class LongStem(SsmeProtocol):
+        def __init__(self, n, diam):
+            params = ClockParams(4 * n, ssme_params(n, diam).ring)
+            super().__init__(n, diam, params=params)
+
+    monkeypatch.setattr(verify, "SsmeProtocol", LongStem)
+    sync, unfair = bounds_checks(generate("path:2"))
+    assert str(sync) == (
+        "FAIL worst synchronous convergence equals ceil(diam/2): "
+        "2 counterexamples, first: 197 runs missed legitimacy in 2n+diam steps"
+    )
+    assert unfair.ok, str(unfair)
 
 
 def test_bounds_suite_fails_a_threshold_at_zero(monkeypatch):
@@ -675,13 +742,11 @@ class Countdown:
         enabled = R > 0
         none = np.zeros_like(enabled)
         if self.settle:
-            legit, tally = R[:, 0] == 0, none.copy()
-            tally[:, 0] = ~legit
+            tally = none.copy()
+            tally[:, 0] = R[:, 0] != 0
         else:
-            legit, tally = none[:, 0], ~none
-        return Batch(
-            np.where(enabled, R - 1, R), enabled, none, legit, enabled, tally
-        )
+            tally = ~none
+        return Batch(np.where(enabled, R - 1, R), enabled, none, enabled, tally)
 
 
 def _everyone(rows, R, b):
