@@ -493,6 +493,7 @@ def ensemble_runs(
                 f"scheduler selected non-enabled vertex {v} in row {rows[r]}"
             )
         R = np.asfortranarray(np.where(act, b.nxt, R))
+        del b, act  # freed before the next step's kernel call
         t += 1
     return EnsembleRuns(steps, *out, reason, final)
 

@@ -46,6 +46,7 @@ from .clock import (
     is_stab,
     leq_local,
     locally_comparable,
+    reset,
     ssme_params,
 )
 from .graph import Graph
@@ -305,7 +306,7 @@ class SsmeProtocol:
         if rule == RULE_NORMAL or rule == RULE_CONVERGE:
             return increment(config[v], self.params)
         if rule == RULE_RESET:
-            return -self.alpha
+            return reset(self.params)
         raise ValueError(f"unknown rule {rule!r}")
 
     def privileged_vertices(self, config: Sequence[int], g: Graph) -> tuple[int, ...]:
@@ -395,11 +396,11 @@ class SsmeProtocol:
         del idx, nb  # freed before the outputs are built
         tick = (acc & (_NA | _CA)) != 0
         # RA: not all correct, and r_v > 0.
-        reset = (acc & (_ALLC | _POS)) == _POS
+        ra = (acc & (_ALLC | _POS)) == _POS
         # The vertices that are not all correct with r_v >= 0.
         tally = ((acc & (_ALLC | _STAB)) != _ALLC | _STAB).T
-        nxt = np.where(reset, -self.alpha, np.where(tick, ticked, Rt))
-        return Batch(nxt.T, (tick | reset).T, (Rt == thresholds).T, reset.T, tally)
+        nxt = np.where(ra, reset(self.params), np.where(tick, ticked, Rt))
+        return Batch(nxt.T, (tick | ra).T, (Rt == thresholds).T, ra.T, tally)
 
     def sync_step_bound(self, g: Graph) -> int:
         # Synchronous runs settle into unison within 2n + diam steps.

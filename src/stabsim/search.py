@@ -394,7 +394,6 @@ def _sync_scan_exhaustive(
     last = np.full(len(top), -1, dtype=np.int32)
     after = np.zeros(len(top), dtype=np.int32)
     if cs is not None:
-        full = np.zeros((n, len(top)), dtype=np.int32)  # window from 0
         since = np.zeros((n, len(top)), dtype=np.int32)  # from the last unsafe
     for t in range(tail + 1):
         hit = unsafe[cur] & alive
@@ -402,9 +401,7 @@ def _sync_scan_exhaustive(
         if t:
             after += hit
         if cs is not None and t < tail:
-            here_cs = cs[:, cur]
-            full += here_cs
-            since += here_cs
+            since += cs[:, cur]
             since[:, hit] = 0
         if len(stuck):
             alive &= ~np.isin(cur, stuck)
@@ -428,10 +425,12 @@ def _sync_scan_exhaustive(
         low = np.full(total, np.iinfo(ctype).max, dtype=ctype)
         low[top] = since.min(axis=0)
         # Window counts, kept for the core only: no other configuration's
-        # window slides along them.
+        # window slides along them.  A legitimate configuration's counts
+        # are read only where its run is ME-safe from step 0, and there
+        # nothing reset them.
         sums = np.zeros((n, len(core)), dtype=ctype)
-        sums[:, np.searchsorted(core, top)] = full
-        del full, since
+        sums[:, np.searchsorted(core, top)] = since
+        del since
         # succ^(tail - 1) and succ^tail of each core configuration.
         if tail:
             at = np.arange(len(core), dtype=np.int32)
@@ -512,12 +511,11 @@ def sync_worst_case(
     samples: int = 0,
     seed: int = 0,
     liveness_window: int | None = None,
-    config_budget: int = DEFAULT_CONFIG_BUDGET,
 ) -> SyncScanResult:
     """Worst ME convergence index under the synchronous scheduler.
 
     ``mode`` is ``exhaustive`` (every configuration of the `StateSpace`,
-    rejected when it exceeds ``config_budget`` or does not fit an int32
+    rejected when it exceeds `DEFAULT_CONFIG_BUDGET` or does not fit an int32
     index) or ``sample`` (``samples`` configurations drawn uniformly from
     ``seed``).  Sampled maxima are lower bounds on the true worst case.  A
     ``liveness_window`` is taken by the exhaustive mode only; the sample
@@ -578,7 +576,7 @@ def sync_worst_case(
     if liveness_window is not None and liveness_window < 0:
         raise ValueError(f"liveness window must be >= 0, got {liveness_window}")
     if mode == "exhaustive":
-        space = StateSpace.of(protocol, g, config_budget)
+        space = StateSpace.of(protocol, g, DEFAULT_CONFIG_BUDGET)
         return _sync_scan_exhaustive(protocol, g, space, liveness_window)
     if mode != "sample":
         raise ValueError(f"unknown mode {mode!r}")
@@ -588,11 +586,9 @@ def sync_worst_case(
         raise ValueError("sample mode takes no liveness window")
     cap = protocol.sync_step_bound(g)
     chunks = list(_sampled_chunks(protocol.state_domain(), g.n, samples, seed))
+    select = SynchronousDaemon().batched(protocol, g, None, 0)
     runs = [
-        ensemble_runs(
-            protocol, g, chunk, lambda rows, R, b: b.enabled.T,
-            max_steps=cap, tail=0,
-        )
+        ensemble_runs(protocol, g, chunk, select, max_steps=cap, tail=0)
         for chunk in chunks
     ]
     legit = np.concatenate([res.legitimate_at for res in runs])
@@ -612,9 +608,8 @@ def sync_worst_bound(protocol, g: Graph, *, samples: int, seed: int) -> SyncScan
     maximum and its witness when it lies in the protocol's domain, at the
     index one run measures on the protocol itself."""
     domain = protocol.state_domain()
-    budget = DEFAULT_CONFIG_BUDGET
-    if StateSpace(domain, g.n).total <= budget:
-        return sync_worst_case(protocol, g, "exhaustive", config_budget=budget)
+    if StateSpace(domain, g.n).total <= DEFAULT_CONFIG_BUDGET:
+        return sync_worst_case(protocol, g, "exhaustive")
     scan = sync_worst_case(protocol, g, "sample", samples=samples, seed=seed)
     if isinstance(protocol, SsmeProtocol):
         wit = lower_bound_witness(g).config

@@ -38,9 +38,9 @@ from .daemon import SynchronousDaemon, enumerate_choices, make_daemon
 from .engine import (
     EnsembleRuns,
     FalsificationError,
+    enabled_rules,
     ensemble_runs,
     islands,
-    local_state,
     restrict_trace,
     run,
     run_stats,  # bound here for bench/tracer.py, which patches it per module
@@ -251,7 +251,7 @@ def closure_checks(
     def check_config(cfg: tuple[int, ...]) -> None:
         if len(proto.privileged_vertices(cfg, g)) > 1:
             safety_bad.append(cfg)
-        rules = [proto.enabled_rule(v, cfg, g) for v in range(g.n)]
+        rules = enabled_rules(proto, g, cfg)
         enabled = [v for v, r in enumerate(rules) if r is not None]
         if not enabled:
             closure_bad.append(("terminal", cfg))
@@ -317,13 +317,12 @@ def transient_checks(
     zero_island_bad: list = []
     depth_bad: list = []
     window_bad: list = []
-    ring_size = params.ring
-    arc_lo = (2 * proto.n - 2) * (diam + 1) + 3
+    arc_lo = params.ring - diam
     arc_hi = 2 * diam - 1
 
     def in_recovery_window(r: int) -> bool:
-        # Initial segment, or the ring arc running from arc_lo through 0 up
-        # to arc_hi (the arc wraps past K-1).
+        # Initial segment, or the ring arc running from arc_lo, diam ticks
+        # short of the ring size K, through 0 up to arc_hi.
         if r <= 0:
             return True
         return r >= arc_lo or r <= arc_hi
@@ -419,9 +418,6 @@ def indistinguishability_checks(
         for u in range(g.n):
             if g.dist[v][u] > k:
                 b[u] = rng.randrange(-params.alpha, params.ring)
-        if local_state(a, g, v, k) != local_state(b, g, v, k):
-            bad.append(("ball mismatch", v, k))
-            continue
         policy = SynchronousDaemon()
         ta = run(proto, g, tuple(a), policy, max_steps=k)
         tb = run(proto, g, tuple(b), policy, max_steps=k)
@@ -449,6 +445,9 @@ ENSEMBLE_POLICIES = (
     ("dist-rand:0.3", "dist-rand", 0.3),
     ("dist-rand:0.7", "dist-rand", 0.7),
 )
+# Steps the scheduler ensemble runs on past each run's first legitimate
+# configuration, checking that it stays ME-safe.
+ENSEMBLE_TAIL = 12
 
 
 class Streams:
@@ -536,11 +535,11 @@ def scheduler_ensemble_check(
     inits: int = 10_000,
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
     seed: int = 99,
-    tail: int = 12,
 ) -> CheckResult:
     """Every sampled run under every adversarial policy must reach a
     legitimate configuration within the proven step bound and stay
-    ME-safe from its first legitimate configuration on.
+    ME-safe from its first legitimate configuration on, for the
+    `ENSEMBLE_TAIL` steps after it.
 
     Each policy runs every policy seed x every initial configuration, as
     one block of rows; `policy_ensembles` steps the five blocks as one
@@ -555,6 +554,7 @@ def scheduler_ensemble_check(
         np.array(initials, dtype=np.int32).reshape(inits, g.n),
         (len(ENSEMBLE_POLICIES) * len(seeds), 1),
     )
+    tail = ENSEMBLE_TAIL
     bad: list = []
     for label, res in policy_ensembles(
         proto, g, batch, seed=seed, seeds=seeds, max_steps=bound + tail, tail=tail

@@ -753,12 +753,20 @@ def test_sweep_init_must_be_exactly_exhaustive(tmp_path, capsys):
         ("sweep", "--init", "random:0:1", "COUNT must be >= 1"),
         ("sweep", "--init", "random:-1:0", "COUNT must be >= 1"),
         ("run", "--init", "random:5:0", "gives 5; use sweep for several"),
+        ("run", "--init", "random:5", "expected random:COUNT:SEED"),
+        ("run", "--graph", "path:0", "path needs at least one vertex"),
+        ("run", "--graph", "complete:0", "complete graph needs at least one vertex"),
+        ("run", "--graph", "grid:0x3", "grid needs positive dimensions"),
+        ("run", "--graph", "random:0:0.5:1", "random graph needs at least one vertex"),
+        ("run", "--graph", "random:3:1.5:1", "edge probability must be in [0,1], got 1.5"),
         ("run", "--k-states", "7", "k_states sets the token ring's states"),
         ("sweep", "--k-states", "7", "k_states sets the token ring's states"),
     ],
     ids=[
         "sweep-max-steps", "run-tail", "sweep-tail",
         "run-count-0", "sweep-count-0", "sweep-count-negative", "run-count-5",
+        "run-random-no-seed", "path-0", "complete-0", "grid-0x3", "random-0",
+        "random-p-1.5",
         "run-k-states-ssme", "sweep-k-states-ssme",
     ],
 )
@@ -768,6 +776,57 @@ def test_bad_run_input_exits_2(tmp_path, capsys, command, flag, value, message):
     ])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3\n", "bad header '3', expected 'n m'"),
+        ("3 1\n0 1 2\n", "bad edge line '0 1 2'"),
+        ("0 0\n", "vertex count must be >= 1, got 0"),
+    ],
+    ids=["header", "edge-line", "no-vertices"],
+)
+def test_bad_graph_file_exits_2(tmp_path, capsys, text, message):
+    (tmp_path / "g.txt").write_text(text)
+    rc = main([
+        "run", "--graph", f"file:{tmp_path / 'g.txt'}", "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_token_ring_of_one_vertex_exits_2(tmp_path, capsys):
+    rc = main([
+        "run", "--graph", "ring:1", "--protocol", "dijkstra",
+        "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert "token ring needs at least 2 vertices, got 1" in capsys.readouterr().err
+
+
+def test_seeds_must_be_an_integer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--seeds", "abc"])
+    assert exc.value.code == 2
+    assert "argument --seeds: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_config_file_skips_comments_and_blank_lines(tmp_path, capsys):
+    conf = tmp_path / "cfg.txt"
+    conf.write_text("# a comment\n\nmax_steps 7\n   \n")
+    rc = main([
+        "run", "--graph", "ring:4", "--init", "zeros", "--config", str(conf),
+        "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 0
+    assert "max_steps=7" in capsys.readouterr().out
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["stabsim", "verify", "clock"])
+    assert main() == 0
+    assert "PASS increment climbs the stem" in capsys.readouterr().out
 
 
 def test_python_m_stabsim_runs_the_cli(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,6 +34,20 @@ def test_increment_rejects_out_of_range():
 )
 def test_ring_distance_examples(a, b, expected):
     assert clock.ring_distance(a, b, 12) == expected
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: clock.ClockParams(0, 5), "clock stem length must be >= 1, got 0"),
+        (lambda: clock.ClockParams(3, 1), "clock ring size must be >= 2, got 1"),
+        (lambda: clock.leq_local(0, 0, 1), "ring size must be >= 2, got 1"),
+    ],
+    ids=["stem-0", "ring-1", "leq-local-ring-1"],
+)
+def test_rejects_a_degenerate_clock(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
 
 
 def test_ring_distance_rejects_small_ring():

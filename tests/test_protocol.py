@@ -133,6 +133,15 @@ class TestDijkstra:
         assert p.apply(1, RULE_COPY, (0, 1, 2), g) == 0
         assert p.apply(0, RULE_BUMP, (3, 3, 3), g) == 0
 
+    def test_rejects_a_graph_of_another_size(self):
+        with pytest.raises(ValueError, match="sized for n=4, graph has n=5"):
+            DijkstraProtocol(4).check_graph(generate("ring:5"))
+
+    def test_apply_rejects_an_unknown_rule(self):
+        g = generate("ring:3")
+        with pytest.raises(ValueError, match="unknown rule 'NA'"):
+            DijkstraProtocol.for_graph(g).apply(1, "NA", (0, 1, 2), g)
+
     def test_rejects_non_ring_graph(self):
         g = generate("path:3")
         with pytest.raises(ValueError, match="ring"):

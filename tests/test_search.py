@@ -83,11 +83,12 @@ class TestSyncWorstCase:
         assert scan.unreached == 0
         assert scan.unsafe_after_legitimate == 0
 
-    def test_budget_rejection(self):
+    def test_budget_rejection(self, monkeypatch):
         g = generate("ring:4")
         p = SsmeProtocol.for_graph(g)
+        monkeypatch.setattr(search, "DEFAULT_CONFIG_BUDGET", 1000)
         with pytest.raises(ValueError, match="budget"):
-            sync_worst_case(p, g, "exhaustive", config_budget=1000)
+            sync_worst_case(p, g, "exhaustive")
 
     def test_sample_mode_needs_count(self):
         g = generate("path:2")
@@ -279,7 +280,7 @@ class TestSyncWorstCase:
         g = generate("ring:3")
         p = DijkstraProtocol(3, 2000)
         with pytest.raises(ValueError, match="int32"):
-            sync_worst_case(p, g, "exhaustive", config_budget=10**12)
+            sync_worst_case(p, g, "exhaustive")
         g = generate("path:6")
         with pytest.raises(ValueError, match="int32"):
             sync_worst_case(SsmeProtocol.for_graph(g), g, "exhaustive")

@@ -5,9 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from stabsim import generate, verify
+from stabsim import clock, generate, verify
 from stabsim.cli import main
-from stabsim.clock import ClockParams, ssme_params
+from stabsim.clock import ClockParams, ring_distance, ssme_params
 from stabsim.daemon import (
     CentralAdversarial,
     CentralRoundRobin,
@@ -25,7 +25,14 @@ from stabsim.engine import (
     run_stats,
     step,
 )
-from stabsim.protocol import RULE_NORMAL, Batch, DijkstraProtocol, SsmeProtocol
+from stabsim.protocol import (
+    RULE_NORMAL,
+    RULE_RESET,
+    Batch,
+    DijkstraProtocol,
+    SsmeProtocol,
+    ssme_guards,
+)
 from stabsim.search import ssme_unfair_step_bound
 from stabsim.verify import (
     ENSEMBLE_POLICIES,
@@ -50,8 +57,100 @@ def test_clock_suite():
     _assert_all_pass(clock_checks())
 
 
+def _failed(results) -> list[str]:
+    return [str(res) for res in results if not res.ok]
+
+
+def _longer_arc(a, b, ring):
+    d = (a - b) % ring
+    return max(d, ring - d)
+
+
+def _squared_distance(a, b, ring):
+    return ring_distance(a, b, ring) ** 2
+
+
+# (clock function patched, its mutant, the first failing check's line)
+CLOCK_MUTANTS = {
+    "stem-climbs-two": (
+        "increment",
+        lambda c, params: min(c + 2, 0) if c < 0 else (c + 1) % params.ring,
+        "FAIL increment climbs the stem then cycles the ring: 2 counterexamples, "
+        "first: stem of 5 did not end at 0 (got 2)",
+    ),
+    "longer-arc": (
+        "ring_distance",
+        _longer_arc,
+        "FAIL ring distance is a bounded symmetric metric: 37 counterexamples, "
+        "first: d(-12,-12) != 0",
+    ),
+    "squared-distance": (
+        "ring_distance",
+        _squared_distance,
+        "FAIL ring distance is a bounded symmetric metric: 2 counterexamples, "
+        "first: d(-12,-9) = 9",
+    ),
+    "comparable-two-apart": (
+        "locally_comparable",
+        lambda a, b, ring: ring_distance(a, b, ring) <= 2,
+        "FAIL locally comparable iff ordered one way or the other: 50 "
+        "counterexamples, first: (-5,-3): comparable=True either-order=False",
+    ),
+    "sizes-without-n": (
+        "ssme_params",
+        lambda n, diam: ClockParams(n, diam + 3),
+        "FAIL derived clock sizes dominate the vertex count: 45 counterexamples, "
+        "first: n=3 diam=0: alpha=3 K=3",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", list(CLOCK_MUTANTS))
+def test_clock_suite_fails_a_mutant_clock(monkeypatch, mutant):
+    # The longer arc breaks d(a, a) = 0 and the bound; squaring keeps
+    # d(a, a) = 0 and breaks the bound and the triangle inequality.  Each
+    # mutant leaves the other checks' functions alone, except that the
+    # distance mutants also reach `locally_comparable`.
+    name, fn, line = CLOCK_MUTANTS[mutant]
+    monkeypatch.setattr(clock, name, fn)
+    assert _failed(clock_checks())[0] == line
+
+
+def test_clock_suite_fails_a_reset_above_the_stem(monkeypatch):
+    # Reset one tick above the stem's bottom, and an initial segment that
+    # stops short of zero.
+    monkeypatch.setattr(clock, "reset", lambda params: 1 - params.alpha)
+    monkeypatch.setattr(clock, "is_init", lambda c, params: c < 0)
+    assert _failed(clock_checks()) == [
+        "FAIL reset bottoms the stem; zero overlaps both segments: 2 "
+        "counterexamples, first: reset gave -4"
+    ]
+
+
 def test_guard_suite():
     _assert_all_pass(guard_checks())
+
+
+def test_guard_suite_fails_overlapping_guards(monkeypatch):
+    # RA without its "not all correct" conjunct overlaps NA.
+    def overlapping(r_v, neigh, ring):
+        normal, converge, _ = ssme_guards(r_v, neigh, ring)
+        return normal, converge, r_v > 0
+
+    monkeypatch.setattr(verify, "ssme_guards", overlapping)
+    assert _failed(guard_checks()) == [
+        "FAIL at most one guard holds per vertex (exhaustive, n=3 diam=1, "
+        "degrees 1..3): 99 counterexamples, first: r=1 neigh=(1,) "
+        "guards=(True, False, True)"
+    ]
+
+
+def test_guard_suite_fails_a_threshold_at_zero(monkeypatch):
+    monkeypatch.setattr(verify, "SsmeProtocol", ZeroFirstThreshold)
+    assert _failed(guard_checks()) == [
+        "FAIL privilege thresholds sit in the ring, pairwise > diam apart: 28 "
+        "counterexamples, first: n=2 diam=1 threshold 0 outside ring"
+    ]
 
 
 def test_guard_suite_reads_the_protocols_thresholds(monkeypatch, capsys):
@@ -112,6 +211,21 @@ def test_closure_suite_fails_a_move_out_of_the_legitimate_set(monkeypatch):
     assert safe.ok, str(safe)
 
 
+def test_closure_suite_fails_a_terminal_legitimate_configuration(monkeypatch):
+    # Nothing is enabled once the configuration is legitimate.
+    class Frozen(SsmeProtocol):
+        def enabled_rule(self, v, config, g):
+            if self.is_legitimate(config, g):
+                return None
+            return super().enabled_rule(v, config, g)
+
+    monkeypatch.setattr(verify, "SsmeProtocol", Frozen)
+    assert _failed(closure_checks(generate("path:2"))) == [
+        "FAIL legitimate configurations are closed under every activation "
+        "choice: 24 counterexamples, first: ('terminal', (0, 0))"
+    ]
+
+
 def test_closure_suite_sampled_ring5():
     _assert_all_pass(closure_checks(generate("ring:5"), samples=300, seed=2))
 
@@ -135,6 +249,89 @@ def test_transient_suite_fails_a_threshold_on_the_stem(monkeypatch):
         "FAIL no repair rule fired before an early privilege: 173 "
         "counterexamples, first: ((4, 0, 20, 25), 0, 1, 0, 'RA')"
     )
+
+
+def _first_threshold_at(value):
+    class Shifted(SsmeProtocol):
+        def __init__(self, n, diam):
+            rest = (2 * n + 2 * diam * v for v in range(1, n))
+            super().__init__(n, diam, thresholds=(value, *rest))
+
+    return Shifted
+
+
+ZeroFirstThreshold = _first_threshold_at(0)
+
+
+class StuckReset(SsmeProtocol):
+    """RA is enabled as in the paper, but leaves the register where it is."""
+
+    def apply(self, v, rule, config, g):
+        if rule == RULE_RESET:
+            return config[v]
+        return super().apply(v, rule, config, g)
+
+
+class StemToOne(SsmeProtocol):
+    """A move from the stem lands on 1, past 0."""
+
+    def apply(self, v, rule, config, g):
+        if config[v] < 0:
+            return 1
+        return super().apply(v, rule, config, g)
+
+
+class Still(SsmeProtocol):
+    """No vertex is ever enabled."""
+
+    def enabled_rule(self, v, config, g):
+        return None
+
+
+@pytest.mark.parametrize(
+    "mutant, failed",
+    [
+        (
+            _first_threshold_at(1),
+            [
+                "FAIL no repair rule fired before an early privilege: 1 "
+                "counterexamples, first: ((-1, 0, 9, -4), 0, 2, 0, 'CA')",
+                "FAIL early-privileged vertices stayed out of zero-islands: 31 "
+                "counterexamples, first: ((0, 0, 15, 15), 0, 1, 0)",
+            ],
+        ),
+        (
+            StuckReset,
+            [
+                "FAIL no repair rule fired before an early privilege: 258 "
+                "counterexamples, first: ((4, 0, 20, 25), 2, 1, 0, 'RA')",
+                "FAIL non-zero islands lose depth every synchronous step: 2104 "
+                "counterexamples, first: ((4, 0, 20, 25), 0, 1, 0, 0)",
+                "FAIL after diam steps registers sit in the recovery window: 830 "
+                "counterexamples, first: ((4, 0, 20, 25), 2, 20)",
+            ],
+        ),
+        (
+            StemToOne,
+            [
+                "FAIL non-zero islands lose depth every synchronous step: 214 "
+                "counterexamples, first: ((2, 27, -3, 25), 0, 2, "
+                "'no island before')",
+            ],
+        ),
+        (
+            Still,
+            [
+                "FAIL after diam steps registers sit in the recovery window: 300 "
+                "counterexamples, first: ((4, 0, 20, 25), 'terminal after', 0)",
+            ],
+        ),
+    ],
+    ids=["threshold-at-1", "stuck-reset", "stem-to-one", "still"],
+)
+def test_transient_suite_fails_a_mutant(monkeypatch, mutant, failed):
+    monkeypatch.setattr(verify, "SsmeProtocol", mutant)
+    assert _failed(transient_checks(generate("path:4"), samples=300, seed=1)) == failed
 
 
 def test_indistinguishability_suite_small():
@@ -695,7 +892,8 @@ def test_ensemble_reports_runs_past_the_bound(monkeypatch):
     g = generate("path:3")
     p = SsmeProtocol.for_graph(g)
     monkeypatch.setattr(verify, "ssme_unfair_step_bound", lambda n, diam: 1)
-    res = scheduler_ensemble_check(g, inits=30, seeds=(0, 1), seed=4, tail=200)
+    monkeypatch.setattr(verify, "ENSEMBLE_TAIL", 200)
+    res = scheduler_ensemble_check(g, inits=30, seeds=(0, 1), seed=4)
     assert not res.ok
     first = next(
         init
