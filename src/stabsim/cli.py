@@ -318,32 +318,33 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    suite = args.suite
-    results = []
-    if suite == "clock":
-        results = verifylib.clock_checks()
-    elif suite == "guards":
-        results = verifylib.guard_checks()
-    elif suite == "lemmas":
-        g = _load_graph_arg(args.graph)
-        results = verifylib.transient_checks(g, samples=args.samples, seed=args.seed)
-    elif suite == "closure":
-        g = _load_graph_arg(args.graph)
-        results = verifylib.closure_checks(g, samples=args.samples, seed=args.seed)
-    elif suite == "bounds":
-        g = _load_graph_arg(args.graph)
-        results = verifylib.bounds_checks(g, samples=args.samples, seed=args.seed)
-    elif suite == "ensemble":
-        g = _load_graph_arg(args.graph)
-        results = [
-            verifylib.scheduler_ensemble_check(g, inits=args.samples, seed=args.seed)
-        ]
-    elif suite == "indist":
-        g = _load_graph_arg(args.graph)
-        results = verifylib.indistinguishability_checks(
-            g, pairs=args.samples, seed=args.seed
+# The suites of `verify`, by name: each maps the parsed arguments to its
+# check results.  The names are also the parser's choices.
+VERIFY_SUITES = {
+    "clock": lambda args: verifylib.clock_checks(),
+    "guards": lambda args: verifylib.guard_checks(),
+    "lemmas": lambda args: verifylib.transient_checks(
+        _load_graph_arg(args.graph), samples=args.samples, seed=args.seed
+    ),
+    "closure": lambda args: verifylib.closure_checks(
+        _load_graph_arg(args.graph), samples=args.samples, seed=args.seed
+    ),
+    "bounds": lambda args: verifylib.bounds_checks(
+        _load_graph_arg(args.graph), samples=args.samples, seed=args.seed
+    ),
+    "ensemble": lambda args: [
+        verifylib.scheduler_ensemble_check(
+            _load_graph_arg(args.graph), inits=args.samples, seed=args.seed
         )
+    ],
+    "indist": lambda args: verifylib.indistinguishability_checks(
+        _load_graph_arg(args.graph), pairs=args.samples, seed=args.seed
+    ),
+}
+
+
+def cmd_verify(args) -> int:
+    results = VERIFY_SUITES[args.suite](args)
     failed = 0
     for res in results:
         print(res)
@@ -460,9 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="property suites")
-    p_verify.add_argument("suite",
-                          choices=["clock", "guards", "lemmas", "closure", "bounds",
-                                   "ensemble", "indist"])
+    p_verify.add_argument("suite", choices=list(VERIFY_SUITES))
     p_verify.add_argument("--graph", default="ring:4")
     p_verify.add_argument("--samples", type=_positive_int, default=1000,
                           help="sampled configurations for closure and the "

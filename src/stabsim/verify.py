@@ -41,6 +41,7 @@ from .engine import (
     enabled_rules,
     ensemble_runs,
     islands,
+    local_state,
     restrict_trace,
     run,
     run_stats,  # bound here for bench/tracer.py, which patches it per module
@@ -413,16 +414,17 @@ def indistinguishability_checks(
     for _ in range(pairs):
         v = rng.randrange(g.n)
         k = rng.randint(1, g.diam)
-        a = list(random_config(proto, g.n, rng))
-        b = list(a)
-        for u in range(g.n):
-            if g.dist[v][u] > k:
-                b[u] = rng.randrange(-params.alpha, params.ring)
+        a = random_config(proto, g.n, rng)
+        ball = local_state(a, g, v, k)
+        b = tuple(
+            ball[u] if u in ball else rng.randrange(-params.alpha, params.ring)
+            for u in range(g.n)
+        )
         policy = SynchronousDaemon()
-        ta = run(proto, g, tuple(a), policy, max_steps=k)
-        tb = run(proto, g, tuple(b), policy, max_steps=k)
+        ta = run(proto, g, a, policy, max_steps=k)
+        tb = run(proto, g, b, policy, max_steps=k)
         if restrict_trace(ta, v) != restrict_trace(tb, v):
-            bad.append((tuple(a), tuple(b), v, k))
+            bad.append((a, b, v, k))
     return [
         _result(
             "agreeing radius-k balls give identical k-step local histories",

@@ -6,10 +6,9 @@ Load it by name; tier-1 does not load it otherwise:
 
 A ``sys.settrace`` line trace follows only frames whose code lives under
 ``src/stabsim``.  A statement inside a function (a docstring excepted) is
-reached when the trace sees its first line.  At the end of the session the
-plugin writes every unreached statement, one ``path:line: source`` line
-each, to the ``--line-trace-out`` file, and fails the session when one of
-them is not in `ALLOWED`.
+reached when the trace sees its first line.  The terminal summary lists
+every unreached statement, one ``path:line: source`` line each, marking
+those in `ALLOWED`; the session fails when one of them is not in it.
 """
 
 from __future__ import annotations
@@ -58,8 +57,7 @@ def function_statements(tree: ast.AST) -> set[int]:
 
 
 class LineTrace:
-    def __init__(self, out: Path):
-        self.out = out
+    def __init__(self):
         self.hits: dict[str, set[int]] = {}
 
     def _call(self, frame, event, arg):
@@ -91,36 +89,21 @@ class LineTrace:
 
     def pytest_sessionfinish(self, session, exitstatus):
         sys.settrace(None)
-        missed = self.unreached()
-        with open(self.out, "w") as f:
-            for name, line, text in missed:
-                f.write(f"{name}:{line}: {text}\n")
-        self.missed = missed
-        self.failing = [
-            f"{name}:{line}: {text}"
-            for name, line, text in missed
-            if f"{name}: {text}" not in ALLOWED
+        self.missed = [
+            (f"{name}:{line}: {text}", f"{name}: {text}" in ALLOWED)
+            for name, line, text in self.unreached()
         ]
-        if self.failing and session.exitstatus == 0:
+        failing = any(not allowed for _, allowed in self.missed)
+        if failing and session.exitstatus == 0:
             session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
     def pytest_terminal_summary(self, terminalreporter):
         tr = terminalreporter
         tr.section("line trace of src/stabsim")
-        tr.write_line(f"{len(self.missed)} unreached statements, written to {self.out}")
-        for entry in self.failing:
-            tr.write_line(f"not allowed: {entry}")
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--line-trace-out",
-        default="line-trace.txt",
-        help="file the unreached statements of src/stabsim are written to",
-    )
+        tr.write_line(f"{len(self.missed)} unreached statements")
+        for entry, allowed in self.missed:
+            tr.write_line(f"{'allowed' if allowed else 'not allowed'}: {entry}")
 
 
 def pytest_configure(config):
-    config.pluginmanager.register(
-        LineTrace(Path(config.getoption("--line-trace-out"))), "line-trace"
-    )
+    config.pluginmanager.register(LineTrace(), "line-trace")
