@@ -9,7 +9,6 @@ semantics for infinite distance.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -44,25 +43,6 @@ def _frontier_distances(adj: Sequence[Sequence[int]], source: int) -> list[int]:
                     nxt.add(u)
         frontier = nxt
     return [seen.get(v, -1) for v in range(n)]
-
-
-def bfs_distances(adj: Sequence[Sequence[int]], source: int) -> list[int]:
-    """Single-source hop distances by queue-based BFS (-1 when unreachable).
-
-    Kept independent of the matrix construction on purpose, so the two can
-    be cross-checked against each other.
-    """
-    n = len(adj)
-    dist = [-1] * n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

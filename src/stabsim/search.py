@@ -41,9 +41,10 @@ call each.
   and the longest paths come from peeling the core level by level back
   from the legitimate set: the states that some non-legitimate state
   steps to.  Each unfinished state watches one successor, before which
-  every successor is finished, so a level costs one lookup per unfinished
-  state plus a rescan of the states whose watched successor has just
-  finished.  Every other state finishes after the peel, one step past
+  every successor is finished, and all groups' watches lie in one array,
+  so a level costs one lookup over every unfinished state plus a rescan
+  of the states whose watched successor has just finished, in their
+  groups only.  Every other state finishes after the peel, one step past
   its farthest successor, in one pass.
   Legitimate configurations are absorbing targets; a cycle among
   non-legitimate configurations or a stuck non-legitimate configuration is
@@ -744,14 +745,15 @@ def worst_case_unfair(
     the whole core; the rest of the core is built again before the peel,
     and the other rows after it, again one group at a time.
 
-    In the peel, each unfinished state watches one successor: every
+    In the peel, each core row is one slot of one array, a group's slots
+    contiguous, and each unfinished slot watches one successor: every
     successor before it, in the canonical subset order, is finished.  A
-    level reads the watched successor of each unfinished state and
-    rescans only the states whose watched successor has finished; a
-    rescanned state finishes when all its successors have, and otherwise
-    watches its first unfinished one.  A level therefore costs its
-    unfinished core states plus the rescans, and the successor matrices
-    are never copied.
+    level reads the watches of all unfinished slots in one lookup and
+    rescans only the slots whose watch has finished, group by group, in
+    the groups that hold one; a rescanned slot finishes when all its
+    successors have, and otherwise watches its first unfinished one.  So
+    a level's Python work grows with the groups rescanned, not with all
+    groups, and the successor matrices are never copied.
 
     Raises FalsificationError on a stuck non-legitimate configuration or on
     a cycle among non-legitimate configurations (the states that never
@@ -864,36 +866,41 @@ def worst_case_unfair(
         if len(late):
             peel.append((late, successors(late, verts)))
     del kept
-    peel = [
-        (core, succ, np.arange(len(core)), succ[:, 0])
-        for core, succ in peel if len(core)
-    ]
+    # Each core row gets one slot: group i's slots run from start[i], and
+    # slot s is row s - start[i] of its successors.
+    succs = [succ for _, succ in peel]
+    start = np.cumsum([0] + [len(core) for core, _ in peel])
+    slot_state = np.empty(start[-1], dtype=np.int32)
+    watch = np.empty(start[-1], dtype=np.int32)
+    for (core, succ), a, z in zip(peel, start, start[1:]):
+        slot_state[a:z], watch[a:z] = core, succ[:, 0]
+    del peel
     # An unfinished state's distance lies past every finished one's.
     unfinished = np.iinfo(np.int32).max
     dist = np.where(done, 0, unfinished).astype(np.int32)
 
-    # Peel: only a row whose watched successor has finished is rescanned.
-    # It finishes at this level when all its successors have, and
-    # otherwise watches its first unfinished one.
+    # Peel: one lookup reads every unfinished slot's watch, and only the
+    # groups with a finished watch are rescanned.  Such a slot finishes at
+    # this level when all its successors have, and otherwise watches its
+    # first unfinished one; the level's writes follow all its reads.
+    slots = np.arange(start[-1])
     level = 0
-    while peel:
-        finished = []
-        for _, succ, rows, watch in peel:
-            f = done[watch]
-            moved = rows[f]
-            watch[f] = succ[moved, done[succ[moved]].argmin(axis=1)]
-            f[f] = done[watch[f]]
-            finished.append(f)
-        if not any(f.any() for f in finished):
+    while len(slots):
+        f = done[watch[slots]]
+        moved = slots[f]
+        cut = np.searchsorted(moved, start)
+        for i in np.flatnonzero(cut[1:] > cut[:-1]).tolist():
+            part, succ = moved[cut[i]:cut[i + 1]], succs[i]
+            r = part - start[i]
+            watch[part] = succ[r, done[succ[r]].argmin(axis=1)]
+        f[f] = done[watch[moved]]
+        if not f.any():
             break
         level += 1
-        for i, f in enumerate(finished):
-            states, succ, rows, watch = peel[i]
-            dist[states[rows[f]]] = level
-            done[states[rows[f]]] = True
-            peel[i] = (states, succ, rows[~f], watch[~f])
-        peel = [grp for grp in peel if len(grp[2])]
-    del peel
+        dist[slot_state[slots[f]]] = level
+        done[slot_state[slots[f]]] = True
+        slots = slots[~f]
+    del succs, slot_state, watch, slots
 
     # A row outside the core finishes one step past its farthest successor,
     # once all of them have.  Its group's successors are built here, one

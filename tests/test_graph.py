@@ -1,7 +1,24 @@
+from collections import deque
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stabsim import graph as G
+
+
+def bfs_distances(adj, source):
+    """Single-source hop distances by queue-based BFS (-1 when unreachable):
+    an oracle for `Graph.dist`, independent of its construction."""
+    dist = [-1] * len(adj)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for u in adj[v]:
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
 
 
 def test_build_ring4_diameter():
@@ -123,7 +140,7 @@ def test_load_missing_file():
 @settings(max_examples=60, deadline=None)
 def test_matrix_agrees_with_per_query_bfs(g):
     for v in range(g.n):
-        assert list(g.dist[v]) == G.bfs_distances(g.adj, v)
+        assert list(g.dist[v]) == bfs_distances(g.adj, v)
     assert g.diam == max(max(row) for row in g.dist)
     for v in range(g.n):
         assert g.dist[v][v] == 0

@@ -712,6 +712,14 @@ class Hopper(Toggler):
         return self.MOVES[config[v]]
 
 
+def _ring5_stem(alpha):
+    """ring:5's clock on a stem of ``alpha`` instead of n, K = 16,
+    thresholds 1, 4, 7, 10, 13."""
+    return SsmeProtocol(
+        5, 2, params=ClockParams(alpha, 16), thresholds=(1, 4, 7, 10, 13)
+    )
+
+
 class TestUnfairWorstCase:
     @pytest.mark.parametrize(
         "proto,spec",
@@ -864,6 +872,36 @@ class TestUnfairWorstCase:
 
         with pytest.raises(ValueError, match="branching cap"):
             worst_case_unfair(Frozen(), generate("path:17"), state_budget=10)
+
+    def test_ring5_stem_of_2_cycles(self):
+        # 18^5 configurations on the trivial group: the peel stalls with
+        # the cycle's states unfinished, and the walk after it reports the
+        # cycle.
+        p, g = _ring5_stem(2), generate("ring:5")
+        with pytest.raises(FalsificationError) as exc:
+            worst_case_unfair(p, g, state_budget=2_500_000)
+        assert str(exc.value) == "cycle among non-legitimate configurations (20 actions)"
+        cycle = exc.value.artifact
+        assert cycle == [
+            (-2, -1, -1, 0, 1), (-2, -1, 0, 0, 1), (-2, -1, 0, 1, 1),
+            (-2, -1, 0, 1, -2), (-1, -1, 0, 1, -2), (-1, 0, 0, 1, -2),
+            (-1, 0, 1, 1, -2), (-1, 0, 1, -2, -2), (-1, 0, 1, -2, -1),
+            (0, 0, 1, -2, -1), (0, 1, 1, -2, -1), (0, 1, -2, -2, -1),
+            (0, 1, -2, -1, -1), (0, 1, -2, -1, 0), (1, 1, -2, -1, 0),
+            (1, -2, -2, -1, 0), (1, -2, -1, -1, 0), (1, -2, -1, 0, 0),
+            (1, -2, -1, 0, 1), (-2, -2, -1, 0, 1), (-2, -1, -1, 0, 1),
+        ]
+        for a, b in zip(cycle, cycle[1:]):
+            assert _is_move(p, g, a, b)
+
+    def test_ring5_stem_of_3_converges(self):
+        # 19^5 configurations: past the default state budget.
+        g = generate("ring:5")
+        res = worst_case_unfair(_ring5_stem(3), g, state_budget=2_500_000)
+        assert (res.max_steps, res.witness, res.states) == (
+            28, (0, 1, 2, 3, 1), 2_476_099
+        )
+        assert res.states > search.DEFAULT_STATE_BUDGET
 
     def test_stuck_state_is_reported(self):
         class Stuck:
@@ -1157,6 +1195,29 @@ class TestSymmetry:
         finally:
             tracemalloc.stop()
         assert peak < 32_000_000
+
+    @pytest.mark.parametrize(
+        "proto,spec,bound",
+        [("ssme", "ring:4", 36_000_000), ("dijkstra", "ring:6", 3_000_000)],
+    )
+    def test_solve_peak_memory(self, proto, spec, bound):
+        # A first solve leaves lazy imports and caches out of the count.
+        # ssme ring:4, 531,441 configurations on the trivial group, then
+        # peaks at 31.8 MB, in the pass over the rows outside the core.
+        # dijkstra ring:6 peaks at 2.5 MB in that pass and at 2.2 MB in
+        # the peel, so a copy of the core's successor matrices (0.8 MB)
+        # held through the peel crosses its bound.
+        g = generate(spec)
+        p = make_protocol(proto, g)
+        worst_case_unfair(p, g, state_budget=10**7)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            worst_case_unfair(p, g, state_budget=10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestWitness:
