@@ -12,17 +12,18 @@ call each.
 * `sync_worst_case` measures the worst mutual-exclusion convergence index
   over many initial configurations under the synchronous scheduler.  There
   every configuration has exactly one successor, so the exhaustive mode
-  stores each configuration's successor as a mixed-radix index and solves
-  every run at once on that functional graph.  A vertex's columns of the
-  kernel read only its closed neighbourhood, so where that is cheaper the
-  kernel runs once per vertex over its neighbourhood's configurations, and
-  the whole-space arrays are sums and counts of those small tables,
-  broadcast over the index.  Levels are peeled back from the legitimate
-  set over the core: the configurations with a predecessor, plus the
-  legitimate set.  Every other configuration takes its fields from its
-  successor's in one pass after the peel.  Only the exhaustive mode takes
-  a liveness window.  The sample mode has no state graph; it steps its
-  runs as the rows of `engine.ensemble_runs`.
+  solves every run at once on that functional graph, streaming the space
+  slab by slab (`_slab_stream`): a vertex's columns of the kernel read
+  only its closed neighbourhood, so where that is cheaper the kernel runs
+  once per vertex over its neighbourhood's configurations and each slab's
+  columns are those small tables, broadcast.  A first walk marks the
+  core, every successor plus the legitimate set, in one bool per
+  configuration, the only array over the whole space.  Levels are peeled
+  back from the legitimate set over the core, and a second walk folds
+  every run in, each taking its fields from its successor's, into running
+  maxima.  Only the exhaustive mode takes a liveness window.  The sample
+  mode has no state graph; it steps its runs, one chunk at a time, as the
+  rows of `engine.ensemble_runs`.
   `_sync_scan_scalar` states the same scan through `run` traces: it is the
   reference the tests compare against, and it validates the witness below.
   `sync_worst_bound` is the one place that picks the mode from the size of
@@ -125,18 +126,18 @@ class SyncScanResult:
 # ---------------------------------------------------------------------------
 
 
-def _scan_result(conv: np.ndarray, legit: np.ndarray, config_at) -> SyncScanResult:
-    """The result of runs whose ME convergence and first legitimate indices
-    are ``conv`` and ``legit``, -1 where a run is unreached; run i starts
-    from ``config_at(i)``."""
-    result = SyncScanResult(runs=len(legit), unreached=int((legit < 0).sum()))
-    if result.unreached < result.runs:
-        i_me, i_lg = int(conv.argmax()), int(legit.argmax())
-        result.max_convergence_me = int(conv[i_me])
-        result.witness_me = config_at(i_me)
-        result.max_convergence_legit = int(legit[i_lg])
-        result.witness_legit = config_at(i_lg)
-    return result
+def _fold_runs(acc: SyncScanResult, conv, legit, config_at) -> None:
+    """Fold into ``acc`` the runs whose ME convergence and first legitimate
+    indices are ``conv`` and ``legit``, -1 where a run is unreached; run i
+    starts from ``config_at(i)``.  Runs are folded in order, so each witness
+    is the first run attaining its maximum."""
+    acc.runs += len(legit)
+    acc.unreached += int((legit < 0).sum())
+    i, j = int(conv.argmax()), int(legit.argmax())
+    if conv[i] > acc.max_convergence_me:
+        acc.max_convergence_me, acc.witness_me = int(conv[i]), config_at(i)
+    if legit[j] > acc.max_convergence_legit:
+        acc.max_convergence_legit, acc.witness_legit = int(legit[j]), config_at(j)
 
 
 @dataclass(frozen=True)
@@ -258,87 +259,57 @@ def _int_type(top: int) -> np.dtype:
 def _vertex_columns(b, v: int, space: StateSpace, window: bool) -> tuple:
     """Vertex v's columns of the fields the synchronous scan reads from the
     batch ``b``: its value's index term in the successor, privileged,
-    tallied, and with a window, enabled and its critical-section bit."""
+    tallied, and with a window, its critical-section bit (privileged and
+    enabled)."""
     cols = (space.term(b.nxt[:, v], v), b.priv[:, v], b.tally[:, v])
     if window:
-        cols += (b.enabled[:, v], b.priv[:, v] & b.enabled[:, v])
+        cols += (b.priv[:, v] & b.enabled[:, v],)
     return cols
 
 
-def _fill(fields: tuple, here: slice, shape: tuple, cols: list, legit_tally: int):
-    """Write the synchronous scan's fields at the positions ``here``, whose
-    configurations form an array of ``shape``, from each vertex's
-    `_vertex_columns` broadcast to that shape.  Three counts go through one
-    int8 array: privileged vertices (unsafe at 2 or more), tallied ones
-    (legitimate at ``legit_tally``) and, with a window, enabled ones (a
-    legitimate configuration with none is stuck)."""
-    succ, legit, unsafe, cs, stuck = fields
-
-    def at(a):
-        return a[here].reshape(shape)
-
-    nxt = at(succ)
-    np.copyto(nxt, cols[0][0])
-    for c in cols[1:]:
-        nxt += c[0]
-    count = np.zeros(shape, dtype=np.int8)
-    for c in cols:
-        count += c[1]
-    np.greater_equal(count, 2, out=at(unsafe))
-    count[...] = 0
-    for c in cols:
-        count += c[2]
-    ok = at(legit)
-    np.equal(count, legit_tally, out=ok)
-    if cs is not None:
-        count[...] = 0
-        for v, c in enumerate(cols):
-            count += c[3]
-            np.copyto(at(cs[v]), c[4])
-        stuck.append(np.flatnonzero(ok & (count == 0)) + here.start)
+def _sum(columns: list, f: int, shape: tuple, dtype=np.int8) -> np.ndarray:
+    """The sum over the vertices of field ``f`` of ``columns``, each
+    broadcast to ``shape``, flattened: the successor index of field 0, the
+    count of privileged (1) or tallied (2) vertices otherwise."""
+    out = np.zeros(shape, dtype=dtype)
+    for c in columns:
+        out += c[f]
+    return out.reshape(-1)
 
 
-def _sync_kernel_pass(
-    protocol, g: Graph, space: StateSpace, window: bool
-) -> tuple:
-    """The arrays the synchronous scan solves on, one entry per
-    configuration: the successor's int32 index, legitimate, unsafe (two or
-    more privileged vertices) and, with a window, the critical-section
-    bits, one row per vertex, and the indices of the legitimate
-    configurations where no vertex is enabled (stuck).
+def _slab_stream(protocol, g: Graph, space: StateSpace, window: bool):
+    """A function whose every call walks the space once, slab by slab in
+    index order, yielding ``(here, shape, columns)``: the positions
+    ``here``, whose configurations form an array of ``shape``, and each
+    vertex's `_vertex_columns`, broadcastable to that shape.
 
     By `Batch`'s locality, vertex v's columns depend only on the values of
     its closed neighbourhood N[v].  Where walking the D^|N[v]|
     neighbourhood configurations of every vertex, in `CHUNK_ROWS` slices,
-    takes fewer kernel calls than walking the D^n of the space, the kernel
-    runs once per vertex over N[v]'s configurations, every other vertex at
-    ``domain[0]``, and keeps v's columns as small tables.  Each field is
-    then built by broadcasting the tables over the ``(D,) * n`` view of the
-    index, one slab of leading digits, at most `CHUNK_ROWS` configurations,
-    at a time: the successor index is the sum of each vertex's term, and
-    the three counts add one table per vertex.  Otherwise (complete graphs,
-    and spaces of a chunk or two, such as the token ring's) one group of
-    every vertex walks the space itself, and each chunk's columns are
-    written straight into the fields."""
+    takes fewer kernel calls than walking the D^n of the space twice, as
+    the exhaustive scan does, the kernel runs once per vertex over N[v]'s
+    configurations, every other vertex at ``domain[0]``, and keeps v's
+    columns as small tables, built once for every walk and flat along the
+    axes outside N[v].  A slab is then the last k axes of the ``(D,) * n``
+    view of the index whole, D^k <= `CHUNK_ROWS` < D^(k+1), times a run of
+    up to ``CHUNK_ROWS // D^k`` digits of the axis before them, under fixed
+    leading digits; each table is sliced to it and broadcast.  Otherwise
+    (complete graphs, and spaces of a chunk or two, such as the token
+    ring's) every walk runs the kernel over the space, one chunk a slab."""
     n, total, D = g.n, space.total, len(space.domain)
-    succ = np.empty(total, dtype=np.int32)
-    legit = np.empty(total, dtype=bool)
-    unsafe = np.empty(total, dtype=bool)
-    cs = np.empty((n, total), dtype=bool) if window else None
-    stuck = [np.empty(0, dtype=np.int64)]
-    fields = (succ, legit, unsafe, cs, stuck)
-    target = protocol.legit_tally
     closed = [sorted({v, *g.adj[v]}) for v in range(n)]
-    # Kernel calls of each vertex's walk, against one walk of the space.
+    # Kernel calls of each vertex's walk, against two walks of the space.
     calls = [-(-D ** len(c) // CHUNK_ROWS) for c in closed]
-    if sum(calls) >= -(-total // CHUNK_ROWS):
-        for here, R, b in space.batches(protocol, g):
-            columns = [_vertex_columns(b, v, space, window) for v in range(n)]
-            _fill(fields, here, (len(R),), columns, target)
-            del R, b, columns
-        return succ, legit, unsafe, cs, np.concatenate(stuck)
+    if sum(calls) >= 2 * -(-total // CHUNK_ROWS):
 
-    # Vertex v's tables span the axes of N[v] and are flat along the rest.
+        def walk():
+            for here, R, b in space.batches(protocol, g):
+                columns = [_vertex_columns(b, v, space, window) for v in range(n)]
+                del R, b
+                yield here, (here.stop - here.start,), columns
+
+        return walk
+
     tables = []
     for v, cols in enumerate(closed):
         shape = [D if u in cols else 1 for u in range(n)]
@@ -349,37 +320,72 @@ def _sync_kernel_pass(
             for t, c in zip(tables[v], columns):
                 t.reshape(-1)[here] = c
             del R, b, columns
-    lead = min([s for s in range(n + 1) if D ** (n - s) <= CHUNK_ROWS])
-    size, shape = D ** (n - lead), (D,) * (n - lead)
-    for p in range(D**lead):
-        digits = [p // D ** (lead - 1 - a) % D for a in range(lead)]
-        columns = []
-        for cols, table in zip(closed, tables):
-            # The slab's leading digits, on the axes the tables span.
-            at = tuple([d if a in cols else 0 for a, d in enumerate(digits)])
-            columns.append([t[at] for t in table])
-        _fill(fields, slice(p * size, (p + 1) * size), shape, columns, target)
-    return succ, legit, unsafe, cs, np.concatenate(stuck)
+    # D^n > CHUNK_ROWS here, so axis L = n - k - 1 exists.
+    k = max(s for s in range(n) if D**s <= CHUNK_ROWS)
+    L, w, size = n - k - 1, CHUNK_ROWS // D**k, D**k
+
+    def broadcast():
+        for p in range(D**L):
+            digits = [p // D ** (L - 1 - a) % D for a in range(L)]
+            for lo in range(0, D, w):
+                hi = min(lo + w, D)
+                columns = []
+                for cols, table in zip(closed, tables):
+                    # The slab's leading digits, on the axes the table spans.
+                    at = [d if a in cols else 0 for a, d in enumerate(digits)]
+                    at.append(slice(lo, hi) if L in cols else slice(None))
+                    columns.append([t[tuple(at)] for t in table])
+                here = slice((p * D + lo) * size, (p * D + hi) * size)
+                yield here, (hi - lo,) + (D,) * k, columns
+
+    return broadcast
 
 
 def _sync_scan_exhaustive(
     protocol, g: Graph, space: StateSpace, liveness_window: int | None
 ) -> SyncScanResult:
-    """`sync_worst_case` over every configuration, solved on the
-    synchronous successor function that `_sync_kernel_pass` stores, with
-    its flags."""
-    n, total, config_at = g.n, space.total, space.config_at
+    """`sync_worst_case` over every configuration: two walks of one
+    `_slab_stream` around a solve on the core, the successors and the
+    legitimate set, which is closed under the step."""
+    n, config_at, target = g.n, space.config_at, protocol.legit_tally
     cap = protocol.sync_step_bound(g)
     tail = liveness_window or 0
+    window = liveness_window is not None
+    stream = _slab_stream(protocol, g, space, window)
 
-    # Kernel pass: the successor's index, and the flags the fields read.
-    succ, legit, unsafe, cs, stuck = _sync_kernel_pass(
-        protocol, g, space, liveness_window is not None
-    )
+    # Pass 1 marks the core, the only array over the whole space.  Core
+    # configurations are addressed by their position in `core`, which is
+    # sorted.
+    mark = np.zeros(space.total, dtype=bool)
+    for here, shape, columns in stream():
+        mark[_sum(columns, 0, shape, np.int32)] = True
+        mark[here] |= _sum(columns, 2, shape) == target
+    core = np.flatnonzero(mark).astype(np.int32)
+    del mark
+
+    # One kernel walk over the core: each one's successor's index (and
+    # `nxt`, its position), legitimate, unsafe (two or more privileged
+    # vertices), stuck (legitimate with no enabled vertex) and, with a
+    # window, the critical-section bits, one row per vertex.
+    size = len(core)
+    succ = np.empty(size, dtype=np.int32)
+    legit, unsafe, stuck = (np.empty(size, dtype=bool) for _ in range(3))
+    cs = np.empty((n, size), dtype=bool) if window else None
+    for here, R, b in space.batches(protocol, g, at=core):
+        columns = [_vertex_columns(b, v, space, window) for v in range(n)]
+        shape = (len(R),)
+        succ[here] = _sum(columns, 0, shape, np.int32)
+        legit[here] = _sum(columns, 2, shape) == target
+        unsafe[here] = _sum(columns, 1, shape) >= 2
+        stuck[here] = legit[here] & ~b.enabled.any(axis=1)
+        if window:
+            cs[:, here] = [c[3] for c in columns]
+        del R, b, columns
+    nxt = np.searchsorted(core, succ).astype(np.int32)
     top = np.flatnonzero(legit)
-    gone = top[~legit[succ[top]]]
+    gone = top[~legit[nxt[top]]]
     if len(gone):
-        cfg = config_at(int(gone[0]))
+        cfg = config_at(int(core[gone[0]]))
         raise FalsificationError(
             f"legitimate configuration {cfg} steps out of the legitimate set",
             artifact=[cfg, config_at(int(succ[gone[0]]))],
@@ -387,121 +393,114 @@ def _sync_scan_exhaustive(
 
     # Legitimate configurations: each runs its own tail of `tail` steps,
     # cut short where a configuration has no enabled vertex.
-    level = np.full(total, -1, dtype=_int_type(cap))
+    level = np.full(size, -1, dtype=_int_type(cap))
     level[top] = 0
-    conv = np.full(total, -1, dtype=_int_type(cap + tail + 1))
+    conv = np.full(size, -1, dtype=_int_type(cap + tail + 1))
     cur = top
     alive = np.ones(len(top), dtype=bool)
     last = np.full(len(top), -1, dtype=np.int32)
     after = np.zeros(len(top), dtype=np.int32)
-    if cs is not None:
+    if window:
         since = np.zeros((n, len(top)), dtype=np.int32)  # from the last unsafe
     for t in range(tail + 1):
         hit = unsafe[cur] & alive
         last[hit] = t
         if t:
             after += hit
-        if cs is not None and t < tail:
+        if window and t < tail:
             since += cs[:, cur]
             since[:, hit] = 0
-        if len(stuck):
-            alive &= ~np.isin(cur, stuck)
-        cur = succ[cur]
+        alive &= ~stuck[cur]
+        cur = nxt[cur]
     conv[top] = last + 1
 
-    # The core: every successor, plus the legitimate set.  It is closed
-    # under the step, so its levels peel without the rest of the space.
-    # Core configurations are addressed by their position in `core`, which
-    # is sorted; `nxt` is each one's successor's position.
-    in_core = legit.copy()
-    in_core[succ] = True
-    core = np.flatnonzero(in_core).astype(np.int32)
-    del in_core
-    core_succ = succ[core]
-    nxt = np.searchsorted(core, core_succ).astype(np.int32)
-    if cs is not None:
+    if window:
         ctype = _int_type(tail + 1)
-        after_of = np.zeros(total, dtype=ctype)
+        after_of = np.zeros(size, dtype=ctype)
         after_of[top] = after
-        low = np.full(total, np.iinfo(ctype).max, dtype=ctype)
+        low = np.full(size, np.iinfo(ctype).max, dtype=ctype)
         low[top] = since.min(axis=0)
-        # Window counts, kept for the core only: no other configuration's
-        # window slides along them.  A legitimate configuration's counts
-        # are read only where its run is ME-safe from step 0, and there
-        # nothing reset them.
-        sums = np.zeros((n, len(core)), dtype=ctype)
-        sums[:, np.searchsorted(core, top)] = since
+        # Window counts S: a legitimate configuration's are read only where
+        # its run is ME-safe from step 0, and there nothing reset them.
+        sums = np.zeros((n, size), dtype=ctype)
+        sums[:, top] = since
         del since
-        # succ^(tail - 1) and succ^tail of each core configuration.
-        if tail:
-            at = np.arange(len(core), dtype=np.int32)
-            for _ in range(tail - 1):
-                at = nxt[at]
-            back = core[at]
-            ahead = succ[back]
-        else:
-            ahead = core
+        # The positions of succ^(tail - 1) and succ^tail of each one.
+        back = np.arange(size, dtype=np.int32)
+        for _ in range(tail - 1):
+            back = nxt[back]
+        ahead = nxt[back] if tail else back
 
     # Level k holds the core configurations whose successor sits at level
     # k - 1: they are k synchronous steps from legitimacy.  A run's fields
     # are its successor's, one step later, except where its window opens at
     # step 0 (conv == 0); there the window's counts slide along the
     # successor's.
-    core_level = level[core]
     for k in range(1, cap + 1):
-        j = np.flatnonzero((core_level < 0) & (core_level[nxt] == k - 1))
+        j = np.flatnonzero((level < 0) & (level[nxt] == k - 1))
         if not len(j):
             break
-        core_level[j] = k
-        i, s = core[j], core_succ[j]
+        level[j] = k
+        s = nxt[j]
         conv_s = conv[s]
-        conv[i] = np.where(conv_s > 0, conv_s + 1, unsafe[i])
-        if cs is not None:
-            after_of[i] = after_of[s]
-            low[i] = low[s]
-            z = conv[i] == 0
-            j, i = j[z], i[z]
-            # From here on, s is the successor's position in `core`.
-            s, a = nxt[j], ahead[j]
+        conv[j] = np.where(conv_s > 0, conv_s + 1, unsafe[j])
+        if window:
+            after_of[j] = after_of[s]
+            low[j] = low[s]
+            z = conv[j] == 0
+            j, s = j[z], s[z]
+            a = ahead[j]
             for v in range(n):
-                h = cs[v][i] + sums[v][s] - cs[v][a]
+                h = cs[v][j] + sums[v][s] - cs[v][a]
                 sums[v][j] = h
                 m = h if v == 0 else np.minimum(m, h, out=m)
-            low[i] = m
-    level[core] = core_level
+            low[j] = m
+    if window:
+        # S(s) - cs(succ^(tail - 1) s) of each core configuration s: a run
+        # whose window opens at step 0 adds its own bits to its successor's.
+        shift = sums - cs[:, back] if tail else sums
 
-    # Every other configuration has no predecessor: it takes its fields
-    # from its successor's by the same rule, in one pass.
-    ls = level[succ]
-    eden = (ls >= 0) & (ls < cap)
-    eden[core] = False
-    np.add(ls, 1, out=level, where=eden)
-    del ls
-    conv_s = conv[succ]
-    np.copyto(conv, np.where(conv_s > 0, conv_s + 1, unsafe), where=eden)
-    del conv_s
-    if cs is not None:
-        np.copyto(after_of, after_of[succ], where=eden)
-        # A window that opens at step 0 slides along the successor's, as
-        # in the peel; succ^tail i is succ^(tail - 1) of i's successor, or
-        # i itself when the window is empty.  `shift` holds each core
-        # configuration's S(s) - cs(succ^(tail - 1) s); it is read only
-        # through `succ`, so only its core entries are set.
-        shift = np.empty(total, dtype=ctype)
-        for v in range(n):
-            shift[core] = sums[v] - cs[v][back] if tail else sums[v]
-            h = shift[succ]
+    # Pass 2 folds every run in, in index order.  A legitimate
+    # configuration takes its own fields; every other one takes its
+    # successor's by the peel's rule, which on the core gives the peel's.
+    # A run whose successor sits at core position c has level e_lev[c] and
+    # ME convergence index e_conv[c], or its own unsafe bit where that is 0.
+    reach = (level >= 0) & (level < cap)
+    e_lev = np.where(reach, level + 1, -1)
+    e_conv = np.where(reach, np.where(conv > 0, conv + 1, 0), -1)
+    if window:
+        most = np.iinfo(ctype).max
+        e_after = np.where(reach, after_of, 0)
+        e_low = np.where(reach, low, most)
+    acc = SyncScanResult(runs=0)
+    for here, shape, columns in stream():
+        p = np.searchsorted(core, _sum(columns, 0, shape, np.int32))
+        lev, cv = e_lev[p], e_conv[p]
+        np.copyto(cv, _sum(columns, 1, shape) >= 2, where=cv == 0)
+        ok = _sum(columns, 2, shape) == target
+        own = np.flatnonzero(ok)
+        q = np.searchsorted(core, own + here.start)
+        lev[own], cv[own] = 0, conv[q]
+        _fold_runs(acc, cv, lev, lambda i: config_at(here.start + i))
+        if not window:
+            continue
+        aft = e_after[p]
+        aft[own] = after_of[q]
+        acc.unsafe_after_legitimate += int(aft.sum(dtype=np.int64))
+        lo = e_low[p]
+        z = np.flatnonzero((cv == 0) & ~ok)
+        pz = p[z]
+        for v, c in enumerate(columns):
+            h = shift[v][pz]
             if tail:
-                h += cs[v]
+                h += np.broadcast_to(c[3], shape).reshape(-1)[z]
             m = h if v == 0 else np.minimum(m, h, out=m)
-        np.copyto(low, np.where(conv == 0, m, low[succ]), where=eden)
-
-    result = _scan_result(conv, level, config_at)
-    if cs is not None and result.unreached < total:
-        result.unsafe_after_legitimate = int(after_of.sum(dtype=np.int64))
-        j = int(low.argmin())
-        result.min_cs_count, result.cs_witness = int(low[j]), config_at(j)
-    return result
+        lo[z] = m
+        lo[own] = low[q]
+        i = int(lo.argmin())
+        if lo[i] < most and (acc.min_cs_count is None or lo[i] < acc.min_cs_count):
+            acc.min_cs_count, acc.cs_witness = int(lo[i]), config_at(here.start + i)
+    return acc
 
 
 def sync_worst_case(
@@ -538,7 +537,8 @@ def sync_worst_case(
 
     The sample mode steps each chunk of runs as the rows of
     `engine.ensemble_runs` under the synchronous selection, stopping each
-    at its first legitimate configuration.
+    at its first legitimate configuration, and folds it in before drawing
+    the next, so one chunk's runs are alive at a time.
 
     The exhaustive mode solves every run on the successor function.
     Legitimate configurations step through their own tail.  A
@@ -551,27 +551,27 @@ def sync_worst_case(
     ``S(i) = cs(i) + S(succ i) - cs(succ^window i)``.  Every other run
     shares its successor's window.
 
-    The kernel pass, `_sync_kernel_pass`, reads each vertex's columns of
-    the kernel once per configuration of its closed neighbourhood, where
-    that takes fewer kernel calls than the configurations of the space (on
-    ssme ring:4, 4 x 27^3 = 78,732 kernel rows in 4 calls, against 531,441
-    configurations in 17), and builds the successor index and the flags by
-    broadcasting them over the index; otherwise it runs the kernel over the
-    space itself.
-
-    Levels are peeled over the core only: the configurations that are
-    some configuration's successor, plus the legitimate set.  The core is
-    closed under the step; on the clock protocol it is under 1% of the
-    space (0.35% on ring:4), on the token ring a quarter to a third.
-    Every other configuration has no predecessor, so no run's fields wait
-    on its own; after the peel it takes its fields from its successor's by
-    the same rule, in one pass over the space.  Window counts are kept for
-    the core only, where ``succ^window`` is also composed, one step at a
-    time.  The critical-section bits and window counts are held as one
-    contiguous row per vertex, and the fewest entries are a running
-    minimum over the rows.  The scan relies on the legitimate set being
-    closed under the synchronous step, and raises FalsificationError with a
-    legitimate configuration and its successor where it is not.
+    The rule reads a configuration's own flags and its successor's fields,
+    so the space is walked twice by one `_slab_stream`, and between the
+    walks only the core is solved: the configurations that are some
+    configuration's successor, plus the legitimate set.  The core is closed
+    under the step; on the clock protocol it is under 1% of the space
+    (1,857 of ring:4's 531,441 configurations), on the token ring a quarter
+    to a third.  The first walk marks the core in one bool per
+    configuration.  One `StateSpace.batches` walk over the core reads its
+    successors and flags, on which the legitimate configurations' tails
+    run and levels are peeled back from the legitimate set, with window
+    counts and ``succ^window`` composed one step at a time.  The second
+    walk finds each configuration's successor in the core by binary search
+    and folds its run in, in index order, into running maxima with the
+    first index attaining them, the unreached count, the unsafe sum and the
+    fewest window entries; a core configuration gets the peel's fields
+    back, so no configuration is told apart by whether it has a
+    predecessor.  The stream's per-vertex tables (on ssme ring:4, 4 x 27^3
+    = 78,732 kernel rows in 4 calls, against 531,441 configurations in 17)
+    are built once for both walks.  The scan relies on the legitimate set
+    being closed under the synchronous step, and raises FalsificationError
+    with a legitimate configuration and its successor where it is not.
     """
     protocol.check_graph(g)
     if liveness_window is not None and liveness_window < 0:
@@ -586,18 +586,15 @@ def sync_worst_case(
     if liveness_window is not None:
         raise ValueError("sample mode takes no liveness window")
     cap = protocol.sync_step_bound(g)
-    chunks = list(_sampled_chunks(protocol.state_domain(), g.n, samples, seed))
     select = SynchronousDaemon().batched(protocol, g, None, 0)
-    runs = [
-        ensemble_runs(protocol, g, chunk, select, max_steps=cap, tail=0)
-        for chunk in chunks
-    ]
-    legit = np.concatenate([res.legitimate_at for res in runs])
-    conv = np.concatenate([res.last_unsafe for res in runs]) + 1
-    inits = np.concatenate(chunks)
-    return _scan_result(
-        np.where(legit >= 0, conv, -1), legit, lambda i: tuple(inits[i].tolist())
-    )
+    acc = SyncScanResult(runs=0)
+    for chunk in _sampled_chunks(protocol.state_domain(), g.n, samples, seed):
+        res = ensemble_runs(protocol, g, chunk, select, max_steps=cap, tail=0)
+        legit = res.legitimate_at
+        conv = np.where(legit >= 0, res.last_unsafe + 1, -1)
+        _fold_runs(acc, conv, legit, lambda i: tuple(chunk[i].tolist()))
+        del res, legit, conv
+    return acc
 
 
 def sync_worst_bound(protocol, g: Graph, *, samples: int, seed: int) -> SyncScanResult:

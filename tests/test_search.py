@@ -1,5 +1,6 @@
 import copy
 import functools
+import math
 import tracemalloc
 import weakref
 from itertools import combinations, permutations, product
@@ -247,6 +248,38 @@ class TestSyncWorstCase:
         configs = (tuple(r) for R in draws for r in R.tolist())
         assert scan == _sync_scan_scalar(p, g, configs, None)
 
+    def test_sample_mode_holds_one_chunk(self):
+        # Runs fold in chunk by chunk: at 100,000 samples (four chunks) the
+        # peak is one chunk's `ensemble_runs`, 6.63 MiB on ssme ring:5,
+        # plus the chunk's draws, 0.63 MiB, as at 32,768 samples: 7.26 MiB,
+        # 7.30 under `tests.line_trace`.  Keeping every chunk and its runs
+        # took 11.36 MiB here.  A first scan leaves lazy imports and caches
+        # out of the count.
+        g = generate("ring:5")
+        p = SsmeProtocol.for_graph(g)
+        sync_worst_case(p, g, "sample", samples=100, seed=0)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            sync_worst_case(p, g, "sample", samples=100_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.4 * 2**20
+
+    def test_ring5_window_scan(self, monkeypatch):
+        # 34^5 = 45,435,424 configurations, past the default budget: the
+        # streamed scan holds one bool per configuration.
+        g = generate("ring:5")
+        p = SsmeProtocol.for_graph(g)
+        monkeypatch.setattr(search, "DEFAULT_CONFIG_BUDGET", 45_435_424)
+        scan = sync_worst_case(p, g, "exhaustive", liveness_window=2 * p.ring)
+        assert scan.runs == 45_435_424
+        assert scan.max_convergence_me == math.ceil(g.diam / 2) == 1
+        assert scan.max_convergence_legit == 9
+        assert scan.unreached == 0
+        assert scan.min_cs_count >= 1
+
     def test_unreached_states(self):
         # Frozen strands 45 of its 100 runs; SyncToggler reaches none.
         g = generate("path:2")
@@ -287,24 +320,56 @@ class TestSyncWorstCase:
 
 
 def _whole_walk_pass(protocol, g, space, window):
-    """The synchronous scan's kernel pass as one `StateSpace.batches` walk
-    over the whole space, reading legitimacy through `tallied`: the
-    reference the per-vertex split pass is held to."""
+    """The fields the synchronous scan reads of every configuration, from
+    one `StateSpace.batches` walk over the whole space, reading legitimacy
+    through `tallied`: the successor's index, legitimate, unsafe and, with
+    a window, the critical-section bits, one row per vertex.  The reference
+    the slab stream is held to."""
     n, total = g.n, space.total
     succ = np.empty(total, dtype=np.int32)
     legit = np.empty(total, dtype=bool)
     unsafe = np.empty(total, dtype=bool)
     cs = np.empty((n, total), dtype=bool) if window else None
-    stuck = [np.empty(0, dtype=np.int64)]
     for here, R, b in space.batches(protocol, g):
         succ[here] = space.index(b.nxt)
-        ok = legit[here] = tallied(b.tally, protocol.legit_tally)
+        legit[here] = tallied(b.tally, protocol.legit_tally)
         unsafe[here] = rows_with(b.priv, 2)
         if window:
             cs[:, here] = (b.priv & b.enabled).T
-            stuck.append(np.flatnonzero(ok & ~rows_with(b.enabled, 1)) + here.start)
         del R, b
-    return succ, legit, unsafe, cs, np.concatenate(stuck)
+    return succ, legit, unsafe, cs
+
+
+def _stream_fields(stream, protocol, n, window):
+    """`_whole_walk_pass`'s fields, built from the slabs of ``stream`` and
+    concatenated, after checking that the slabs tile the space in order."""
+    fields, stop = [], 0
+    for here, shape, columns in stream():
+        assert here.start == stop and here.stop - here.start == np.prod(shape)
+        stop = here.stop
+        cs = [np.broadcast_to(c[3], shape).reshape(-1) for c in columns] if window else None
+        fields.append((
+            search._sum(columns, 0, shape, np.int32),
+            search._sum(columns, 2, shape) == protocol.legit_tally,
+            search._sum(columns, 1, shape) >= 2,
+            np.array(cs) if window else None,
+        ))
+    return [
+        None if parts[0] is None else np.concatenate(parts, axis=-1)
+        for parts in zip(*fields)
+    ]
+
+
+def _walk_stream(protocol, g, space, window):
+    """`search._slab_stream` as the whole-space kernel walk alone."""
+
+    def walk():
+        for here, R, b in space.batches(protocol, g):
+            columns = [search._vertex_columns(b, v, space, window) for v in range(g.n)]
+            del R, b
+            yield here, (here.stop - here.start,), columns
+
+    return walk
 
 
 # The spider with legs 1-2, 3 and 4 at vertex 0: no vertex sees every
@@ -332,8 +397,11 @@ class TestSplitPass:
     @pytest.mark.parametrize("window", [False, True])
     @pytest.mark.parametrize(
         "case,chunk_rows",
+        # At 25 rows a slab of the spider and of dijkstra ring:5 (D = 6)
+        # is 4 or 2 digits of one axis times the last axis whole.  The
+        # clock cases at 7 rows walk 76,000 and 191,000 slabs twice.
         [(case, None) for case in SPLIT_CASES]
-        + [(case, 7) for case in SPLIT_CASES[2:]],
+        + [(case, rows) for case in SPLIT_CASES[2:] for rows in (7, 25)],
     )
     def test_split_pass_equals_the_whole_walk(
         self, case, chunk_rows, window, monkeypatch
@@ -347,17 +415,18 @@ class TestSplitPass:
         if chunk_rows is not None:
             monkeypatch.setattr(search, "CHUNK_ROWS", chunk_rows)
         counted = _OneChunkAlive(p)
-        got = search._sync_kernel_pass(counted, g, space, window)
+        stream = search._slab_stream(counted, g, space, window)
         # The split takes fewer kernel calls on the clock cases, and on
-        # every case at 7 rows per call; the small spaces otherwise fit one
-        # or two calls and are walked whole.
+        # every case at 7 rows per call, and builds its tables once; the
+        # small spaces otherwise fit one or two calls, and each walk of
+        # the stream runs the kernel over the space.
         split = chunk_rows is not None or case.startswith("ssme")
-        assert sum(counted.rows) == (split_rows if split else space.total)
-        names = ("succ", "legit", "unsafe", "cs", "stuck")
-        for name, a, b in zip(names, got, want):
-            if name == "stuck":
-                a, b = np.sort(a), np.sort(b)
-            assert (a is None and b is None) or np.array_equal(a, b), name
+        assert sum(counted.rows) == (split_rows if split else 0)
+        for _ in range(2):
+            got = _stream_fields(stream, p, g.n, window)
+            for name, a, b in zip(("succ", "legit", "unsafe", "cs"), got, want):
+                assert (a is None and b is None) or np.array_equal(a, b), name
+        assert sum(counted.rows) == (split_rows if split else 2 * space.total)
         # Legitimate and unsafe configurations both occur.
         assert want[1].any() and want[2].any()
 
@@ -367,16 +436,21 @@ class TestSplitPass:
         p = SsmeProtocol.for_graph(g)
         w = None if window is None else 2 * p.ring
         split = sync_worst_case(p, g, "exhaustive", liveness_window=w)
-        monkeypatch.setattr(search, "_sync_kernel_pass", _whole_walk_pass)
+        monkeypatch.setattr(search, "_slab_stream", _walk_stream)
         assert split == sync_worst_case(p, g, "exhaustive", liveness_window=w)
 
     @pytest.mark.parametrize(
         "spec,rows",
         [
-            # One call per vertex over its 27^3 neighbourhood values.
-            ("ring:4", [19_683] * 4),
-            # Every vertex sees every other: the space itself, 20^4.
-            ("complete:4", [32_768] * 4 + [160_000 - 4 * 32_768]),
+            # One call per vertex over its 27^3 neighbourhood values, then
+            # one over the core's 1,857 configurations.
+            ("ring:4", [19_683] * 4 + [1_857]),
+            # Every vertex sees every other: the space itself, 20^4, once
+            # per pass, around the core's 1,066.
+            (
+                "complete:4",
+                [32_768] * 4 + [28_928, 1_066] + [32_768] * 4 + [28_928],
+            ),
         ],
     )
     def test_kernel_rows_per_scan(self, spec, rows):
@@ -386,13 +460,22 @@ class TestSplitPass:
         assert p.rows == rows
 
     @pytest.mark.parametrize(
-        "window,mib",
-        # The tracemalloc peaks of the whole-space walk, 6.63 and 10.71 MiB,
-        # rounded up to a tenth of a MiB.
-        [(None, 6.7), ("2K", 10.8)],
+        "spec,window,mib",
+        # The tracemalloc peaks, rounded up to a tenth of a MiB: 2.07 MiB
+        # on ring:4 with or without the window, 3.01 and 3.03 MiB on path:4.
+        # Under `tests.line_trace`, whose sets of reached lines grow during
+        # the scan, they read up to 2.12 and 3.05 MiB.  With the old
+        # whole-space arrays they were 6.63 and 10.71 MiB on ring:4, 16.66
+        # and 26.91 MiB on path:4.
+        [
+            ("ring:4", None, 2.2),
+            ("ring:4", "2K", 2.2),
+            ("path:4", None, 3.1),
+            ("path:4", "2K", 3.1),
+        ],
     )
-    def test_scan_peak_memory(self, window, mib):
-        g = generate("ring:4")
+    def test_scan_peak_memory(self, spec, window, mib):
+        g = generate(spec)
         p = SsmeProtocol.for_graph(g)
         w = None if window is None else 2 * p.ring
         tracemalloc.start()
@@ -436,9 +519,9 @@ class TestStateSpace:
     @pytest.mark.parametrize(
         "solve,calls",
         [
-            # 100 configurations.
-            (lambda p, g: sync_worst_case(p, g, "exhaustive"), 7),
-            (lambda p, g: sync_worst_case(p, g, "exhaustive", liveness_window=4), 7),
+            # 100 configurations, walked once per pass around the core's 32.
+            (lambda p, g: sync_worst_case(p, g, "exhaustive"), 16),
+            (lambda p, g: sync_worst_case(p, g, "exhaustive", liveness_window=4), 16),
             # 55 representatives under the swap of path:2's two vertices.
             (worst_case_unfair, 4),
         ],
