@@ -108,9 +108,15 @@ def _parse_init(arg: str, protocol, g: graphlib.Graph) -> list[tuple[int, ...]]:
         parts = rest.split(":")
         if len(parts) != 2:
             raise ValueError(f"bad init spec {arg!r}, expected random:COUNT:SEED")
-        if (count := int(parts[0])) < 1:
+        try:
+            count, seed = map(int, parts)
+        except ValueError:
+            raise ValueError(
+                f"bad init spec {arg!r}, COUNT and SEED must be integers"
+            ) from None
+        if count < 1:
             raise ValueError(f"bad init spec {arg!r}, COUNT must be >= 1")
-        return verifylib.random_inits(protocol, g.n, count, int(parts[1]))
+        return verifylib.random_inits(protocol, g.n, count, seed)
     elif kind == "witness":
         inits = [lower_bound_witness(g).config]
     elif kind == "zeros":
@@ -356,9 +362,10 @@ def cmd_verify(args) -> int:
 def cmd_compare(args) -> int:
     out_dir = _out_dir(args.out)
     rows = []
-    for spec in args.graphs.split(","):
-        spec = spec.strip()
-        g = _load_graph_arg(spec)
+    specs = [spec.strip() for spec in args.graphs.split(",")]
+    # Every spec is read before the first solve, so a bad one exits at once.
+    graphs = [_load_graph_arg(spec) for spec in specs]
+    for spec, g in zip(specs, graphs):
         for proto_name in ("ssme", "dijkstra"):
             try:
                 protocol = make_protocol(proto_name, g)

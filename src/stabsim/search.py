@@ -18,9 +18,9 @@ call each.
   once per vertex over its neighbourhood's configurations and each slab's
   columns are those small tables, broadcast.  A first walk marks the
   core, every successor plus the legitimate set, in one bool per
-  configuration, the only array over the whole space.  Levels are peeled
-  back from the legitimate set over the core, and a second walk folds
-  every run in, each taking its fields from its successor's, into running
+  configuration, the only array over the whole space.  Every core run is
+  stepped forward by `run`'s stop rules, and a second walk folds every
+  run in, each taking its fields from its successor's, into running
   maxima.  Only the exhaustive mode takes a liveness window.  The sample
   mode has no state graph; it steps its runs, one chunk at a time, as the
   rows of `engine.ensemble_runs`.
@@ -366,11 +366,13 @@ def _sync_scan_exhaustive(
     # One kernel walk over the core: each one's successor's index (and
     # `nxt`, its position), legitimate, unsafe (two or more privileged
     # vertices), stuck (legitimate with no enabled vertex) and, with a
-    # window, the critical-section bits, one row per vertex.
+    # window, the critical-section bits, one row per vertex.  A run that
+    # has stopped sits at the appended position `size`, whose flags are all
+    # false and which steps to itself.
     size = len(core)
     succ = np.empty(size, dtype=np.int32)
-    legit, unsafe, stuck = (np.empty(size, dtype=bool) for _ in range(3))
-    cs = np.empty((n, size), dtype=bool) if window else None
+    legit, unsafe, stuck = (np.zeros(size + 1, dtype=bool) for _ in range(3))
+    cs = np.zeros((n, size + 1), dtype=bool) if window else None
     for here, R, b in space.batches(protocol, g, at=core):
         columns = [_vertex_columns(b, v, space, window) for v in range(n)]
         shape = (len(R),)
@@ -381,9 +383,8 @@ def _sync_scan_exhaustive(
         if window:
             cs[:, here] = [c[3] for c in columns]
         del R, b, columns
-    nxt = np.searchsorted(core, succ).astype(np.int32)
-    top = np.flatnonzero(legit)
-    gone = top[~legit[nxt[top]]]
+    nxt = np.append(np.searchsorted(core, succ), size).astype(np.int32)
+    gone = np.flatnonzero(legit & ~legit[nxt])
     if len(gone):
         cfg = config_at(int(core[gone[0]]))
         raise FalsificationError(
@@ -391,78 +392,40 @@ def _sync_scan_exhaustive(
             artifact=[cfg, config_at(int(succ[gone[0]]))],
         )
 
-    # Legitimate configurations: each runs its own tail of `tail` steps,
-    # cut short where a configuration has no enabled vertex.
-    level = np.full(size, -1, dtype=_int_type(cap))
-    level[top] = 0
-    conv = np.full(size, -1, dtype=_int_type(cap + tail + 1))
-    cur = top
-    alive = np.ones(len(top), dtype=bool)
-    last = np.full(len(top), -1, dtype=np.int32)
-    after = np.zeros(len(top), dtype=np.int32)
+    # Every core run steps forward by `run`'s rules, all together, for up
+    # to cap + tail steps: it stops `tail` steps after its first legitimate
+    # step (its level) or at a legitimate configuration with no enabled
+    # vertex.  Each keeps its ME convergence index so far, one past its
+    # last unsafe step, its unsafe steps after legitimacy and, with a
+    # window, each vertex's critical-section entries in steps
+    # [conv, conv + tail) and the bits of step tail - 1.
+    ctype = _int_type(tail + 1)
+    stype = _int_type(cap + tail + 1)
+    cur = np.arange(size, dtype=np.int32)
+    level = np.full(size, -1, dtype=stype)
+    conv = np.zeros(size, dtype=stype)
+    after = np.zeros(size, dtype=ctype)
     if window:
-        since = np.zeros((n, len(top)), dtype=np.int32)  # from the last unsafe
-    for t in range(tail + 1):
-        hit = unsafe[cur] & alive
-        last[hit] = t
-        if t:
-            after += hit
-        if window and t < tail:
-            since += cs[:, cur]
-            since[:, hit] = 0
-        alive &= ~stuck[cur]
-        cur = nxt[cur]
-    conv[top] = last + 1
-
-    if window:
-        ctype = _int_type(tail + 1)
-        after_of = np.zeros(size, dtype=ctype)
-        after_of[top] = after
-        low = np.full(size, np.iinfo(ctype).max, dtype=ctype)
-        low[top] = since.min(axis=0)
-        # Window counts S: a legitimate configuration's are read only where
-        # its run is ME-safe from step 0, and there nothing reset them.
-        sums = np.zeros((n, size), dtype=ctype)
-        sums[:, top] = since
-        del since
-        # The positions of succ^(tail - 1) and succ^tail of each one.
-        back = np.arange(size, dtype=np.int32)
-        for _ in range(tail - 1):
-            back = nxt[back]
-        ahead = nxt[back] if tail else back
-
-    # Level k holds the core configurations whose successor sits at level
-    # k - 1: they are k synchronous steps from legitimacy.  A run's fields
-    # are its successor's, one step later, except where its window opens at
-    # step 0 (conv == 0); there the window's counts slide along the
-    # successor's.
-    for k in range(1, cap + 1):
-        j = np.flatnonzero((level < 0) & (level[nxt] == k - 1))
-        if not len(j):
-            break
-        level[j] = k
-        s = nxt[j]
-        conv_s = conv[s]
-        conv[j] = np.where(conv_s > 0, conv_s + 1, unsafe[j])
+        since = np.zeros((n, size), dtype=ctype)
+        edge = np.zeros((n, size), dtype=bool)
+    for t in range(cap + tail + 1):
+        hit = unsafe[cur]
+        conv[hit] = t + 1
+        after += hit & (level >= 0)
+        level[legit[cur] & (level < 0)] = t
+        cur[stuck[cur] | (level >= 0) & (level <= t - tail)] = size
         if window:
-            after_of[j] = after_of[s]
-            low[j] = low[s]
-            z = conv[j] == 0
-            j, s = j[z], s[z]
-            a = ahead[j]
-            for v in range(n):
-                h = cs[v][j] + sums[v][s] - cs[v][a]
-                sums[v][j] = h
-                m = h if v == 0 else np.minimum(m, h, out=m)
-            low[j] = m
-    if window:
-        # S(s) - cs(succ^(tail - 1) s) of each core configuration s: a run
-        # whose window opens at step 0 adds its own bits to its successor's.
-        shift = sums - cs[:, back] if tail else sums
+            since[:, hit] = 0
+            # `take` gathers the columns several times faster than cs[:, cur].
+            bits = cs.take(cur, axis=1) & (conv <= t) & (t - conv < tail)
+            since += bits
+            if t == tail - 1:
+                edge = bits
+        cur = nxt[cur]
 
     # Pass 2 folds every run in, in index order.  A legitimate
     # configuration takes its own fields; every other one takes its
-    # successor's by the peel's rule, which on the core gives the peel's.
+    # successor's, one step later, which on the core gives the core's own.
     # A run whose successor sits at core position c has level e_lev[c] and
     # ME convergence index e_conv[c], or its own unsafe bit where that is 0.
     reach = (level >= 0) & (level < cap)
@@ -470,8 +433,12 @@ def _sync_scan_exhaustive(
     e_conv = np.where(reach, np.where(conv > 0, conv + 1, 0), -1)
     if window:
         most = np.iinfo(ctype).max
-        e_after = np.where(reach, after_of, 0)
+        low = since.min(axis=0)
+        e_after = np.where(reach, after, 0)
         e_low = np.where(reach, low, most)
+        # A run whose window opens at step 0 adds its own bits to its
+        # successor's counts, less those of the successor's step tail - 1.
+        shift = since - edge
     acc = SyncScanResult(runs=0)
     for here, shape, columns in stream():
         p = np.searchsorted(core, _sum(columns, 0, shape, np.int32))
@@ -485,7 +452,7 @@ def _sync_scan_exhaustive(
         if not window:
             continue
         aft = e_after[p]
-        aft[own] = after_of[q]
+        aft[own] = after[q]
         acc.unsafe_after_legitimate += int(aft.sum(dtype=np.int64))
         lo = e_low[p]
         z = np.flatnonzero((cv == 0) & ~ok)
@@ -540,16 +507,15 @@ def sync_worst_case(
     at its first legitimate configuration, and folds it in before drawing
     the next, so one chunk's runs are alive at a time.
 
-    The exhaustive mode solves every run on the successor function.
-    Legitimate configurations step through their own tail.  A
-    configuration k steps from legitimacy takes its fields from its
-    successor's, one step later: its ME convergence index is the
+    The exhaustive mode solves every run on the successor function.  A
+    configuration that is not legitimate takes its fields from its
+    successor's run, one step later: its ME convergence index is the
     successor's plus one, unless the successor's run is ME-safe
     throughout, in which case it is 1 when this configuration is unsafe
     and 0 otherwise.  Only a run that is ME-safe from its start opens its
-    window at step 0; its per-vertex counts slide along its successor's as
-    ``S(i) = cs(i) + S(succ i) - cs(succ^window i)``.  Every other run
-    shares its successor's window.
+    window at step 0; it adds its own critical-section bits to its
+    successor's counts and drops those of the successor's step
+    ``window - 1``.  Every other run shares its successor's window.
 
     The rule reads a configuration's own flags and its successor's fields,
     so the space is walked twice by one `_slab_stream`, and between the
@@ -559,19 +525,24 @@ def sync_worst_case(
     (1,857 of ring:4's 531,441 configurations), on the token ring a quarter
     to a third.  The first walk marks the core in one bool per
     configuration.  One `StateSpace.batches` walk over the core reads its
-    successors and flags, on which the legitimate configurations' tails
-    run and levels are peeled back from the legitimate set, with window
-    counts and ``succ^window`` composed one step at a time.  The second
-    walk finds each configuration's successor in the core by binary search
-    and folds its run in, in index order, into running maxima with the
-    first index attaining them, the unreached count, the unsafe sum and the
-    fewest window entries; a core configuration gets the peel's fields
-    back, so no configuration is told apart by whether it has a
-    predecessor.  The stream's per-vertex tables (on ssme ring:4, 4 x 27^3
-    = 78,732 kernel rows in 4 calls, against 531,441 configurations in 17)
-    are built once for both walks.  The scan relies on the legitimate set
-    being closed under the synchronous step, and raises FalsificationError
-    with a legitimate configuration and its successor where it is not.
+    successors and flags, and every core run is stepped forward along them
+    by `run`'s stop rules, all together, for up to
+    ``sync_step_bound + window`` steps; a stopped run sits at an appended
+    position whose flags are all false and which steps to itself.  Each run
+    keeps its first legitimate step, its ME convergence index, its unsafe
+    steps after legitimacy and, with a window, each vertex's entries since
+    its last unsafe step, up to the window, and the bits of its step
+    ``window - 1``.  The second walk finds each configuration's successor
+    in the core by binary search and folds its run in, in index order,
+    into running maxima with the first index attaining them, the unreached
+    count, the unsafe sum and the fewest window entries; a core
+    configuration's successor rule gives back its own stepped fields, so
+    no configuration is told apart by whether it has a predecessor.  The
+    stream's per-vertex tables (on ssme ring:4, 4 x 27^3 = 78,732 kernel
+    rows in 4 calls, against 531,441 configurations in 17) are built once
+    for both walks.  The scan relies on the legitimate set being closed
+    under the synchronous step, and raises FalsificationError with a
+    legitimate configuration and its successor where it is not.
     """
     protocol.check_graph(g)
     if liveness_window is not None and liveness_window < 0:

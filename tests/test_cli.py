@@ -382,6 +382,18 @@ def test_compare_skips_the_token_ring_off_rings(tmp_path, capsys):
     )
 
 
+def test_compare_reads_every_graph_before_solving(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a graph was solved")
+
+    monkeypatch.setattr(verify, "sync_worst_bound", no_solve)
+    out = tmp_path / "o"
+    rc = main(["compare", "--graphs", "ring:4,,", "--out", str(out)])
+    assert rc == 2
+    assert "unknown graph kind ''" in capsys.readouterr().err
+    assert not (out / "compare.csv").exists()
+
+
 def test_compare_folds_the_witness_into_a_sampled_sync_worst(tmp_path):
     # ssme ring:6 has 19,770,609,664 configurations, past the scan's
     # budget; its 25 sampled runs alone read 0, the witness gives 2.
@@ -754,6 +766,8 @@ def test_sweep_init_must_be_exactly_exhaustive(tmp_path, capsys):
         ("sweep", "--init", "random:-1:0", "COUNT must be >= 1"),
         ("run", "--init", "random:5:0", "gives 5; use sweep for several"),
         ("run", "--init", "random:5", "expected random:COUNT:SEED"),
+        ("sweep", "--init", "random:x:1", "'random:x:1', COUNT and SEED must be"),
+        ("sweep", "--init", "random:2:y", "'random:2:y', COUNT and SEED must be"),
         ("run", "--graph", "path:0", "path needs at least one vertex"),
         ("run", "--graph", "complete:0", "complete graph needs at least one vertex"),
         ("run", "--graph", "grid:0x3", "grid needs positive dimensions"),
@@ -765,7 +779,8 @@ def test_sweep_init_must_be_exactly_exhaustive(tmp_path, capsys):
     ids=[
         "sweep-max-steps", "run-tail", "sweep-tail",
         "run-count-0", "sweep-count-0", "sweep-count-negative", "run-count-5",
-        "run-random-no-seed", "path-0", "complete-0", "grid-0x3", "random-0",
+        "run-random-no-seed", "sweep-count-not-int", "sweep-seed-not-int",
+        "path-0", "complete-0", "grid-0x3", "random-0",
         "random-p-1.5",
         "run-k-states-ssme", "sweep-k-states-ssme",
     ],

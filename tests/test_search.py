@@ -60,6 +60,10 @@ DIFFERENTIAL_CASES = (
         ("hasty", "path:3", "2K"),
         ("toggler", "path:2", None),
         ("small-clock", "complete:4", "2K"),
+        # A window that forgets the entries before an unsafe step, and one
+        # that ends before the step at which the run stops.
+        ("ladder", "path:2", 1),
+        ("small-clock", "path:2", 5),
     ]
     + [
         (name, spec, window)
@@ -589,6 +593,7 @@ def _differential_case(name, spec, window):
         "hasty": Hasty.for_graph,
         "toggler": lambda g: SyncToggler(),
         "small-clock": small_clock,
+        "ladder": lambda g: Ladder(),
     }[name]
     p = make(g)
     if window is None or isinstance(window, int):
@@ -746,6 +751,37 @@ class Leaky(SyncToggler):
 
     def batch(self, R, g):
         return super().batch(R, g)._replace(tally=R != 0)
+
+
+class Ladder(Toggler):
+    """Every vertex climbs 0 -> 1 -> 2 -> 3 and then cycles 3 -> 4 -> 5 -> 3;
+    a configuration is legitimate once every vertex holds 3 or more.
+    Vertex v is privileged at v, at 2 and at 3 + v, so the run from all
+    zeros enters vertex 0's and vertex 1's critical sections before its one
+    unsafe step, and only those after it count in its liveness window."""
+
+    legit_tally = 0
+
+    def state_domain(self):
+        return range(6)
+
+    def sync_step_bound(self, g):
+        return 3
+
+    def batch(self, R, g):
+        every = np.ones(R.shape, dtype=bool)
+        v = np.arange(R.shape[1])
+        priv = (R == v) | (R == 2) | (R == 3 + v)
+        return Batch(np.where(R == 5, 3, R + 1), every, priv, every, R < 3)
+
+    def apply(self, v, rule, config, g):
+        return 3 if config[v] == 5 else config[v] + 1
+
+    def privileged_vertices(self, config, g):
+        return tuple(v for v, x in enumerate(config) if x in (v, 2, 3 + v))
+
+    def is_legitimate(self, config, g):
+        return min(config) >= 3
 
 
 class Climber(Toggler):
